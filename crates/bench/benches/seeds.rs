@@ -2,7 +2,9 @@
 //! versus the old auxiliary-octant cascade, across scale separations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use forestbal_core::{balance_subtree_old_ext, find_seeds, reconstruct_from_seeds, Condition};
+use forestbal_core::{
+    balance_subtree_old_ext_scratch, find_seeds, reconstruct_from_seeds, BalanceScratch, Condition,
+};
 use forestbal_octant::Octant;
 use std::hint::black_box;
 
@@ -19,7 +21,15 @@ fn bench_seeds(c: &mut Criterion) {
             o = o.child(1);
         }
         g.bench_with_input(BenchmarkId::new("old_auxiliary", depth), &o, |b, o| {
-            b.iter(|| balance_subtree_old_ext(&r, &[], black_box(&[*o]), cond))
+            b.iter(|| {
+                balance_subtree_old_ext_scratch(
+                    &r,
+                    &[],
+                    black_box(&[*o]),
+                    cond,
+                    &mut BalanceScratch::new(),
+                )
+            })
         });
         g.bench_with_input(BenchmarkId::new("new_seeds", depth), &o, |b, o| {
             b.iter(|| {

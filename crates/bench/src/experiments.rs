@@ -10,9 +10,8 @@
 
 use forestbal_comm::{reverse_naive, reverse_notify, reverse_ranges, Cluster, Comm, CommStats};
 use forestbal_core::{
-    balance_subtree_new_with_stats, balance_subtree_new_with_stats_scratch,
-    balance_subtree_old_ext, balance_subtree_old_with_stats, find_seeds, reconstruct_from_seeds,
-    BalanceScratch, BalanceStats, Condition,
+    balance_subtree_new_with_stats_scratch, balance_subtree_old_ext_scratch, find_seeds,
+    reconstruct_from_seeds, BalanceScratch, BalanceStats, Condition,
 };
 use forestbal_forest::{BalanceReport, BalanceVariant, Forest, ReversalScheme};
 use forestbal_mesh::{fractal_forest, ice_sheet_forest, IceSheetParams};
@@ -667,10 +666,21 @@ pub fn subtree_experiment(targets: &[usize]) -> Vec<SubtreeRow> {
         .map(|&n| {
             let input = adapted_subtree_input(n, 0x5eed ^ n as u64);
             let t0 = Instant::now();
-            let (out_old, old_stats) = balance_subtree_old_with_stats(&root, &input, cond);
+            let (out_old, old_stats) = balance_subtree_old_ext_scratch(
+                &root,
+                &input,
+                &[],
+                cond,
+                &mut BalanceScratch::new(),
+            );
             let old_seconds = t0.elapsed().as_secs_f64();
             let t0 = Instant::now();
-            let (out_new, new_stats) = balance_subtree_new_with_stats(&root, &input, cond);
+            let (out_new, new_stats) = balance_subtree_new_with_stats_scratch(
+                &root,
+                &input,
+                cond,
+                &mut BalanceScratch::new(),
+            );
             let new_seconds = t0.elapsed().as_secs_f64();
             assert_eq!(out_old, out_new, "algorithms disagree");
             assert!(par_is_balanced(&out_new, &root, cond), "output unbalanced");
@@ -910,7 +920,12 @@ pub fn kernel_experiment(targets: &[usize]) -> Vec<KernelRow> {
             });
             let mut fresh_out = (Vec::new(), BalanceStats::default());
             let balance_fresh_seconds = timed_min(bal_reps, || {
-                fresh_out = balance_subtree_new_with_stats(&root, black_box(&input), cond);
+                fresh_out = balance_subtree_new_with_stats_scratch(
+                    &root,
+                    black_box(&input),
+                    cond,
+                    &mut BalanceScratch::new(),
+                );
             });
             assert_eq!(fresh_out, base_out, "packed kernel diverged from baseline");
             let mut scratch = BalanceScratch::<3>::new();
@@ -1199,7 +1214,14 @@ pub fn seeds_distance_experiment(depths: &[u8], reps: usize) -> Vec<SeedsRow> {
             let t0 = Instant::now();
             let mut old_out = Vec::new();
             for _ in 0..reps {
-                old_out = balance_subtree_old_ext(&r, &[], &[o], cond).0;
+                old_out = balance_subtree_old_ext_scratch(
+                    &r,
+                    &[],
+                    &[o],
+                    cond,
+                    &mut BalanceScratch::new(),
+                )
+                .0;
             }
             let old_seconds = t0.elapsed().as_secs_f64() / reps as f64;
 

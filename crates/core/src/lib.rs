@@ -64,7 +64,6 @@ pub use preclude::{complete_reduced, precludes, reduce, remove_precluded};
 pub use scratch::{BalanceScratch, ScratchStats};
 pub use seeds::{find_seeds, reconstruct_from_seeds, reconstruct_from_seeds_scratch};
 pub use subtree::{
-    balance_subtree_new, balance_subtree_new_scratch, balance_subtree_new_with_stats,
-    balance_subtree_new_with_stats_scratch, balance_subtree_old, balance_subtree_old_ext,
-    balance_subtree_old_ext_scratch, balance_subtree_old_with_stats, BalanceStats,
+    balance_subtree_new, balance_subtree_new_with_stats_scratch, balance_subtree_old,
+    balance_subtree_old_ext_scratch, BalanceStats,
 };

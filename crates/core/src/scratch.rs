@@ -33,7 +33,6 @@ pub struct BalanceScratch<const D: usize> {
     pub(crate) buf: Vec<Octant<D>>,
     /// Secondary buffer (the new kernel's interior filter).
     pub(crate) aux: Vec<Octant<D>>,
-    uses: u64,
     /// Per-worker child arenas for parallel phases (see
     /// [`BalanceScratch::take_workers`]); persist across calls so the
     /// steady state stays allocation-free at any thread count.
@@ -62,8 +61,6 @@ pub struct ScratchStats {
     pub table_lookups: u64,
     /// Table regrowths (zero when the pre-sizing bounds held).
     pub table_grows: u64,
-    /// Kernel invocations that reused this scratch (total uses minus one).
-    pub reuses: u64,
 }
 
 impl ScratchStats {
@@ -77,7 +74,6 @@ impl ScratchStats {
             table_probes: self.table_probes - base.table_probes,
             table_lookups: self.table_lookups - base.table_lookups,
             table_grows: self.table_grows - base.table_grows,
-            reuses: self.reuses - base.reuses,
         }
     }
 
@@ -90,7 +86,6 @@ impl ScratchStats {
         self.table_probes += d.table_probes;
         self.table_lookups += d.table_lookups;
         self.table_grows += d.table_grows;
-        self.reuses += d.reuses;
     }
 }
 
@@ -104,7 +99,6 @@ impl<const D: usize> BalanceScratch<D> {
             sort: SortScratch::new(),
             buf: Vec::new(),
             aux: Vec::new(),
-            uses: 0,
             workers: Vec::new(),
             absorbed: ScratchStats::default(),
         }
@@ -131,11 +125,6 @@ impl<const D: usize> BalanceScratch<D> {
         self.workers = workers;
     }
 
-    /// Mark the start of one kernel invocation (reuse accounting).
-    pub(crate) fn begin(&mut self) {
-        self.uses += 1;
-    }
-
     /// Sort a vector through the scratch's radix buffers.
     pub fn sort(&mut self, v: &mut [Octant<D>]) {
         sort_octants_with(v, &mut self.sort);
@@ -157,7 +146,6 @@ impl<const D: usize> BalanceScratch<D> {
             table_probes: self.table_a.probe_count() + self.table_b.probe_count(),
             table_lookups: self.table_a.lookup_count() + self.table_b.lookup_count(),
             table_grows: self.table_a.grow_count() + self.table_b.grow_count(),
-            reuses: self.uses.saturating_sub(1),
         };
         s.accumulate(&self.absorbed);
         s

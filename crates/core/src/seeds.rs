@@ -84,7 +84,7 @@ pub fn reconstruct_from_seeds_scratch<const D: usize>(
     cond: Condition,
     scratch: &mut crate::scratch::BalanceScratch<D>,
 ) -> Vec<Octant<D>> {
-    crate::subtree::balance_subtree_new_scratch(r, seeds, cond, scratch)
+    crate::subtree::balance_subtree_new_with_stats_scratch(r, seeds, cond, scratch).0
 }
 
 #[cfg(test)]

@@ -48,19 +48,12 @@ pub fn balance_subtree_old<const D: usize>(
     input: &[Octant<D>],
     cond: Condition,
 ) -> Vec<Octant<D>> {
-    balance_subtree_old_with_stats(root, input, cond).0
+    balance_subtree_old_ext_scratch(root, input, &[], cond, &mut BalanceScratch::new()).0
 }
 
-/// Old subtree balance, also returning operation counts.
-pub fn balance_subtree_old_with_stats<const D: usize>(
-    root: &Octant<D>,
-    input: &[Octant<D>],
-    cond: Condition,
-) -> (Vec<Octant<D>>, BalanceStats) {
-    balance_subtree_old_ext(root, input, &[], cond)
-}
-
-/// Old subtree balance with additional *exterior* constraint octants.
+/// Old subtree balance with additional *exterior* constraint octants and
+/// caller-provided working memory (for loops that balance many subtrees
+/// in sequence), also returning operation counts.
 ///
 /// Exterior octants lie outside `root` (e.g. response octants from a
 /// neighboring tree or partition). They are not leaves of the result, but
@@ -69,17 +62,6 @@ pub fn balance_subtree_old_with_stats<const D: usize>(
 /// constraints into the subtree; members falling inside `root` are
 /// inserted. This is the distance-dependent mechanism §IV replaces with
 /// seed octants.
-pub fn balance_subtree_old_ext<const D: usize>(
-    root: &Octant<D>,
-    input: &[Octant<D>],
-    exterior: &[Octant<D>],
-    cond: Condition,
-) -> (Vec<Octant<D>>, BalanceStats) {
-    balance_subtree_old_ext_scratch(root, input, exterior, cond, &mut BalanceScratch::new())
-}
-
-/// [`balance_subtree_old_ext`] with caller-provided working memory, for
-/// loops that balance many subtrees in sequence.
 pub fn balance_subtree_old_ext_scratch<const D: usize>(
     root: &Octant<D>,
     input: &[Octant<D>],
@@ -93,7 +75,6 @@ pub fn balance_subtree_old_ext_scratch<const D: usize>(
         .iter()
         .all(|o| !root.contains(o) && !o.contains(root)));
     let mut stats = BalanceStats::default();
-    scratch.begin();
 
     // Auxiliary octants may live outside the root, but only within its
     // insulation envelope: anything farther cannot constrain the subtree.
@@ -163,30 +144,12 @@ pub fn balance_subtree_new<const D: usize>(
     input: &[Octant<D>],
     cond: Condition,
 ) -> Vec<Octant<D>> {
-    balance_subtree_new_with_stats(root, input, cond).0
+    balance_subtree_new_with_stats_scratch(root, input, cond, &mut BalanceScratch::new()).0
 }
 
-/// New subtree balance, also returning operation counts.
-pub fn balance_subtree_new_with_stats<const D: usize>(
-    root: &Octant<D>,
-    input: &[Octant<D>],
-    cond: Condition,
-) -> (Vec<Octant<D>>, BalanceStats) {
-    balance_subtree_new_with_stats_scratch(root, input, cond, &mut BalanceScratch::new())
-}
-
-/// [`balance_subtree_new`] with caller-provided working memory.
-pub fn balance_subtree_new_scratch<const D: usize>(
-    root: &Octant<D>,
-    input: &[Octant<D>],
-    cond: Condition,
-    scratch: &mut BalanceScratch<D>,
-) -> Vec<Octant<D>> {
-    balance_subtree_new_with_stats_scratch(root, input, cond, scratch).0
-}
-
-/// [`balance_subtree_new_with_stats`] with caller-provided working memory,
-/// for loops that balance many subtrees in sequence.
+/// [`balance_subtree_new`] with caller-provided working memory (for loops
+/// that balance many subtrees in sequence), also returning operation
+/// counts.
 pub fn balance_subtree_new_with_stats_scratch<const D: usize>(
     root: &Octant<D>,
     input: &[Octant<D>],
@@ -196,7 +159,6 @@ pub fn balance_subtree_new_with_stats_scratch<const D: usize>(
     debug_assert!(is_linear(input));
     debug_assert!(input.iter().all(|o| root.contains(o)));
     let mut stats = BalanceStats::default();
-    scratch.begin();
 
     // An input octant at the root's own level can only be the root itself
     // (the input is linear and inside the root); it pins nothing, and its
@@ -394,8 +356,10 @@ mod tests {
             leaf = leaf.child(id);
         }
         let input = ripple_balance(&root, &[leaf], Condition::full(2));
-        let (_, old) = balance_subtree_old_with_stats(&root, &input, Condition::full(2));
-        let (_, new) = balance_subtree_new_with_stats(&root, &input, Condition::full(2));
+        let mut scratch = BalanceScratch::new();
+        let cond = Condition::full(2);
+        let (_, old) = balance_subtree_old_ext_scratch(&root, &input, &[], cond, &mut scratch);
+        let (_, new) = balance_subtree_new_with_stats_scratch(&root, &input, cond, &mut scratch);
         assert!(
             new.hash_queries * 2 < old.hash_queries,
             "hash queries: old {} vs new {}",
@@ -423,7 +387,8 @@ mod tests {
             for _ in 0..4 {
                 o = o.child(3); // deep leaf hugging the center
             }
-            let (got, _) = balance_subtree_old_ext(&sub, &[], &[o], cond);
+            let (got, _) =
+                balance_subtree_old_ext_scratch(&sub, &[], &[o], cond, &mut BalanceScratch::new());
             let global = ripple_balance(&g, &[o], cond);
             let want: Vec<_> = global.into_iter().filter(|l| sub.contains(l)).collect();
             assert_eq!(got, want, "k={k}");
@@ -440,7 +405,13 @@ mod tests {
             ext = ext.child(3);
         }
         let interior = sub.child(2).child(1).child(0);
-        let (got, _) = balance_subtree_old_ext(&sub, &[interior], &[ext], cond);
+        let (got, _) = balance_subtree_old_ext_scratch(
+            &sub,
+            &[interior],
+            &[ext],
+            cond,
+            &mut BalanceScratch::new(),
+        );
         let global = ripple_balance(&g, &[ext, interior], cond);
         let want: Vec<_> = global.into_iter().filter(|l| sub.contains(l)).collect();
         assert_eq!(got, want);

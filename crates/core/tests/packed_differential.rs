@@ -7,8 +7,7 @@
 //! behavioral drift in the optimized path fails loudly.
 
 use forestbal_core::{
-    balance_subtree_new_with_stats, balance_subtree_new_with_stats_scratch,
-    balance_subtree_old_ext, balance_subtree_old_ext_scratch, coarse_neighborhood,
+    balance_subtree_new_with_stats_scratch, balance_subtree_old_ext_scratch, coarse_neighborhood,
     complete_reduced, precludes, reduce, remove_precluded, BalanceScratch, BalanceStats, Condition,
 };
 use forestbal_octant::{complete_subtree, linearize, Octant, OctantSet};
@@ -174,7 +173,8 @@ fn check_both_kernels<const D: usize>(
     scratch: &mut BalanceScratch<D>,
 ) {
     let (ref_out, ref_stats) = reference_old_ext(root, input, &[], cond);
-    let (out, stats) = balance_subtree_old_ext(root, input, &[], cond);
+    let (out, stats) =
+        balance_subtree_old_ext_scratch(root, input, &[], cond, &mut BalanceScratch::new());
     assert_eq!(out, ref_out, "old kernel output diverged");
     assert_eq!(stats, ref_stats, "old kernel stats diverged");
     let (out_s, stats_s) = balance_subtree_old_ext_scratch(root, input, &[], cond, scratch);
@@ -182,7 +182,8 @@ fn check_both_kernels<const D: usize>(
     assert_eq!(stats_s, ref_stats);
 
     let (ref_out, ref_stats) = reference_new_with_stats(root, input, cond);
-    let (out, stats) = balance_subtree_new_with_stats(root, input, cond);
+    let (out, stats) =
+        balance_subtree_new_with_stats_scratch(root, input, cond, &mut BalanceScratch::new());
     assert_eq!(out, ref_out, "new kernel output diverged");
     assert_eq!(stats, ref_stats, "new kernel stats diverged");
     let (out_s, stats_s) = balance_subtree_new_with_stats_scratch(root, input, cond, scratch);
@@ -216,7 +217,6 @@ fn packed_kernels_match_reference_3d() {
             }
         }
     }
-    assert!(scratch.stats().reuses > 0);
 }
 
 #[test]
@@ -233,7 +233,13 @@ fn packed_old_kernel_matches_reference_with_exterior() {
         }
         let interior = random_linear_input(&sub, 10, 5, 77);
         let (ref_out, ref_stats) = reference_old_ext(&sub, &interior, &[ext], cond);
-        let (out, stats) = balance_subtree_old_ext(&sub, &interior, &[ext], cond);
+        let (out, stats) = balance_subtree_old_ext_scratch(
+            &sub,
+            &interior,
+            &[ext],
+            cond,
+            &mut BalanceScratch::new(),
+        );
         assert_eq!(out, ref_out);
         assert_eq!(stats, ref_stats);
         let (out_s, stats_s) =
@@ -252,11 +258,11 @@ fn scratch_reuse_is_invisible() {
     let mut reused = BalanceScratch::<3>::new();
     for seed in 1..20u64 {
         let input = random_linear_input(&root, 25, 6, seed * 31);
-        let fresh = balance_subtree_new_with_stats(&root, &input, cond);
+        let fresh =
+            balance_subtree_new_with_stats_scratch(&root, &input, cond, &mut BalanceScratch::new());
         let shared = balance_subtree_new_with_stats_scratch(&root, &input, cond, &mut reused);
         assert_eq!(fresh, shared, "seed {seed}");
     }
-    assert_eq!(reused.stats().reuses, 18);
 }
 
 #[test]
@@ -269,7 +275,7 @@ fn presized_tables_do_not_regrow_in_steady_state() {
     let mut scratch = BalanceScratch::<3>::new();
     for seed in 1..8u64 {
         let pins = random_linear_input(&root, 20, 5, seed * 17);
-        let balanced = balance_subtree_new_with_stats(&root, &pins, cond).0;
+        let balanced = forestbal_core::balance_subtree_new(&root, &pins, cond);
         let grows_before = scratch.stats().table_grows;
         balance_subtree_new_with_stats_scratch(&root, &balanced, cond, &mut scratch);
         balance_subtree_old_ext_scratch(&root, &balanced, &[], cond, &mut scratch);

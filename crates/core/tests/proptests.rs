@@ -297,7 +297,7 @@ proptest! {
         // Balance a root child with random exterior octants living in the
         // other children: must equal the global cone overlay clipped to
         // the subtree.
-        use forestbal_core::balance_subtree_old_ext;
+        use forestbal_core::{balance_subtree_old_ext_scratch, BalanceScratch};
         let g = Octant::<2>::root();
         let sub = g.child(sub_id);
         let mut exterior: Vec<Octant<2>> = Vec::new();
@@ -318,7 +318,13 @@ proptest! {
             interior.push(o);
         }
         linearize(&mut interior);
-        let (got, _) = balance_subtree_old_ext(&sub, &interior, &exterior, cond);
+        let (got, _) = balance_subtree_old_ext_scratch(
+            &sub,
+            &interior,
+            &exterior,
+            cond,
+            &mut BalanceScratch::new(),
+        );
         let mut all = interior.clone();
         all.extend_from_slice(&exterior);
         linearize(&mut all);

@@ -311,59 +311,30 @@ impl<const D: usize> Forest<D> {
         let mut per_rank: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
 
         for (t, v) in self.local.iter() {
-            if v.is_empty() {
+            let Some(range) = self.local_range(t) else {
                 continue;
-            }
-            // Fast interior rejection: all Morton indices of cells inside
-            // an axis-aligned box lie between the indices of its extreme
-            // corners, so a leaf whose insulation bounding box stays
-            // inside the root and within this rank's local range cannot
-            // generate queries. The vast majority of leaves pass this
-            // O(1) test and skip the 3^D-direction loop entirely.
-            let range_lo = PackedOctant::<D>(v[0]).index();
-            let range_hi = PackedOctant::<D>(v[v.len() - 1]).last_index();
+            };
             for &k in v {
-                let r = key::unpack::<D>(k);
-                let len = r.len();
-                let ins_min: [Coord; D] = std::array::from_fn(|i| r.coords[i] - len);
-                let interior = ins_min.iter().all(|&c| c >= 0)
-                    && (0..D).all(|i| r.coords[i] + 2 * len <= forestbal_octant::ROOT_LEN)
-                    && {
-                        let lo = forestbal_octant::morton::interleave::<D>(&ins_min);
-                        let max: [Coord; D] = std::array::from_fn(|i| r.coords[i] + 2 * len - 1);
-                        let hi = forestbal_octant::morton::interleave::<D>(&max);
-                        lo >= range_lo && hi <= range_hi
-                    };
-                if interior {
-                    continue;
-                }
                 let mut qid: Option<u32> = None;
-                // (rank, tree, off) destinations already recorded for r.
+                // (rank, tree, off) destinations already recorded for k.
                 let mut seen: Vec<(usize, TreeId, [Coord; D])> = Vec::new();
-                for dir in directions::<D>() {
-                    let n = r.neighbor(&dir);
-                    let Some((t2, n2)) = self.connectivity().transform(t, &n) else {
-                        continue;
-                    };
-                    let off: [Coord; D] = std::array::from_fn(|i| n2.coords[i] - n.coords[i]);
-                    for owner in self.owners_of_range(t2, n2.index(), n2.last_index()) {
-                        if owner == me && t2 == t && off == [0; D] {
-                            continue; // same tree, same rank: phase 1 did it
-                        }
-                        let dest = (owner, t2, off);
-                        if seen.contains(&dest) {
-                            continue;
-                        }
-                        seen.push(dest);
-                        let qid = *qid.get_or_insert_with(|| {
-                            queries.push((t, r));
-                            (queries.len() - 1) as u32
-                        });
-                        let eid = entries.len() as u32;
-                        entries.push(QueryEntry { qid, tree: t2, off });
-                        per_rank.entry(owner).or_default().push(eid);
+                self.for_each_reach(t, k, range, |owner, t2, off| {
+                    if owner == me && t2 == t && off == [0; D] {
+                        return; // same tree, same rank: phase 1 did it
                     }
-                }
+                    let dest = (owner, t2, off);
+                    if seen.contains(&dest) {
+                        return;
+                    }
+                    seen.push(dest);
+                    let qid = *qid.get_or_insert_with(|| {
+                        queries.push((t, key::unpack::<D>(k)));
+                        (queries.len() - 1) as u32
+                    });
+                    let eid = entries.len() as u32;
+                    entries.push(QueryEntry { qid, tree: t2, off });
+                    per_rank.entry(owner).or_default().push(eid);
+                });
             }
         }
 
@@ -511,7 +482,6 @@ impl<const D: usize> Forest<D> {
             "balance.rebalance.table_grows",
             ks.table_grows - ks_local.table_grows,
         );
-        trace::counter_add("balance.scratch.reuses", ks.reuses - ks_base.reuses);
         report.timings.rebalance = Duration::from_nanos(t1 - t0);
         report.timings.total = Duration::from_nanos(t1 - t_total);
         report

@@ -285,8 +285,8 @@ impl<const D: usize> Forest<D> {
     pub fn local_range(&self, tree: TreeId) -> Option<(MortonIndex, MortonIndex)> {
         let v = self.local.get(tree)?;
         Some((
-            PackedOctant::<D>(v[0]).index(),
-            PackedOctant::<D>(v[v.len() - 1]).last_index(),
+            PackedOctant::<D>(*v.first()?).index(),
+            PackedOctant::<D>(*v.last()?).last_index(),
         ))
     }
 

@@ -8,10 +8,10 @@
 //! neighbor octants across faces, edges, and corners, including across
 //! tree boundaries.
 
-use crate::codec::{self, RunEncoder};
 use crate::connectivity::TreeId;
 use crate::forest::Forest;
-use forestbal_comm::{reverse_notify, Comm};
+use crate::reach::RunExchange;
+use forestbal_comm::Comm;
 use forestbal_octant::{directions, key, Octant, PackedOctant};
 use std::collections::BTreeMap;
 
@@ -75,8 +75,9 @@ impl<const D: usize> GhostLayer<D> {
 
 impl<const D: usize> Forest<D> {
     /// Collect the ghost layer: every remote leaf whose insulation layer
-    /// overlaps this rank's partition (equivalently, every remote leaf
-    /// adjacent to one of ours, across tree boundaries included).
+    /// overlaps this rank's partition, across tree boundaries included —
+    /// every remote leaf touching one of ours, plus those within one own
+    /// length of a finer one.
     pub fn ghost_layer(&mut self, ctx: &impl Comm) -> GhostLayer<D> {
         forestbal_trace::span_begin("ghost", || ctx.now_ns());
         self.update_markers(ctx);
@@ -107,23 +108,16 @@ impl<const D: usize> Forest<D> {
             }
         }
         let scan_chunk = |&(t, keys): &(TreeId, &[u128])| -> Vec<(usize, u128)> {
+            let range = this.local_range(t).expect("chunk of a stored tree");
             let mut cand = Vec::new();
             for &k in keys {
-                let r = key::unpack::<D>(k);
                 let mut sent_to: Vec<usize> = Vec::new();
-                for dir in directions::<D>() {
-                    let n = r.neighbor(&dir);
-                    let Some((t2, n2)) = this.connectivity().transform(t, &n) else {
-                        continue;
-                    };
-                    for owner in this.owners_of_range(t2, n2.index(), n2.last_index()) {
-                        if owner == me || sent_to.contains(&owner) {
-                            continue;
-                        }
+                this.for_each_reach(t, k, range, |owner, _, _| {
+                    if owner != me && !sent_to.contains(&owner) {
                         sent_to.push(owner);
                         cand.push((owner, k));
                     }
-                }
+                });
             }
             cand
         };
@@ -132,30 +126,20 @@ impl<const D: usize> Forest<D> {
         } else {
             chunks.iter().map(scan_chunk).collect()
         };
-        let mut out: BTreeMap<usize, (Vec<u8>, RunEncoder)> = BTreeMap::new();
+        let mut out = RunExchange::default();
         let mut sent_octants = 0u64;
         for ((t, _), cand) in chunks.iter().zip(&candidates) {
             for &(owner, k) in cand {
-                let (buf, enc) = out.entry(owner).or_default();
-                enc.push::<D>(buf, *t, k);
+                out.push::<D>(owner, *t, k);
                 sent_octants += 1;
             }
         }
 
-        let receivers: Vec<usize> = out.keys().copied().collect();
-        let senders = reverse_notify(ctx, &receivers);
-        for (&d, (buf, enc)) in out.iter_mut() {
-            enc.finish(buf);
-            ctx.send(d, GHOST_TAG, buf.clone());
-        }
         let mut layer = GhostLayer::default();
-        for s in senders {
-            let (src, data) = ctx.recv(Some(s), GHOST_TAG);
-            codec::for_each_run::<D>(&data, |t, keys| {
-                let v = layer.per_tree.entry(t).or_default();
-                v.extend(keys.iter().map(|&k| (src, key::unpack::<D>(k))));
-            });
-        }
+        out.exchange::<D>(ctx, GHOST_TAG, |src, t, keys| {
+            let v = layer.per_tree.entry(t).or_default();
+            v.extend(keys.iter().map(|&k| (src, key::unpack::<D>(k))));
+        });
         for v in layer.per_tree.values_mut() {
             v.sort_by_key(|&(_, o)| o);
             v.dedup();
@@ -190,7 +174,7 @@ impl<const D: usize> Forest<D> {
                     };
                     // The containing leaf (local or ghost), if coarser
                     // than n2, must be within one level of o.
-                    if let Some(c) = self.containing_local_or_ghost(&ghosts, t2, &n2) {
+                    if let Some(c) = self.containing_leaf(Some(&ghosts), t2, &n2) {
                         if c.level + 1 < o.level {
                             ok = false;
                             break 'outer;
@@ -200,25 +184,6 @@ impl<const D: usize> Forest<D> {
             }
         }
         ctx.allreduce_and(ok)
-    }
-
-    /// The leaf containing octant `q` among local leaves and ghosts.
-    fn containing_local_or_ghost(
-        &self,
-        ghosts: &GhostLayer<D>,
-        t: TreeId,
-        q: &Octant<D>,
-    ) -> Option<Octant<D>> {
-        if let Some(v) = self.local.get(t) {
-            let qk = key::pack(q);
-            let i = v.partition_point(|&k| k <= qk);
-            if i > 0 && PackedOctant::<D>(v[i - 1]).contains(PackedOctant(qk)) {
-                return Some(key::unpack(v[i - 1]));
-            }
-        }
-        let gv = ghosts.tree(t);
-        let i = gv.partition_point(|&(_, o)| o <= *q);
-        (i > 0 && gv[i - 1].1.contains(q)).then(|| gv[i - 1].1)
     }
 
     /// Is octant `g` of tree `tg` adjacent (sharing any boundary object)

@@ -42,11 +42,11 @@
 //! sides of a partition boundary from ever splitting against a stale
 //! ghost entry.
 
-use crate::codec::{self, RunEncoder};
 use crate::connectivity::TreeId;
 use crate::forest::Forest;
 use crate::ghost::GhostLayer;
-use forestbal_comm::{reverse_notify, Comm};
+use crate::reach::RunExchange;
+use forestbal_comm::Comm;
 use forestbal_core::Condition;
 use forestbal_octant::{
     codim, directions, key, sort_keys_with, Octant, PackedOctant, SortScratch, MAX_LEVEL,
@@ -327,7 +327,7 @@ impl<const D: usize> Forest<D> {
             forestbal_trace::span_begin("incremental.round", || ctx.now_ns());
 
             // --- Announce changed leaves (home frame, ghost format) --
-            let mut out: BTreeMap<usize, (Vec<u8>, RunEncoder)> = BTreeMap::new();
+            let mut out = RunExchange::default();
             for &(t, k) in &pending {
                 // A leaf split later in the same round is superseded by
                 // its children, which are themselves pending. Pending
@@ -336,41 +336,23 @@ impl<const D: usize> Forest<D> {
                 if overlay.contains_key(&t) && !is_current_leaf(&self.local, &overlay, t, k) {
                     continue;
                 }
-                let r = key::unpack::<D>(k);
+                let range = self.local_range(t).expect("pending leaf of a stored tree");
                 let mut sent_to: Vec<usize> = Vec::new();
-                for dir in directions::<D>() {
-                    let n = r.neighbor(&dir);
-                    let Some((t2, n2)) = self.connectivity().transform(t, &n) else {
-                        continue;
-                    };
-                    for owner in self.owners_of_range(t2, n2.index(), n2.last_index()) {
-                        if owner == me || sent_to.contains(&owner) {
-                            continue;
-                        }
+                self.for_each_reach(t, k, range, |owner, _, _| {
+                    if owner != me && !sent_to.contains(&owner) {
                         sent_to.push(owner);
-                        let (buf, enc) = out.entry(owner).or_default();
-                        enc.push::<D>(buf, t, k);
+                        out.push::<D>(owner, t, k);
                         report.sent_leaves += 1;
                     }
-                }
+                });
             }
             pending.clear();
 
-            let receivers: Vec<usize> = out.keys().copied().collect();
-            let senders = reverse_notify(ctx, &receivers);
-            for (&d, (buf, enc)) in out.iter_mut() {
-                enc.finish(buf);
-                ctx.send(d, INCREMENTAL_TAG, buf.clone());
-            }
-
             // --- Receive, patch the ghost layer, seed the worklist ---
             let mut received: Vec<(usize, TreeId, u128)> = Vec::new();
-            for s in senders {
-                let (src, data) = ctx.recv(Some(s), INCREMENTAL_TAG);
-                codec::for_each_run::<D>(&data, |t, keys| {
-                    received.extend(keys.iter().map(|&k| (src, t, k)));
-                });
-            }
+            out.exchange::<D>(ctx, INCREMENTAL_TAG, |src, t, keys| {
+                received.extend(keys.iter().map(|&k| (src, t, k)));
+            });
             report.recv_leaves += received.len() as u64;
             for &(src, t, gk) in &received {
                 // Patch first: a simultaneous coarsen on the far side

@@ -25,6 +25,7 @@ pub mod iterate;
 pub mod neighbors;
 pub mod nodes;
 pub mod partition;
+mod reach;
 pub mod ripple;
 pub mod search;
 pub mod serial;

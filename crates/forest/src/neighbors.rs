@@ -49,16 +49,13 @@ impl<const D: usize> Forest<D> {
             return FaceNeighbor::Boundary;
         };
 
-        // Same-size leaf?
-        if self.leaf_exists(ghosts, t2, &n2) {
-            return FaceNeighbor::Same(t2, n2);
-        }
-        // Coarser leaf containing the same-size region?
-        if o.level > 0 {
-            let coarse = n2.ancestor(n2.level - 1);
-            if self.leaf_exists(ghosts, t2, &coarse) {
-                return FaceNeighbor::Coarse(t2, coarse);
-            }
+        // One lookup decides both the same-size and the coarser case: the
+        // leaf containing the same-size region is that region itself or
+        // its parent.
+        match self.containing_leaf(Some(ghosts), t2, &n2) {
+            Some(c) if c == n2 => return FaceNeighbor::Same(t2, n2),
+            Some(c) if c.level + 1 == n2.level => return FaceNeighbor::Coarse(t2, c),
+            _ => {}
         }
         // Otherwise 2:1 face balance guarantees the 2^(D-1) children of
         // the region adjacent to the shared face are leaves. They face
@@ -69,24 +66,13 @@ impl<const D: usize> Forest<D> {
             if toward_o {
                 let c = n2.child(i);
                 debug_assert!(
-                    self.leaf_exists(ghosts, t2, &c),
+                    self.containing_leaf(Some(ghosts), t2, &c) == Some(c),
                     "face not 2:1 balanced at {c:?}"
                 );
                 fine.push(c);
             }
         }
         FaceNeighbor::Fine(t2, fine)
-    }
-
-    /// Is `q` a leaf, either locally or in the ghost layer? The local
-    /// probe is an integer binary search on the packed key array.
-    fn leaf_exists(&self, ghosts: &GhostLayer<D>, t: TreeId, q: &Octant<D>) -> bool {
-        if let Some(v) = self.local.get(t) {
-            if v.binary_search(&forestbal_octant::key::pack(q)).is_ok() {
-                return true;
-            }
-        }
-        ghosts.tree(t).binary_search_by_key(q, |&(_, g)| g).is_ok()
     }
 }
 

@@ -12,7 +12,6 @@
 //! communication: every rank incident to a node derives the same
 //! coordinates and the same owner from the partition markers.
 
-use crate::connectivity::TreeId;
 use crate::forest::{Forest, GlobalPos};
 use crate::ghost::GhostLayer;
 use forestbal_comm::Comm;
@@ -178,7 +177,7 @@ impl<const D: usize> Forest<D> {
                 _ => pos,
             });
             // The touching leaf: hanging iff it doesn't share the node.
-            if let Some(leaf) = self.containing_leaf_with_ghosts(ghosts, tree, &cell) {
+            if let Some(leaf) = self.containing_leaf(Some(ghosts), tree, &cell) {
                 let tcoords = self.connectivity().tree_coords(tree);
                 let shares = (0..Octant::<D>::NUM_CHILDREN)
                     .any(|corner| self.canonical_node(&tcoords, &leaf, corner, extent) == *g);
@@ -186,21 +185,6 @@ impl<const D: usize> Forest<D> {
             }
         }
         (hanging, owner)
-    }
-
-    /// Find the leaf containing `cell` among local leaves and ghosts.
-    fn containing_leaf_with_ghosts(
-        &self,
-        ghosts: &GhostLayer<D>,
-        tree: TreeId,
-        cell: &Octant<D>,
-    ) -> Option<Octant<D>> {
-        if let Some(l) = self.find_leaf(tree, cell) {
-            return Some(l);
-        }
-        let gv = ghosts.tree(tree);
-        let i = gv.partition_point(|&(_, o)| o <= *cell);
-        (i > 0 && gv[i - 1].1.contains(cell)).then(|| gv[i - 1].1)
     }
 
     /// Periodicity flags of the connectivity (helper).

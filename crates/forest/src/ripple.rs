@@ -19,10 +19,10 @@
 //! are [`PackedOctant`] bit arithmetic — no struct octants are
 //! materialized except the per-leaf decode in the boundary scan.
 
-use crate::codec::{self, RunEncoder};
-use crate::connectivity::TreeId;
+use crate::connectivity::{translate, TreeId};
 use crate::forest::Forest;
-use forestbal_comm::{reverse_notify, Comm};
+use crate::reach::RunExchange;
+use forestbal_comm::Comm;
 use forestbal_core::Condition;
 use forestbal_octant::{codim, directions, is_linear_keys, key, Octant, PackedOctant};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -45,6 +45,7 @@ impl<const D: usize> Forest<D> {
     pub fn balance_ripple(&mut self, ctx: &impl Comm, cond: Condition) -> RippleStats {
         forestbal_trace::span_begin("ripple", || ctx.now_ns());
         self.update_markers(ctx);
+        let me = ctx.rank();
         let mut stats = RippleStats::default();
         loop {
             stats.rounds += 1;
@@ -55,77 +56,25 @@ impl<const D: usize> Forest<D> {
             // local leaf's insulation layer. Translated leaves go out as
             // packed keys in tree runs; the tree sequence is not monotone
             // here, so runs may be short — still correct (see codec docs).
-            let mut out: BTreeMap<usize, (Vec<u8>, RunEncoder)> = BTreeMap::new();
-            let me = ctx.rank();
+            let mut out = RunExchange::default();
             for (t, keys) in self.local.iter() {
-                if keys.is_empty() {
+                let Some(range) = self.local_range(t) else {
                     continue;
-                }
-                let range_lo = PackedOctant::<D>(keys[0]).index();
-                let range_hi = PackedOctant::<D>(keys[keys.len() - 1]).last_index();
+                };
                 for &k in keys {
-                    let r = key::unpack::<D>(k);
-                    // Fast interior rejection (see `balance.rs`): a leaf
-                    // whose insulation box stays within the local range
-                    // exchanges nothing.
-                    let len = r.len();
-                    let ins_min: [_; D] = std::array::from_fn(|i| r.coords[i] - len);
-                    let interior = ins_min.iter().all(|&c| c >= 0)
-                        && (0..D).all(|i| r.coords[i] + 2 * len <= forestbal_octant::ROOT_LEN)
-                        && {
-                            let lo = forestbal_octant::morton::interleave::<D>(&ins_min);
-                            let max: [_; D] = std::array::from_fn(|i| r.coords[i] + 2 * len - 1);
-                            let hi = forestbal_octant::morton::interleave::<D>(&max);
-                            lo >= range_lo && hi <= range_hi
-                        };
-                    if interior {
-                        continue;
-                    }
-                    for dir in directions::<D>() {
-                        let n = r.neighbor(&dir);
-                        let Some((t2, n2)) = self.connectivity().transform(t, &n) else {
-                            continue;
-                        };
-                        let off: [_; D] = std::array::from_fn(|i| n2.coords[i] - n.coords[i]);
-                        for owner in self.owners_of_range(t2, n2.index(), n2.last_index()) {
-                            if owner == me && t2 == t && off == [0; D] {
-                                continue;
-                            }
-                            let (buf, enc) = out.entry(owner).or_default();
-                            enc.push::<D>(
-                                buf,
-                                t2,
-                                key::pack(&crate::connectivity::translate(&r, &off)),
-                            );
+                    self.for_each_reach(t, k, range, |owner, t2, off| {
+                        if owner == me && t2 == t && off == [0; D] {
+                            return;
                         }
-                    }
-                }
-            }
-
-            let receivers: Vec<usize> = out.keys().copied().filter(|&d| d != me).collect();
-            let senders: Vec<usize> = reverse_notify(ctx, &receivers)
-                .into_iter()
-                .filter(|&s| s != me)
-                .collect();
-            for (&d, (buf, enc)) in out.iter_mut() {
-                enc.finish(buf);
-                if d != me {
-                    ctx.send(d, RIPPLE_TAG, buf.clone());
+                        let r = translate(&key::unpack::<D>(k), &off);
+                        out.push::<D>(owner, t2, key::pack(&r));
+                    });
                 }
             }
             let mut ghosts: BTreeMap<TreeId, Vec<u128>> = BTreeMap::new();
-            let absorb = |data: &[u8], ghosts: &mut BTreeMap<TreeId, Vec<u128>>| {
-                codec::for_each_run::<D>(data, |t, keys| {
-                    ghosts.entry(t).or_default().extend_from_slice(keys)
-                });
-            };
-            for &s in &senders {
-                let (_, data) = ctx.recv(Some(s), RIPPLE_TAG);
-                absorb(&data, &mut ghosts);
-            }
-            if let Some((buf, _)) = out.get(&me) {
-                absorb(buf, &mut ghosts);
-            }
+            out.exchange::<D>(ctx, RIPPLE_TAG, |_, t, keys| {
+                ghosts.entry(t).or_default().extend_from_slice(keys)
+            });
 
             changed |= self.split_against_ghosts(&ghosts, cond, &mut stats);
 
@@ -167,20 +116,9 @@ impl<const D: usize> Forest<D> {
                     if !n.is_inside_root() || n.index() < lo || n.last_index() > hi {
                         continue; // outside this rank's slice: ghost rounds
                     }
-                    while let Some(&ck) = set.range(..=n.0).next_back() {
-                        let c = PackedOctant::<D>(ck);
-                        if !c.contains(n) || c.level() + 1 >= o.level() {
-                            break;
-                        }
-                        set.remove(&ck);
-                        stats.splits += 1;
-                        tree_changed = true;
-                        for i in 0..Octant::<D>::NUM_CHILDREN {
-                            let ch = c.child(i).0;
-                            set.insert(ch);
-                            work.push_back(ch);
-                        }
-                    }
+                    let splits = split_container(&mut set, n, o.level(), |ch| work.push_back(ch));
+                    stats.splits += splits;
+                    tree_changed |= splits > 0;
                 }
             }
             if tree_changed {
@@ -223,18 +161,9 @@ impl<const D: usize> Forest<D> {
                     if !n.is_inside_root() {
                         continue;
                     }
-                    while let Some(&ck) = set.range(..=n.0).next_back() {
-                        let c = PackedOctant::<D>(ck);
-                        if !c.contains(n) || c.level() + 1 >= g.level() {
-                            break;
-                        }
-                        set.remove(&ck);
-                        stats.splits += 1;
-                        tree_changed = true;
-                        for i in 0..Octant::<D>::NUM_CHILDREN {
-                            set.insert(c.child(i).0);
-                        }
-                    }
+                    let splits = split_container(&mut set, n, g.level(), |_| {});
+                    stats.splits += splits;
+                    tree_changed |= splits > 0;
                 }
             }
             if tree_changed {
@@ -245,6 +174,32 @@ impl<const D: usize> Forest<D> {
         }
         changed
     }
+}
+
+/// Split the leaf of `set` containing `n` until it is within one level of
+/// `level` (that of the octant whose neighbor `n` is), handing every
+/// created child to `created`. Returns the number of splits.
+fn split_container<const D: usize>(
+    set: &mut BTreeSet<u128>,
+    n: PackedOctant<D>,
+    level: u8,
+    mut created: impl FnMut(u128),
+) -> u64 {
+    let mut splits = 0;
+    while let Some(&ck) = set.range(..=n.0).next_back() {
+        let c = PackedOctant::<D>(ck);
+        if !c.contains(n) || c.level() + 1 >= level {
+            break;
+        }
+        set.remove(&ck);
+        splits += 1;
+        for i in 0..Octant::<D>::NUM_CHILDREN {
+            let ch = c.child(i).0;
+            set.insert(ch);
+            created(ch);
+        }
+    }
+    splits
 }
 
 #[cfg(test)]

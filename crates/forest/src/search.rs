@@ -4,18 +4,14 @@
 
 use crate::connectivity::TreeId;
 use crate::forest::{Forest, GlobalPos};
-use forestbal_octant::{key, Coord, Octant, PackedOctant, MAX_LEVEL, ROOT_LEN};
+use forestbal_octant::{Coord, Octant, MAX_LEVEL, ROOT_LEN};
 
 impl<const D: usize> Forest<D> {
     /// The local leaf of `tree` containing octant `q` (an ancestor of or
     /// equal to `q`), if this rank owns it. The search runs on the packed
     /// key array; only the hit is decoded (returned by value).
     pub fn find_leaf(&self, tree: TreeId, q: &Octant<D>) -> Option<Octant<D>> {
-        let v = self.local.get(tree)?;
-        let qk = key::pack(q);
-        let i = v.partition_point(|&k| k <= qk);
-        (i > 0 && PackedOctant::<D>(v[i - 1]).contains(PackedOctant(qk)))
-            .then(|| key::unpack(v[i - 1]))
+        self.containing_leaf(None, tree, q)
     }
 
     /// The local leaf containing the integer point `p` of `tree`

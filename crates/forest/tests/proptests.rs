@@ -1,19 +1,21 @@
 //! Property tests for the distributed forest: the parallel one-pass
 //! balance must match the serial oracle for arbitrary refinements, rank
-//! counts, variants, and reversal schemes.
+//! counts, variants, and reversal schemes; the ghost layer must match a
+//! brute-force oracle over the gathered forest.
 
-use forestbal_comm::Cluster;
+use forestbal_comm::{Cluster, Comm};
 use forestbal_core::Condition;
 use forestbal_forest::serial::is_forest_balanced;
 use forestbal_forest::{
     serial_forest_balance, BalanceVariant, BrickConnectivity, Forest, ReversalScheme, TreeId,
 };
-use forestbal_octant::Octant;
+use forestbal_octant::{directions, Octant};
+use forestbal_sim::{SimCluster, SimConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Deterministic pseudo-random refinement predicate from a seed.
-fn pseudo_refine(seed: u64, t: TreeId, o: &Octant<2>, denom: u64) -> bool {
+fn pseudo_refine<const D: usize>(seed: u64, t: TreeId, o: &Octant<D>, denom: u64) -> bool {
     let mut h = seed ^ (t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     for &c in &o.coords {
         h ^= (c as u64).wrapping_mul(0xff51_afd7_ed55_8ccd);
@@ -90,6 +92,95 @@ fn wire_roundtrip<const D: usize>(seeds: &[u64]) -> Result<(), String> {
     prop_assert_eq!(runs, switches, "runs must split exactly at tree switches");
     prop_assert_eq!(buf.len(), keys.len() * codec::key_size::<D>() + 8 * runs);
     Ok(())
+}
+
+// ---- Ghost-layer oracle on *adapted* forests ---------------------------
+//
+// The layer a rank collects must be exactly the remote leaves of the
+// gathered forest whose insulation layer (their `3^D - 1` same-size
+// neighbors, across tree boundaries and periodic wraps) overlaps one of
+// the rank's leaves — no entry missing, none extra, each with its true
+// owner. The construction runs the other way round (local leaves are
+// scanned and *sent*, interior ones rejected in O(1)), so a rejection that
+// dropped a boundary leaf shows up as a missing ghost on the far side.
+// Checked on the threaded runtime and the simulator, which must also
+// agree with each other.
+
+/// A periodic single tree, a multi-tree brick and a masked L-brick.
+fn bricks<const D: usize>() -> Vec<(&'static str, BrickConnectivity<D>)> {
+    let two_by: [usize; D] = std::array::from_fn(|i| if i == 0 { 2 } else { 1 });
+    let ell: [usize; D] = std::array::from_fn(|i| if i < 2 { 2 } else { 1 });
+    vec![
+        ("periodic", BrickConnectivity::new([1; D], [true; D])),
+        ("multi", BrickConnectivity::new(two_by, [false; D])),
+        (
+            "ell",
+            BrickConnectivity::masked(ell, [false; D], |c| !(c[0] == 1 && c[1] == 1)),
+        ),
+    ]
+}
+
+/// `(tree, owner, leaf)` entries in layer order.
+type Entries<const D: usize> = Vec<(TreeId, usize, Octant<D>)>;
+
+/// One rank's ghost layer beside the brute-force oracle over `gather()`.
+fn layer_and_oracle<const D: usize>(
+    ctx: &impl Comm,
+    conn: &Arc<BrickConnectivity<D>>,
+    seed: u64,
+    denom: u64,
+    levels: (u8, u8),
+) -> (Entries<D>, Entries<D>) {
+    let mut f = Forest::new_uniform(Arc::clone(conn), ctx, levels.0);
+    f.refine(true, levels.1, |t, o| pseudo_refine(seed, t, o, denom));
+    let ghosts = f.ghost_layer(ctx);
+    let got: Entries<D> = ghosts.iter().map(|(t, owner, g)| (t, owner, *g)).collect();
+
+    let overlaps_local = |t: TreeId, n: &Octant<D>| {
+        f.trees()
+            .filter(|&(tt, _)| tt == t)
+            .any(|(_, v)| v.iter().any(|l| l.overlaps(n)))
+    };
+    let mut want: Entries<D> = Vec::new();
+    for (&t, leaves) in &f.gather(ctx) {
+        for g in leaves {
+            let owner = f.owner_of_octant(t, g);
+            let reaches_me = owner != ctx.rank()
+                && directions::<D>().any(|dir| {
+                    conn.transform(t, &g.neighbor(&dir))
+                        .is_some_and(|(t2, n2)| overlaps_local(t2, &n2))
+                });
+            if reaches_me {
+                want.push((t, owner, *g));
+            }
+        }
+    }
+    (got, want)
+}
+
+/// `levels` is `(uniform base, refinement cap)`; the base keeps every
+/// rank of the largest cluster non-empty.
+fn ghosts_match_oracle<const D: usize>(seed: u64, denom: u64, levels: (u8, u8)) {
+    for (name, conn) in bricks::<D>() {
+        let conn = Arc::new(conn);
+        for p in [1usize, 2, 3, 5] {
+            let c = Arc::clone(&conn);
+            let threaded =
+                Cluster::run(p, move |ctx| layer_and_oracle(ctx, &c, seed, denom, levels));
+            let c = Arc::clone(&conn);
+            let sim = SimCluster::run(p, SimConfig::default(), move |ctx| {
+                layer_and_oracle(ctx, &c, seed, denom, levels)
+            });
+            for (rank, (got, want)) in threaded.results.iter().enumerate() {
+                assert_eq!(got, want, "{name} P={p} rank {rank} seed {seed}");
+                assert_eq!(p > 1, !got.is_empty(), "{name} P={p} rank {rank}");
+            }
+            assert_eq!(
+                threaded.results, sim.results,
+                "{name} P={p}: threaded vs sim"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -192,5 +283,20 @@ proptest! {
                 prop_assert!(n.abs_diff(total / p) <= 1);
             }
         }
+    }
+}
+
+proptest! {
+    // Each case spawns 24 clusters; keep the counts modest.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn ghost_layer_matches_oracle_2d(seed in any::<u64>(), denom in 2u64..5) {
+        ghosts_match_oracle::<2>(seed, denom, (2, 5));
+    }
+
+    #[test]
+    fn ghost_layer_matches_oracle_3d(seed in any::<u64>(), denom in 3u64..6) {
+        ghosts_match_oracle::<3>(seed, denom, (1, 3));
     }
 }

@@ -128,22 +128,20 @@ impl<const D: usize> OctantTable<D> {
         (n * LOAD_NUM).next_power_of_two().max(MIN_CAP)
     }
 
-    /// Clear the table and ensure capacity for `n` insertions without
-    /// regrowth, keeping the existing allocation when it is large enough.
-    /// Counters are cumulative across resets.
+    /// Clear the table and size it for `n` insertions without regrowth,
+    /// keeping the existing allocation. The slot count is a function of
+    /// `n` alone, never of what the allocation held before, so probe
+    /// sequences — and with them the probe/grow counters — do not depend
+    /// on the history of a reused table. Counters are cumulative across
+    /// resets.
     pub fn reset_for(&mut self, n: usize) {
         let want = Self::capacity_for(n);
-        if want > self.slots.len() {
-            self.slots.clear();
-            self.slots.resize(want, EMPTY);
-            self.tags.clear();
-            self.tags.resize(want, 0);
-            self.mask = want - 1;
-        } else {
-            // Only the tag array needs wiping: probes consult `slots`
-            // strictly after a tag match, and a zero tag ends the chain.
-            self.tags.fill(0);
-        }
+        // Only the tag array needs wiping: probes consult `slots` strictly
+        // after a tag match, and a zero tag ends the chain.
+        self.slots.resize(want, EMPTY);
+        self.tags.clear();
+        self.tags.resize(want, 0);
+        self.mask = want - 1;
         self.len = 0;
     }
 
@@ -376,14 +374,19 @@ mod tests {
     }
 
     #[test]
-    fn reset_reuses_allocation() {
+    fn reset_keeps_allocation_but_not_history() {
         let mut t = OctantTable::<3>::with_capacity_for(500);
         let cap = t.capacity();
         for o in soup::<3>(500, 13).iter() {
             t.insert(o);
         }
         t.reset_for(100);
-        assert_eq!(t.capacity(), cap, "reset shrank the allocation");
+        assert!(t.slots.capacity() >= cap, "reset shrank the allocation");
+        // Slot count, hence every probe sequence, is that of a fresh table.
+        assert_eq!(
+            t.capacity(),
+            OctantTable::<3>::with_capacity_for(100).capacity()
+        );
         assert!(t.is_empty());
         let r = Oct3::root();
         assert!(!t.contains(&r));
