@@ -4,25 +4,26 @@
 //! to reproduce our results ... can be invoked by the timings example").
 //!
 //! ```text
-//! timings [--exp weak|strong|notify|subtree|kernel|wire|seeds|ripple|local|simscale|weakscale|all] [--max-ranks N] [--big]
-//!         [--threads N] [--trace-out trace.json]
+//! timings [--exp NAME] [--max-ranks N] [--big] [--threads N] [--trace-out trace.json]
 //! ```
 //!
-//! `--threads N` fixes the intra-rank fork-join pool width
-//! (`forestbal-par`) for every experiment in the run; the default is
-//! `FORESTBAL_THREADS`, else the host's core count. Results are
-//! bit-identical at every width by the pool's determinism contract —
-//! `--exp kernel` measures and asserts exactly that.
+//! `NAME` is one of the sections of [`EXPS`] or `all` (an unknown name
+//! prints the list). `--threads N` fixes the intra-rank
+//! fork-join pool width (`forestbal-par`) for every experiment in the
+//! run; the default is `FORESTBAL_THREADS`, else the host's core count.
+//! Results are bit-identical at every width by the pool's determinism
+//! contract — `--exp kernel` measures and asserts exactly that.
 //!
-//! Each experiment prints a table whose rows mirror a figure of the
-//! paper; see EXPERIMENTS.md for the mapping and for paper-vs-measured
-//! notes. Absolute times are laptop-scale; shapes are the deliverable.
+//! Each section prints tables whose rows mirror a figure of the paper
+//! (see EXPERIMENTS.md for the mapping and for paper-vs-measured notes)
+//! followed by the same rows as machine-readable `BENCH {...}` JSON
+//! lines: every table is a projection of those rows through a column
+//! list. Absolute times are laptop-scale; shapes are the deliverable.
 //!
-//! `--exp simscale` is the exception: it runs on the discrete-event
-//! simulator at the paper's rank counts (P = 1024/4096, 16384 with
-//! `--big`), reports deterministic *virtual* time, and additionally
-//! emits machine-readable `BENCH {...}` JSON lines. It is not part of
-//! `all` — run it explicitly (and in release mode).
+//! `--exp simscale` and `--exp weakscale` run on the discrete-event
+//! simulator at the paper's rank counts and report deterministic
+//! *virtual* time. They are not part of `all` — run them explicitly (and
+//! in release mode).
 //!
 //! `--trace-out <path>` (simscale only) additionally runs one traced
 //! P = 1024 balance and writes a chrome://tracing / Perfetto trace-event
@@ -30,1033 +31,847 @@
 //! the viewing recipe.
 
 use forestbal_bench::experiments::*;
-use forestbal_bench::report::{ratio, BenchRecord, Table};
+use forestbal_bench::report::{BenchRecord, Col, Fmt, Table, Value};
 use forestbal_forest::{BalanceVariant, ReversalScheme};
 use forestbal_mesh::IceSheetParams;
 use forestbal_sim::SimConfig;
+use std::time::Duration;
 
-type PhaseGetter = fn(&forestbal_forest::BalanceTimings) -> std::time::Duration;
+// --- Cell formats ----------------------------------------------------
 
-fn phase_table(title: &str, rows: &[ScalingRow], normalize: bool) -> Vec<Table> {
-    let phases: [(&str, PhaseGetter); 5] = [
-        ("Full one-pass algorithm", |t| t.total),
-        ("Local balance", |t| t.local_balance),
-        ("Query and Response", |t| t.query_response),
-        ("Local rebalance", |t| t.rebalance),
-        ("Notify/reversal", |t| t.reversal),
-    ];
-    phases
-        .iter()
-        .map(|(name, get)| {
-            let header: [&str; 6] = if normalize {
-                [
-                    "P",
-                    "level",
-                    "Moct",
-                    "old s/(Moct/rank)",
-                    "new s/(Moct/rank)",
-                    "speedup",
-                ]
-            } else {
-                [
-                    "P",
-                    "level",
-                    "Moct",
-                    "old seconds",
-                    "new seconds",
-                    "speedup",
-                ]
+/// Integers and strings as they are.
+fn plain(r: &BenchRecord, key: &str) -> String {
+    match r.get(key) {
+        Value::U64(v) => v.to_string(),
+        Value::Str(v) => v.clone(),
+        Value::F64(v) => panic!("field {key:?} = {v} needs a float format"),
+    }
+}
+
+/// A float times `10^E`, with `D` decimals.
+fn scaled<const E: i32, const D: usize>(r: &BenchRecord, key: &str) -> String {
+    format!("{:.*}", D, r.f64(key) * 10f64.powi(E))
+}
+const MS: Fmt = scaled::<3, 3>; // of seconds
+const US: Fmt = scaled::<6, 1>;
+const NS: Fmt = scaled::<9, 1>;
+
+/// An integer over `10^E`, with `D` decimals.
+fn over<const E: i32, const D: usize>(r: &BenchRecord, key: &str) -> String {
+    format!("{:.*}", D, r.u64(key) as f64 / 10f64.powi(E))
+}
+const US_OF_NS: Fmt = over::<3, 1>;
+
+/// Integer nanoseconds as milliseconds.
+fn ms_of_ns(r: &BenchRecord, key: &str) -> String {
+    let seconds = Duration::from_nanos(r.u64(key)).as_secs_f64();
+    format!("{:.3}", seconds * 1e3)
+}
+
+/// A ratio like "3.40x"; "-" where its denominator was zero.
+fn times(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.2}x")
+    } else {
+        "-".to_string()
+    }
+}
+
+/// A ratio field.
+fn ratio(r: &BenchRecord, key: &str) -> String {
+    times(r.f64(key))
+}
+
+/// Field `key` over `table_build_s`: a ratio the pinned `kernel` row
+/// does not carry.
+fn over_table_build(r: &BenchRecord, key: &str) -> String {
+    times(r.f64(key) / r.f64("table_build_s"))
+}
+
+/// A fraction as a whole percentage.
+fn percent(r: &BenchRecord, key: &str) -> String {
+    format!("{:.0}%", 100.0 * r.f64(key))
+}
+
+/// A checksum as 16 hex digits.
+fn hex(r: &BenchRecord, key: &str) -> String {
+    format!("{:016x}", r.u64(key))
+}
+
+/// Seconds per (million octants per rank): Figure 15's y-axis.
+fn per_moct_rank(r: &BenchRecord, key: &str) -> String {
+    format!("{:.4}", r.f64(key) / r.f64("moct_per_rank"))
+}
+
+// --- Tables as column lists ------------------------------------------
+
+/// The tables a section's rows fill, collected in print order.
+struct Tables<'r> {
+    rows: &'r [BenchRecord],
+    out: Vec<Table>,
+}
+
+impl Tables<'_> {
+    /// The rows of family `bench` through `cols`; no table without such
+    /// rows. A non-empty `second` list adds one more table row per record
+    /// (a record that fills two).
+    fn push2(&mut self, title: &str, bench: &str, cols: &[Col<'_>], second: &[Col<'_>]) {
+        let rows = || self.rows.iter().filter(|r| r.bench() == bench);
+        if rows().next().is_none() {
+            return;
+        }
+        let mut t = Table::project(title, cols, rows());
+        if !second.is_empty() {
+            t.extend(second, rows());
+        }
+        self.out.push(t);
+    }
+
+    /// The common case: one table row per record.
+    fn push(&mut self, title: &str, bench: &str, cols: &[Col<'_>]) {
+        self.push2(title, bench, cols, &[]);
+    }
+
+    /// The per-phase tables of a scaling study (Figures 15a-e / 17a-e).
+    fn phases(&mut self, study: &str, bench: &str, [old_head, new_head]: [&str; 2], seconds: Fmt) {
+        for (name, phase) in [
+            ("Full one-pass algorithm", "total"),
+            ("Local balance", "local_balance"),
+            ("Query and Response", "query_response"),
+            ("Local rebalance", "rebalance"),
+            ("Notify/reversal", "reversal"),
+        ] {
+            let (old_key, new_key) = (format!("old_{phase}_s"), format!("new_{phase}_s"));
+            let speedup_key = format!("{phase}_speedup");
+            let cols = [
+                Col::new("P", "ranks", plain),
+                Col::new("level", "level", plain),
+                Col::new("Moct", "octants_out", over::<6, 3>),
+                Col::new(old_head, &old_key, seconds),
+                Col::new(new_head, &new_key, seconds),
+                Col::new("speedup", &speedup_key, ratio),
+            ];
+            self.push(&format!("{study}: {name}"), bench, &cols);
+        }
+    }
+
+    /// Query/response communication volume, old vs new (the paper's "much
+    /// reduced communication volume" claim for seed responses).
+    fn volume(&mut self, bench: &str) {
+        let cols = [
+            Col::new("P", "ranks", plain),
+            Col::new("old query B", "old_query_bytes", plain),
+            Col::new("old resp B", "old_response_bytes", plain),
+            Col::new("new query B", "new_query_bytes", plain),
+            Col::new("new resp B", "new_response_bytes", plain),
+            Col::new("resp reduction", "response_reduction", ratio),
+        ];
+        self.push("Query/response volume (cluster totals)", bench, &cols);
+    }
+}
+
+/// Every table `rows` fill, in print order.
+fn tables(rows: &[BenchRecord]) -> Vec<Table> {
+    let mut t = Tables {
+        rows,
+        out: Vec::new(),
+    };
+    t.push(
+        "Serial subtree balance, 3D corner balance",
+        "subtree",
+        &[
+            Col::new("input", "input_len", plain),
+            Col::new("output", "output_len", plain),
+            Col::new("old s", "old_s", scaled::<0, 4>),
+            Col::new("new s", "new_s", scaled::<0, 4>),
+            Col::new("speedup", "speedup", ratio),
+            Col::new("hash q old", "old_hash_queries", plain),
+            Col::new("hash q new", "new_hash_queries", plain),
+            Col::new("sort old", "old_sorted_len", plain),
+            Col::new("sort new", "new_sorted_len", plain),
+        ],
+    );
+    t.push(
+        "Octant sort: struct comparison vs packed radix (µs per sort)",
+        "kernel",
+        &[
+            Col::new("input", "input_len", plain),
+            Col::new("struct", "sort_struct_s", US),
+            Col::new("radix", "sort_radix_s", US),
+            Col::new("speedup", "radix_speedup", ratio),
+            Col::new("presorted", "sort_presorted_s", US),
+            Col::new("passes", "radix_passes", plain),
+        ],
+    );
+    t.push(
+        "Octant membership: HashSet vs open-addressing table",
+        "kernel",
+        &[
+            Col::new("input", "input_len", plain),
+            Col::new("set build µs", "set_build_s", US),
+            Col::new("table build µs", "table_build_s", US),
+            Col::new("speedup", "set_build_s", over_table_build),
+            Col::new("set query ns", "set_query_s", NS),
+            Col::new("table query ns", "table_query_s", NS),
+            Col::new("speedup", "table_query_speedup", ratio),
+            Col::new("probes/op", "table_probes_per_op", scaled::<0, 2>),
+            Col::new("grows", "table_grows", plain),
+        ],
+    );
+    t.push(
+        "New-kernel subtree balance end to end: HashSet baseline vs packed (µs)",
+        "kernel",
+        &[
+            Col::new("input", "input_len", plain),
+            Col::new("hashset", "balance_hashset_s", US),
+            Col::new("packed fresh", "balance_fresh_s", US),
+            Col::new("packed scratch", "balance_scratch_s", US),
+            Col::new("speedup", "balance_speedup", ratio),
+        ],
+    );
+    // One `kernel_par` row fills two table rows, one per kernel.
+    t.push2(
+        "Deterministic pooled kernels (ms, best of reps; identical output checked)",
+        "kernel_par",
+        &[
+            Col::new("kernel", "", |_, _| "radix key sort".into()),
+            Col::new("input", "keys", plain),
+            Col::new("serial", "sort_serial_s", MS),
+            Col::new("pooled", "sort_par_s", MS),
+            Col::new("speedup", "par_radix_speedup", ratio),
+            Col::new("checksum", "", |_, _| "= serial".into()),
+        ],
+        &[
+            Col::new("kernel", "", |_, _| "one-pass balance".into()),
+            Col::new("input", "octants_out", plain),
+            Col::new("serial", "balance_serial_s", MS),
+            Col::new("pooled", "balance_par_s", MS),
+            Col::new("speedup", "par_balance_speedup", ratio),
+            Col::new("checksum", "forest_checksum", hex),
+        ],
+    );
+    t.push(
+        "Wire codec: fixed-width packed keys with tree-run framing",
+        "kernel_wire",
+        &[
+            Col::new("dim", "dim", plain),
+            Col::new("key bytes", "key_bytes", plain),
+            Col::new("octants", "octants", plain),
+            Col::new("runs", "runs", plain),
+            Col::new("wire bytes", "wire_bytes", plain),
+            Col::new("bytes/oct", "bytes_per_octant", scaled::<0, 2>),
+            Col::new("encode µs", "encode_s", US),
+            Col::new("decode µs", "decode_s", US),
+            Col::new("checksum", "forest_checksum", hex),
+        ],
+    );
+    t.push(
+        "T_k(o) ∩ r reconstruction: auxiliary cascade vs seeds",
+        "seeds",
+        &[
+            Col::new("scale levels", "scale_levels", plain),
+            Col::new("overlap", "overlap_len", plain),
+            Col::new("seeds", "seed_count", plain),
+            Col::new("old s", "old_s", scaled::<0, 6>),
+            Col::new("new s", "new_s", scaled::<0, 6>),
+            Col::new("speedup", "speedup", ratio),
+        ],
+    );
+    t.push(
+        "Balance decision per pair: ripple oracle vs λ (Table II)",
+        "decision",
+        &[
+            Col::new("pairs", "pairs", plain),
+            Col::new("unbalanced", "unbalanced", plain),
+            Col::new("oracle ns", "oracle_ns_per_pair", scaled::<0, 1>),
+            Col::new("λ ns", "lambda_ns_per_pair", scaled::<0, 1>),
+            Col::new("speedup", "speedup", ratio),
+        ],
+    );
+    t.push(
+        "Reversal schemes: time and data moved",
+        "notify",
+        &[
+            Col::new("P", "ranks", plain),
+            Col::new("naive s", "naive_s", scaled::<0, 5>),
+            Col::new("ranges s", "ranges_s", scaled::<0, 5>),
+            Col::new("notify s", "notify_s", scaled::<0, 5>),
+            Col::new("naive coll B", "naive_collective_bytes", plain),
+            Col::new("ranges coll B", "ranges_collective_bytes", plain),
+            Col::new("notify p2p B", "notify_p2p_bytes", plain),
+            Col::new("notify msgs", "notify_messages", plain),
+        ],
+    );
+    let normalized = ["old s/(Moct/rank)", "new s/(Moct/rank)"];
+    t.phases("Weak scaling", "weak", normalized, per_moct_rank);
+    t.volume("weak");
+    let raw = ["old seconds", "new seconds"];
+    t.phases("Strong scaling", "strong", raw, scaled::<0, 4>);
+    // The perfect-scaling reference of Figure 17.
+    t.push(
+        "Strong scaling: parallel efficiency (new algorithm)",
+        "strong",
+        &[
+            Col::new("P", "ranks", plain),
+            Col::new("new seconds", "new_total_s", scaled::<0, 4>),
+            Col::new("perfect", "perfect_s", scaled::<0, 4>),
+            Col::new("efficiency", "efficiency", percent),
+        ],
+    );
+    t.volume("strong");
+    t.push(
+        "One-pass vs multi-round ripple, fractal forest",
+        "ripple",
+        &[
+            Col::new("P", "ranks", plain),
+            Col::new("one-pass s", "one_pass_s", scaled::<0, 4>),
+            Col::new("ripple s", "ripple_s", scaled::<0, 4>),
+            Col::new("ripple rounds", "ripple_rounds", plain),
+            Col::new("one-pass msgs", "one_pass_messages", plain),
+            Col::new("ripple msgs", "ripple_messages", plain),
+        ],
+    );
+    t.push(
+        "Commit cost of one clustered edit, best of reps (ms, cluster max)",
+        "local",
+        &[
+            Col::new("mesh", "mesh", plain),
+            Col::new("leaves", "leaves", plain),
+            Col::new("dirty", "dirty_global", plain),
+            Col::new("dirty %", "dirty_frac", scaled::<2, 3>),
+            Col::new("full", "full_s", MS),
+            Col::new("incremental", "incremental_s", MS),
+            Col::new("speedup", "speedup", ratio),
+            Col::new("rounds", "rounds", plain),
+            Col::new("splits", "splits", plain),
+        ],
+    );
+    t.push(
+        "Service latency, log2-bucket upper bounds (µs; count across ranks)",
+        "local",
+        &[
+            Col::new("mesh", "mesh", plain),
+            Col::new("dirty %", "dirty_frac", scaled::<2, 3>),
+            Col::new("locate n", "point_locate_n", plain),
+            Col::new("locate p50", "point_locate_p50_ns", US_OF_NS),
+            Col::new("locate p99", "point_locate_p99_ns", US_OF_NS),
+            Col::new("neighbor n", "neighbor_query_n", plain),
+            Col::new("neighbor p50", "neighbor_query_p50_ns", US_OF_NS),
+            Col::new("neighbor p99", "neighbor_query_p99_ns", US_OF_NS),
+            Col::new("commit n", "commit_n", plain),
+            Col::new("commit p50", "commit_p50_ns", US_OF_NS),
+            Col::new("commit p99", "commit_p99_ns", US_OF_NS),
+        ],
+    );
+    t.push(
+        "Reversal schemes at scale (virtual ms, cluster totals)",
+        "sim_reversal",
+        &[
+            Col::new("P", "ranks", plain),
+            Col::new("scheme", "scheme", plain),
+            Col::new("virtual ms", "virtual_ms", scaled::<0, 3>),
+            Col::new("p2p msgs", "messages", plain),
+            Col::new("p2p B", "p2p_bytes", plain),
+            Col::new("coll B", "collective_bytes", plain),
+        ],
+    );
+    t.push(
+        "One-pass balance at scale (virtual ms per phase)",
+        "sim_balance",
+        &[
+            Col::new("P", "ranks", plain),
+            Col::new("variant", "variant", plain),
+            Col::new("scheme", "scheme", plain),
+            Col::new("total", "total_ns", ms_of_ns),
+            Col::new("local", "local_balance_ns", ms_of_ns),
+            Col::new("reversal", "reversal_ns", ms_of_ns),
+            Col::new("qry/rsp", "query_response_ns", ms_of_ns),
+            Col::new("rebal", "rebalance_ns", ms_of_ns),
+            Col::new("msgs", "messages", plain),
+        ],
+    );
+    t.push(
+        "Traced balance at P=1024: per-phase spans across ranks (virtual µs)",
+        "trace_phase",
+        &[
+            Col::new("phase", "phase", plain),
+            Col::new("ranks", "ranks", plain),
+            Col::new("spans", "spans", plain),
+            Col::new("min", "min_ns", US_OF_NS),
+            Col::new("median", "median_ns", US_OF_NS),
+            Col::new("max", "max_ns", US_OF_NS),
+        ],
+    );
+    t.push(
+        "Weak scaling: one-pass balance per phase (virtual ms)",
+        "weakscale",
+        &[
+            Col::new("P", "ranks", plain),
+            Col::new("net", "network", plain),
+            Col::new("scheme", "scheme", plain),
+            Col::new("oct/rank", "octants_per_rank", scaled::<0, 0>),
+            Col::new("total", "total_ns", ms_of_ns),
+            Col::new("local", "local_balance_ns", ms_of_ns),
+            Col::new("reversal", "reversal_ns", ms_of_ns),
+            Col::new("qry/rsp", "query_response_ns", ms_of_ns),
+            Col::new("rebal", "rebalance_ns", ms_of_ns),
+            Col::new("link waits", "net_link_waits", plain),
+        ],
+    );
+    t.out
+}
+
+// --- Sections ----------------------------------------------------------
+
+/// What the command line selected besides the section.
+struct Opts {
+    max_ranks: Option<usize>,
+    big: bool,
+    trace_out: Option<String>,
+}
+
+impl Opts {
+    /// Largest threaded rank count: `--max-ranks`, or 8.
+    fn ranks(&self) -> usize {
+        self.max_ranks.unwrap_or(8)
+    }
+}
+
+/// One section of output: a heading and the experiment behind it.
+struct Exp {
+    /// The `--exp` value that runs this section.
+    name: &'static str,
+    /// Other `--exp` values that include it.
+    groups: &'static [&'static str],
+    heading: &'static str,
+    /// Run at the sizes `Opts` selects (printing any notes that belong
+    /// under the heading) and return the rows.
+    run: fn(&Opts) -> Vec<BenchRecord>,
+}
+
+/// Every section, in `--exp all` order. Large simulated rank counts are
+/// only sensible in release builds, so `simscale` and `weakscale` are
+/// deliberately not part of `all`.
+const EXPS: &[Exp] = &[
+    Exp {
+        name: "subtree",
+        groups: &["all"],
+        heading: "Subtree balance (Section III, Figures 6-8): old vs new",
+        run: |o| subtree_experiment(kernel_sizes(o)),
+    },
+    Exp {
+        name: "kernel",
+        groups: &["all"],
+        heading: "Packed-key kernels: radix sort, octant table, scratch reuse",
+        run: |o| kernel_experiment(kernel_sizes(o)),
+    },
+    // Serial vs pooled hot kernels on one rank, with bit-identity
+    // asserted inside the run. The speedup columns only mean something
+    // on a multi-core host; the checksum column is meaningful anywhere
+    // and is what the CI `par-matrix` job compares across thread counts.
+    Exp {
+        name: "kernel",
+        groups: &["all"],
+        heading: "Intra-rank parallelism: pooled kernels vs one thread",
+        run: |o| {
+            let rows = par_kernel_experiment(250_000, if o.big { 3 } else { 2 }, 4);
+            println!(
+                "pool width: {} thread(s) (set with --threads N or FORESTBAL_THREADS)",
+                rows[0].u64("threads")
+            );
+            rows
+        },
+    },
+    // Cheap enough to run alone in the CI feature matrix, which compares
+    // the emitted forest checksums across `simd` / default /
+    // `--no-default-features` builds.
+    Exp {
+        name: "wire",
+        groups: &["kernel", "all"],
+        heading: "Packed wire format: bytes per octant and codec throughput",
+        run: |_| {
+            let (pack, packable) = forestbal_octant::simd_active();
+            println!("SIMD kernels active: bmi2 pack/unpack = {pack}, avx2 packable = {packable}");
+            wire_experiment()
+        },
+    },
+    Exp {
+        name: "seeds",
+        groups: &["all"],
+        heading: "Balancing remote octants (Section IV, Figures 4b/9)",
+        run: |_| {
+            let depths: Vec<u8> = (4..=12).step_by(2).collect();
+            let mut rows = seeds_distance_experiment(&depths, 20);
+            rows.extend(decision_experiment());
+            rows
+        },
+    },
+    Exp {
+        name: "notify",
+        groups: &["all"],
+        heading: "Pattern reversal (Section V, Figures 12/13/15e)",
+        run: |o| {
+            // Powers of two from 4, plus non-powers-of-two like the
+            // paper's 12-core nodes.
+            let max_ranks = o.ranks().max(16);
+            let mut ranks: Vec<usize> = powers_of_two(4, max_ranks)
+                .into_iter()
+                .flat_map(|p| [p, p * 3 / 2])
+                .filter(|&p| p <= max_ranks)
+                .collect();
+            ranks.sort_unstable();
+            notify_experiment(&ranks, 4, 25)
+        },
+    },
+    Exp {
+        name: "weak",
+        groups: &["all"],
+        heading: "Weak scaling (Figures 14/15): fractal forest, corner balance",
+        run: |o| {
+            let base = if o.big { 3 } else { 2 };
+            // One level per 8x ranks keeps octants/rank roughly constant.
+            let level = |p: usize| base + (p.ilog2() as u8).div_ceil(3);
+            let points: Vec<(usize, u8)> = powers_of_two(1, o.ranks())
+                .into_iter()
+                .map(|p| (p, level(p)))
+                .collect();
+            // Spread 4: the paper's four levels of size difference.
+            weak_scaling_experiment(&points, 4)
+        },
+    },
+    Exp {
+        name: "strong",
+        groups: &["all"],
+        heading: "Strong scaling (Figures 16/17): synthetic ice sheet, corner balance",
+        run: |o| {
+            let (n, max_level) = if o.big { (8, 7) } else { (4, 5) };
+            let params = IceSheetParams {
+                nx: n,
+                ny: n,
+                max_level,
+                ..IceSheetParams::default()
             };
-            let mut t = Table::new(&format!("{title}: {name}"), &header);
-            for r in rows {
-                let old = get(&r.old.timings).as_secs_f64();
-                let new = get(&r.new.timings).as_secs_f64();
-                let (o, n) = if normalize {
-                    // Seconds per (million octants per rank): Figure 15's
-                    // y-axis.
-                    let m_per_rank = r.octants_out as f64 / 1e6 / r.ranks as f64;
-                    (old / m_per_rank, new / m_per_rank)
-                } else {
-                    (old, new)
-                };
-                t.row(vec![
-                    r.ranks.to_string(),
-                    r.level.to_string(),
-                    format!("{:.3}", r.octants_out as f64 / 1e6),
-                    format!("{o:.4}"),
-                    format!("{n:.4}"),
-                    ratio(o, n),
-                ]);
-            }
-            t
-        })
+            let rows = strong_scaling_experiment(&powers_of_two(1, o.ranks()), params);
+            println!(
+                "mesh: {} -> {} octants after balance (paper: 55M -> 85M on Antarctica)",
+                rows[0].u64("octants_in"),
+                rows[0].u64("octants_out")
+            );
+            rows
+        },
+    },
+    Exp {
+        name: "ripple",
+        groups: &["all"],
+        heading: "Ripple baseline ablation (Section II-B)",
+        run: |o| ripple_ablation_experiment(&powers_of_two(2, o.ranks()), 2, 4),
+    },
+    // Full vs incremental commit of the same clustered batch at dirty
+    // fractions of ~0.1%, 1% and 10%, plus service request latency
+    // histograms (the committed snapshot is `BENCH_local.json`; see
+    // EXPERIMENTS.md for the regeneration recipe).
+    Exp {
+        name: "local",
+        groups: &["all"],
+        heading: "Incremental epoch commit: full balance vs Local rebalance",
+        run: |o| {
+            let p = o.ranks().min(4);
+            println!("P = {p} threaded ranks");
+            // (6, 6) is the default ice sheet.
+            let (fractal_level, n, max_level) = if o.big { (3, 8, 7) } else { (2, 6, 6) };
+            let ice = IceSheetParams {
+                nx: n,
+                ny: n,
+                max_level,
+                ..IceSheetParams::default()
+            };
+            local_experiment(p, 3, (fractal_level, 4), ice)
+        },
+    },
+    Exp {
+        name: "simscale",
+        groups: &[],
+        heading: "Simulated scaling (discrete-event, virtual time)",
+        run: run_simscale,
+    },
+    Exp {
+        name: "weakscale",
+        groups: &[],
+        heading: "Paper-scale virtual weak scaling (discrete-event, virtual time)",
+        run: |o| {
+            println!(
+                "one-pass balance (new variant) on the fractal forest; networks: \
+                 flat α-β vs fat tree with per-link contention"
+            );
+            // The paper's Figure 15 runs on Jaguar at up to 112,128 cores;
+            // the default list stops at 32k so mid-size machines finish in
+            // minutes, and `--big` adds the full-machine point.
+            // `--max-ranks` caps the list (CI smoke runs only the small
+            // points); unlike the threaded experiments the default is the
+            // full list, not the host's core count.
+            let ranks: Vec<usize> = [1024, 8192, 32768, 112_128]
+                .into_iter()
+                .filter(|&p| o.big || p <= 32768)
+                .filter(|&p| o.max_ranks.is_none_or(|max| p <= max))
+                .collect();
+            // Small fiber stacks keep the P = 112k reservation modest.
+            let cfg = SimConfig::builder().stack_size(256 << 10);
+            weakscale_experiment(&ranks, 2, 4, cfg)
+        },
+    },
+];
+
+/// Input sizes of the serial kernel studies.
+fn kernel_sizes(o: &Opts) -> &'static [usize] {
+    if o.big {
+        &[1_000, 10_000, 100_000, 400_000]
+    } else {
+        &[500, 5_000, 50_000]
+    }
+}
+
+/// `from, 2·from, 4·from, ...` up to `max`.
+fn powers_of_two(from: usize, max: usize) -> Vec<usize> {
+    std::iter::successors(Some(from), |p| Some(p * 2))
+        .take_while(|&p| p <= max)
         .collect()
 }
 
-fn run_weak(max_ranks: usize, big: bool) {
-    let base = if big { 3 } else { 2 };
-    let spread = 4; // the paper's four levels of size difference
-    let mut points = vec![(1usize, base)];
-    let mut p = 2;
-    while p <= max_ranks {
-        // One level per 8x ranks keeps octants/rank roughly constant.
-        let level = base + (p.ilog2() as u8).div_ceil(3);
-        points.push((p, level));
-        p *= 2;
-    }
-    println!("\n#### Weak scaling (Figures 14/15): fractal forest, corner balance");
-    let rows = weak_scaling_experiment(&points, spread);
-    for t in phase_table("Weak scaling", &rows, true) {
-        t.print();
-    }
-    volume_table(&rows).print();
-}
-
-fn run_strong(max_ranks: usize, big: bool) {
-    let params = if big {
-        IceSheetParams {
-            nx: 8,
-            ny: 8,
-            base_level: 2,
-            max_level: 7,
-            seed: 2012,
-        }
-    } else {
-        IceSheetParams {
-            nx: 4,
-            ny: 4,
-            base_level: 2,
-            max_level: 5,
-            seed: 2012,
-        }
-    };
-    let mut ranks = vec![];
-    let mut p = 1;
-    while p <= max_ranks {
-        ranks.push(p);
-        p *= 2;
-    }
-    println!("\n#### Strong scaling (Figures 16/17): synthetic ice sheet, corner balance");
-    let rows = strong_scaling_experiment(&ranks, params);
-    println!(
-        "mesh: {} -> {} octants after balance (paper: 55M -> 85M on Antarctica)",
-        rows[0].octants_in, rows[0].octants_out
-    );
-    for t in phase_table("Strong scaling", &rows, false) {
-        t.print();
-    }
-    // Perfect-scaling reference for the full algorithm (the red line of
-    // Figure 17): T(P) = T(1) / P.
-    let mut t = Table::new(
-        "Strong scaling: parallel efficiency (new algorithm)",
-        &["P", "new seconds", "perfect", "efficiency"],
-    );
-    let t0 = rows[0].new.timings.total.as_secs_f64() * rows[0].ranks as f64;
-    for r in &rows {
-        let perfect = t0 / r.ranks as f64;
-        let actual = r.new.timings.total.as_secs_f64();
-        t.row(vec![
-            r.ranks.to_string(),
-            format!("{actual:.4}"),
-            format!("{perfect:.4}"),
-            format!("{:.0}%", 100.0 * perfect / actual.max(1e-12)),
-        ]);
-    }
-    t.print();
-    volume_table(&rows).print();
-}
-
-/// Query/response communication volume, old vs new (the paper's
-/// "much reduced communication volume" claim for seed responses).
-fn volume_table(rows: &[ScalingRow]) -> Table {
-    let mut t = Table::new(
-        "Query/response volume (cluster totals)",
-        &[
-            "P",
-            "old query B",
-            "old resp B",
-            "new query B",
-            "new resp B",
-            "resp reduction",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.ranks.to_string(),
-            r.old.query_bytes.to_string(),
-            r.old.response_bytes.to_string(),
-            r.new.query_bytes.to_string(),
-            r.new.response_bytes.to_string(),
-            ratio(r.old.response_bytes as f64, r.new.response_bytes as f64),
-        ]);
-    }
-    t
-}
-
-fn run_notify(max_ranks: usize) {
-    let mut ranks = vec![];
-    let mut p = 4;
-    while p <= max_ranks.max(4) {
-        ranks.push(p);
-        // Include non-powers-of-two like the paper's 12-core nodes.
-        if p * 3 / 2 <= max_ranks {
-            ranks.push(p * 3 / 2);
-        }
-        p *= 2;
-    }
-    ranks.sort_unstable();
-    ranks.dedup();
-    println!("\n#### Pattern reversal (Section V, Figures 12/13/15e)");
-    let rows = notify_experiment(&ranks, 4, 25);
-    let mut t = Table::new(
-        "Reversal schemes: time and data moved",
-        &[
-            "P",
-            "naive s",
-            "ranges s",
-            "notify s",
-            "naive coll B",
-            "ranges coll B",
-            "notify p2p B",
-            "notify msgs",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.ranks.to_string(),
-            format!("{:.5}", r.naive.seconds),
-            format!("{:.5}", r.ranges.seconds),
-            format!("{:.5}", r.notify.seconds),
-            r.naive.stats.collective_bytes.to_string(),
-            r.ranges.stats.collective_bytes.to_string(),
-            r.notify.stats.bytes_sent.to_string(),
-            r.notify.stats.messages_sent.to_string(),
-        ]);
-    }
-    t.print();
-}
-
-fn run_subtree(big: bool) {
-    let sizes: &[usize] = if big {
-        &[1_000, 10_000, 100_000, 400_000]
-    } else {
-        &[500, 5_000, 50_000]
-    };
-    println!("\n#### Subtree balance (Section III, Figures 6-8): old vs new");
-    let rows = subtree_experiment(sizes);
-    let mut t = Table::new(
-        "Serial subtree balance, 3D corner balance",
-        &[
-            "input",
-            "output",
-            "old s",
-            "new s",
-            "speedup",
-            "hash q old",
-            "hash q new",
-            "sort old",
-            "sort new",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.input_len.to_string(),
-            r.new_stats.output_len.to_string(),
-            format!("{:.4}", r.old_seconds),
-            format!("{:.4}", r.new_seconds),
-            ratio(r.old_seconds, r.new_seconds),
-            r.old_stats.hash_queries.to_string(),
-            r.new_stats.hash_queries.to_string(),
-            r.old_stats.sorted_len.to_string(),
-            r.new_stats.sorted_len.to_string(),
-        ]);
-    }
-    t.print();
-}
-
-fn run_kernel(big: bool) {
-    let sizes: &[usize] = if big {
-        &[1_000, 10_000, 100_000, 400_000]
-    } else {
-        &[500, 5_000, 50_000]
-    };
-    println!("\n#### Packed-key kernels: radix sort, octant table, scratch reuse");
-    let rows = kernel_experiment(sizes);
-    let us = |s: f64| format!("{:.1}", s * 1e6);
-    let ns = |s: f64| format!("{:.1}", s * 1e9);
-
-    let mut t = Table::new(
-        "Octant sort: struct comparison vs packed radix (µs per sort)",
-        &["input", "struct", "radix", "speedup", "presorted", "passes"],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.input_len.to_string(),
-            us(r.sort_struct_seconds),
-            us(r.sort_radix_seconds),
-            ratio(r.sort_struct_seconds, r.sort_radix_seconds),
-            us(r.sort_presorted_seconds),
-            r.radix_passes.to_string(),
-        ]);
-    }
-    t.print();
-
-    let mut t = Table::new(
-        "Octant membership: HashSet vs open-addressing table",
-        &[
-            "input",
-            "set build µs",
-            "table build µs",
-            "speedup",
-            "set query ns",
-            "table query ns",
-            "speedup",
-            "probes/op",
-            "grows",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.input_len.to_string(),
-            us(r.set_build_seconds),
-            us(r.table_build_seconds),
-            ratio(r.set_build_seconds, r.table_build_seconds),
-            ns(r.set_query_seconds),
-            ns(r.table_query_seconds),
-            ratio(r.set_query_seconds, r.table_query_seconds),
-            format!("{:.2}", r.table_probes_per_op),
-            r.table_grows.to_string(),
-        ]);
-    }
-    t.print();
-
-    let mut t = Table::new(
-        "New-kernel subtree balance end to end: HashSet baseline vs packed (µs)",
-        &[
-            "input",
-            "hashset",
-            "packed fresh",
-            "packed scratch",
-            "speedup",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.input_len.to_string(),
-            us(r.balance_hashset_seconds),
-            us(r.balance_fresh_seconds),
-            us(r.balance_scratch_seconds),
-            ratio(r.balance_hashset_seconds, r.balance_scratch_seconds),
-        ]);
-    }
-    t.print();
-
-    let threads = forestbal_par::current().threads() as u64;
-    for r in &rows {
-        BenchRecord::new("kernel")
-            .u("threads", threads)
-            .u("input_len", r.input_len as u64)
-            .f("sort_struct_s", r.sort_struct_seconds)
-            .f("sort_radix_s", r.sort_radix_seconds)
-            .f("sort_presorted_s", r.sort_presorted_seconds)
-            .f(
-                "radix_speedup",
-                r.sort_struct_seconds / r.sort_radix_seconds.max(1e-12),
-            )
-            .u("radix_passes", r.radix_passes)
-            .f("set_build_s", r.set_build_seconds)
-            .f("table_build_s", r.table_build_seconds)
-            .f("set_query_s", r.set_query_seconds)
-            .f("table_query_s", r.table_query_seconds)
-            .f(
-                "table_query_speedup",
-                r.set_query_seconds / r.table_query_seconds.max(1e-12),
-            )
-            .f("table_probes_per_op", r.table_probes_per_op)
-            .u("table_grows", r.table_grows)
-            .f("balance_hashset_s", r.balance_hashset_seconds)
-            .f("balance_fresh_s", r.balance_fresh_seconds)
-            .f("balance_scratch_s", r.balance_scratch_seconds)
-            .f(
-                "balance_speedup",
-                r.balance_hashset_seconds / r.balance_scratch_seconds.max(1e-12),
-            )
-            .emit();
-    }
-
-    run_par(big);
-    run_wire();
-}
-
-/// The intra-rank parallelism study: serial vs pooled hot kernels on one
-/// rank, with bit-identity asserted inside the run. The speedup columns
-/// only mean something on a multi-core host (`timings` reports the pool
-/// width it actually used); the checksum column is meaningful anywhere
-/// and is what the CI `par-matrix` job compares across thread counts.
-fn run_par(big: bool) {
-    let keys = 250_000;
-    let (level, spread) = if big { (3, 4) } else { (2, 4) };
-    println!("\n#### Intra-rank parallelism: pooled kernels vs one thread");
-    let r = par_kernel_experiment(keys, level, spread);
-    println!(
-        "pool width: {} thread(s) (set with --threads N or FORESTBAL_THREADS)",
-        r.threads
-    );
-    let ms = |s: f64| format!("{:.3}", s * 1e3);
-    let mut t = Table::new(
-        "Deterministic pooled kernels (ms, best of reps; identical output checked)",
-        &["kernel", "input", "serial", "pooled", "speedup", "checksum"],
-    );
-    t.row(vec![
-        "radix key sort".into(),
-        r.keys.to_string(),
-        ms(r.sort_serial_seconds),
-        ms(r.sort_par_seconds),
-        ratio(r.sort_serial_seconds, r.sort_par_seconds),
-        "= serial".into(),
-    ]);
-    t.row(vec![
-        "one-pass balance".into(),
-        r.octants_out.to_string(),
-        ms(r.balance_serial_seconds),
-        ms(r.balance_par_seconds),
-        ratio(r.balance_serial_seconds, r.balance_par_seconds),
-        format!("{:016x}", r.forest_checksum),
-    ]);
-    t.print();
-
-    BenchRecord::new("kernel_par")
-        .u("threads", r.threads as u64)
-        .u("keys", r.keys as u64)
-        .f("sort_serial_s", r.sort_serial_seconds)
-        .f("sort_par_s", r.sort_par_seconds)
-        .f(
-            "par_radix_speedup",
-            r.sort_serial_seconds / r.sort_par_seconds.max(1e-12),
-        )
-        .f("balance_serial_s", r.balance_serial_seconds)
-        .f("balance_par_s", r.balance_par_seconds)
-        .f(
-            "par_balance_speedup",
-            r.balance_serial_seconds / r.balance_par_seconds.max(1e-12),
-        )
-        .u("octants_out", r.octants_out)
-        .u("forest_checksum", r.forest_checksum)
-        .emit();
-}
-
-/// The wire-format study alone: cheap enough for the CI feature matrix,
-/// which compares the emitted forest checksums across `simd` / default /
-/// `--no-default-features` builds.
-fn run_wire() {
-    let us = |s: f64| format!("{:.1}", s * 1e6);
-    println!("\n#### Packed wire format: bytes per octant and codec throughput");
-    let (simd_pack, simd_packable) = forestbal_octant::simd_active();
-    println!(
-        "SIMD kernels active: bmi2 pack/unpack = {simd_pack}, avx2 packable = {simd_packable}"
-    );
-    let wire = wire_experiment();
-    let mut t = Table::new(
-        "Wire codec: fixed-width packed keys with tree-run framing",
-        &[
-            "dim",
-            "key bytes",
-            "octants",
-            "runs",
-            "wire bytes",
-            "bytes/oct",
-            "encode µs",
-            "decode µs",
-            "checksum",
-        ],
-    );
-    for r in &wire {
-        t.row(vec![
-            r.dim.to_string(),
-            r.key_bytes.to_string(),
-            r.octants.to_string(),
-            r.runs.to_string(),
-            r.wire_bytes.to_string(),
-            format!("{:.2}", r.wire_bytes as f64 / r.octants.max(1) as f64),
-            us(r.encode_seconds),
-            us(r.decode_seconds),
-            format!("{:016x}", r.checksum),
-        ]);
-    }
-    t.print();
-
-    let threads = forestbal_par::current().threads() as u64;
-    for r in &wire {
-        BenchRecord::new("kernel_wire")
-            .u("threads", threads)
-            .u("dim", r.dim as u64)
-            .u("key_bytes", r.key_bytes as u64)
-            .u("octants", r.octants as u64)
-            .u("runs", r.runs as u64)
-            .u("wire_bytes", r.wire_bytes as u64)
-            .f(
-                "bytes_per_octant",
-                r.wire_bytes as f64 / r.octants.max(1) as f64,
-            )
-            .f("encode_s", r.encode_seconds)
-            .f("decode_s", r.decode_seconds)
-            .u("forest_checksum", r.checksum)
-            .u("simd_pack", simd_pack as u64)
-            .u("simd_packable", simd_packable as u64)
-            .emit();
-    }
-}
-
-fn run_seeds() {
-    println!("\n#### Balancing remote octants (Section IV, Figures 4b/9)");
-    let depths: Vec<u8> = (4..=12).step_by(2).collect();
-    let rows = seeds_distance_experiment(&depths, 20);
-    let mut t = Table::new(
-        "T_k(o) ∩ r reconstruction: auxiliary cascade vs seeds",
-        &[
-            "scale levels",
-            "overlap",
-            "seeds",
-            "old s",
-            "new s",
-            "speedup",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.scale_levels.to_string(),
-            r.overlap_len.to_string(),
-            r.seed_count.to_string(),
-            format!("{:.6}", r.old_seconds),
-            format!("{:.6}", r.new_seconds),
-            ratio(r.old_seconds, r.new_seconds),
-        ]);
-    }
-    t.print();
-}
-
-fn run_ripple(max_ranks: usize) {
-    println!("\n#### Ripple baseline ablation (Section II-B)");
-    let mut ranks = vec![];
-    let mut p = 2;
-    while p <= max_ranks {
-        ranks.push(p);
-        p *= 2;
-    }
-    let rows = ripple_ablation_experiment(&ranks, 2, 4);
-    let mut t = Table::new(
-        "One-pass vs multi-round ripple, fractal forest",
-        &[
-            "P",
-            "one-pass s",
-            "ripple s",
-            "ripple rounds",
-            "one-pass msgs",
-            "ripple msgs",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.ranks.to_string(),
-            format!("{:.4}", r.one_pass_seconds),
-            format!("{:.4}", r.ripple_seconds),
-            r.ripple_rounds.to_string(),
-            r.one_pass_msgs.to_string(),
-            r.ripple_msgs.to_string(),
-        ]);
-    }
-    t.print();
-}
-
-/// The traced simscale run behind `--trace-out`: one P = 1024 balance
-/// (new variant, Notify reversal) with per-rank recording, exported as
-/// chrome-trace JSON plus an aggregate table and a `BENCH` counter line.
-fn run_traced(path: &str, cfg: SimConfig) {
-    let p = 1024;
-    let traced = sim_balance_traced(p, 2, 3, BalanceVariant::New, ReversalScheme::Notify, cfg);
-    let json = traced.trace.chrome_trace_json();
-    forestbal_trace::validate_json(&json).expect("exporter must emit valid JSON");
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!(
-        "\nwrote {path}: {} ranks, {} bytes (open in https://ui.perfetto.dev)",
-        traced.trace.ranks.len(),
-        json.len()
-    );
-
-    let mut t = Table::new(
-        &format!("Traced balance at P={p}: per-phase spans across ranks (virtual µs)"),
-        &["phase", "ranks", "spans", "min", "median", "max"],
-    );
-    for a in traced.trace.phase_aggregates() {
-        let us = |ns: u64| format!("{:.1}", ns as f64 / 1e3);
-        t.row(vec![
-            a.name.to_string(),
-            a.ranks.to_string(),
-            a.spans.to_string(),
-            us(a.min_ns),
-            us(a.median_ns),
-            us(a.max_ns),
-        ]);
-    }
-    t.print();
-
-    // The virtual clock only ticks in communication calls, so per rank the
-    // phase spans tile the balance span exactly; report the cross-check.
-    let sum_phases: u64 = traced
-        .trace
-        .ranks
-        .iter()
-        .map(|rt| {
-            [
-                "markers",
-                "local_balance",
-                "query_response",
-                "reversal",
-                "rebalance",
-            ]
-            .iter()
-            .map(|n| rt.phase_total_ns(n))
-            .sum::<u64>()
-        })
-        .max()
-        .unwrap_or(0);
-    let total = traced
-        .trace
-        .ranks
-        .iter()
-        .map(|rt| rt.phase_total_ns("balance"))
-        .max()
-        .unwrap_or(0);
-    println!("phase-sum cross-check: max Σphases = {sum_phases} ns, max balance span = {total} ns");
-
-    let mut rec = BenchRecord::new("trace_balance")
-        .u("ranks", p as u64)
-        .u("octants_out", traced.row.octants_out)
-        .u("makespan_ns", traced.row.makespan_ns)
-        .u("balance_ns", total);
-    for (name, v) in traced.trace.merged_counters() {
-        rec = rec.u(name, v);
-    }
-    rec.emit();
-}
-
-fn run_simscale(big: bool) {
+/// Reversal curves at the paper's §V scale (pure communication, cheap
+/// even at 16k simulated ranks), then the full one-pass balance for
+/// every variant × scheme: the fractal workload is per-rank local, so
+/// the mesh grows with P and per-rank work stays bounded. With
+/// `--trace-out`, one more P = 1024 balance (new variant, Notify) runs
+/// with per-rank recording and is exported as chrome-trace JSON.
+fn run_simscale(o: &Opts) -> Vec<BenchRecord> {
     let cfg = SimConfig::default();
-    println!("\n#### Simulated scaling (discrete-event, virtual time)");
     println!(
         "cost model: α = {} ns, β = {} ns/B, collectives ⌈log2 P⌉·α + β·bytes",
         cfg.latency_ns, cfg.ns_per_byte
     );
-
-    // Reversal curves at the paper's §V scale. Pure communication, cheap
-    // even at 16k simulated ranks.
-    let rev_ranks: &[usize] = if big {
+    let ranks: &[usize] = if o.big {
         &[1024, 4096, 16384]
     } else {
         &[1024, 4096]
     };
-    let rev = sim_reversal_scaling(rev_ranks, 4, 25, cfg);
-    let mut t = Table::new(
-        "Reversal schemes at scale (virtual ms, cluster totals)",
-        &["P", "scheme", "virtual ms", "p2p msgs", "p2p B", "coll B"],
-    );
-    for r in &rev {
-        t.row(vec![
-            r.ranks.to_string(),
-            r.scheme.to_string(),
-            format!("{:.3}", r.makespan_ns as f64 / 1e6),
-            r.stats.messages_sent.to_string(),
-            r.stats.bytes_sent.to_string(),
-            r.stats.collective_bytes.to_string(),
-        ]);
-        BenchRecord::new("sim_reversal")
-            .u("ranks", r.ranks as u64)
-            .s("scheme", r.scheme)
-            .u("makespan_ns", r.makespan_ns)
-            .f("virtual_ms", r.makespan_ns as f64 / 1e6)
-            .u("messages", r.stats.messages_sent)
-            .u("p2p_bytes", r.stats.bytes_sent)
-            .u("collective_bytes", r.stats.collective_bytes)
-            .emit();
-    }
-    t.print();
+    let mut rows = sim_reversal_scaling(ranks, 4, 25, cfg);
+    rows.extend(sim_balance_scaling(ranks, 2, 3, 25, cfg));
 
-    // Full one-pass balance: every variant x scheme at large P. The
-    // fractal workload is per-rank local, so the mesh grows with P and
-    // per-rank work stays bounded.
-    let bal_ranks: &[usize] = if big {
-        &[1024, 4096, 16384]
-    } else {
-        &[1024, 4096]
-    };
-    let rows = sim_balance_scaling(bal_ranks, 2, 3, 25, cfg);
-    let mut t = Table::new(
-        "One-pass balance at scale (virtual ms per phase)",
-        &[
-            "P", "variant", "scheme", "total", "local", "reversal", "qry/rsp", "rebal", "msgs",
-        ],
-    );
-    for r in &rows {
-        let ms = |d: std::time::Duration| format!("{:.3}", d.as_secs_f64() * 1e3);
-        t.row(vec![
-            r.ranks.to_string(),
-            format!("{:?}", r.variant),
-            r.scheme.to_string(),
-            ms(r.report.timings.total),
-            ms(r.report.timings.local_balance),
-            ms(r.report.timings.reversal),
-            ms(r.report.timings.query_response),
-            ms(r.report.timings.rebalance),
-            r.stats.messages_sent.to_string(),
-        ]);
-        BenchRecord::new("sim_balance")
-            .u("ranks", r.ranks as u64)
-            .s("variant", &format!("{:?}", r.variant))
-            .s("scheme", r.scheme)
-            .u("octants_in", r.octants_in)
-            .u("octants_out", r.octants_out)
-            .u("makespan_ns", r.makespan_ns)
-            .u("total_ns", r.report.timings.total.as_nanos() as u64)
-            .u(
-                "local_balance_ns",
-                r.report.timings.local_balance.as_nanos() as u64,
-            )
-            .u("reversal_ns", r.report.timings.reversal.as_nanos() as u64)
-            .u(
-                "query_response_ns",
-                r.report.timings.query_response.as_nanos() as u64,
-            )
-            .u("rebalance_ns", r.report.timings.rebalance.as_nanos() as u64)
-            .u("messages", r.stats.messages_sent)
-            .u("p2p_bytes", r.stats.bytes_sent)
-            .emit();
+    if let Some(path) = &o.trace_out {
+        let (new, notify) = (BalanceVariant::New, ReversalScheme::Notify);
+        let traced = sim_balance_traced(1024, 2, 3, new, notify, cfg);
+        let json = traced.trace.chrome_trace_json();
+        forestbal_trace::validate_json(&json).expect("exporter must emit valid JSON");
+        std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        println!(
+            "wrote {path}: {} ranks, {} bytes (open in https://ui.perfetto.dev)",
+            traced.trace.ranks.len(),
+            json.len()
+        );
+        // The virtual clock only ticks in communication calls, so per
+        // rank the phase spans tile the balance span exactly; report the
+        // cross-check.
+        println!(
+            "phase-sum cross-check: max Σphases = {} ns, max balance span = {} ns",
+            traced.phase_sum_ns,
+            traced.rows[0].u64("balance_ns")
+        );
+        rows.extend(traced.rows);
     }
-    t.print();
+    rows
 }
 
-fn run_weakscale(max_ranks: Option<usize>, big: bool) {
-    // Small fiber stacks keep the P = 112k reservation modest; the
-    // builder is the intended construction path for tuned configs.
-    let cfg = SimConfig::builder().stack_size(256 << 10).build();
-    println!("\n#### Paper-scale virtual weak scaling (discrete-event, virtual time)");
-    println!(
-        "one-pass balance (new variant) on the fractal forest; networks: \
-         flat α-β vs fat tree with per-link contention"
-    );
-
-    // The paper's Figure 15 runs on Jaguar at up to 112,128 cores; the
-    // default list stops at 32k so mid-size machines finish in minutes,
-    // and `--big` adds the full-machine point.
-    let ranks: &[usize] = if big {
-        &[1024, 8192, 32768, 112_128]
-    } else {
-        &[1024, 8192, 32768]
-    };
-    let ranks: Vec<usize> = ranks
-        .iter()
-        .copied()
-        .filter(|&p| max_ranks.is_none_or(|m| p <= m))
-        .collect();
-    let rows = weakscale_experiment(&ranks, 2, 4, cfg);
-    let mut t = Table::new(
-        "Weak scaling: one-pass balance per phase (virtual ms)",
-        &[
-            "P",
-            "net",
-            "scheme",
-            "oct/rank",
-            "total",
-            "local",
-            "reversal",
-            "qry/rsp",
-            "rebal",
-            "link waits",
-        ],
-    );
-    for r in &rows {
-        let ms = |d: std::time::Duration| format!("{:.3}", d.as_secs_f64() * 1e3);
-        let per_rank = r.octants_out as f64 / r.ranks as f64;
-        t.row(vec![
-            r.ranks.to_string(),
-            r.network.to_string(),
-            r.scheme.to_string(),
-            format!("{per_rank:.0}"),
-            ms(r.report.timings.total),
-            ms(r.report.timings.local_balance),
-            ms(r.report.timings.reversal),
-            ms(r.report.timings.query_response),
-            ms(r.report.timings.rebalance),
-            r.net.link_waits.to_string(),
-        ]);
-        let ns = |d: std::time::Duration| d.as_nanos() as u64;
-        BenchRecord::new("weakscale")
-            .u("ranks", r.ranks as u64)
-            .u("level", r.level as u64)
-            .s("scheme", r.scheme)
-            .s("network", r.network)
-            .u("octants_in", r.octants_in)
-            .u("octants_out", r.octants_out)
-            .f("octants_per_rank", per_rank)
-            .u("makespan_ns", r.makespan_ns)
-            .u("total_ns", ns(r.report.timings.total))
-            .u("local_balance_ns", ns(r.report.timings.local_balance))
-            .u("reversal_ns", ns(r.report.timings.reversal))
-            .u("query_response_ns", ns(r.report.timings.query_response))
-            .u("rebalance_ns", ns(r.report.timings.rebalance))
-            // Figure 15 normalizes by per-rank mesh size; integer levels
-            // cannot hold octants/rank exactly constant across P.
-            .f(
-                "total_ns_per_octant",
-                ns(r.report.timings.total) as f64 / per_rank,
-            )
-            .u("messages", r.stats.messages_sent)
-            .u("p2p_bytes", r.stats.bytes_sent)
-            .u("collective_bytes", r.stats.collective_bytes)
-            .u("net_p2p_messages", r.net.p2p_messages)
-            .u("net_intra_node", r.net.intra_node_messages)
-            .u("net_inter_node", r.net.inter_node_messages)
-            .u("net_inter_pod", r.net.inter_pod_messages)
-            .u("net_link_waits", r.net.link_waits)
-            .u("net_link_wait_ns", r.net.link_wait_ns)
-            .u("net_max_link_wait_ns", r.net.max_link_wait_ns)
-            .u("net_collectives", r.net.collectives)
-            .emit();
-    }
-    t.print();
+/// The sections `--exp exp` runs (none for an unknown name).
+fn sections(exp: &str) -> Vec<&'static Exp> {
+    EXPS.iter()
+        .filter(|e| e.name == exp || e.groups.contains(&exp))
+        .collect()
 }
 
-/// The Local-rebalance study: full vs incremental commit of the same
-/// clustered batch at dirty fractions of ~0.1%, 1% and 10%, plus
-/// service request latency histograms. Emits one `BENCH {...}` line per
-/// row (the committed snapshot is `BENCH_local.json`; see
-/// EXPERIMENTS.md for the regeneration recipe).
-fn run_local(max_ranks: usize, big: bool) {
-    let p = max_ranks.min(4);
-    let reps = 3;
-    println!("\n#### Incremental epoch commit: full balance vs Local rebalance (P = {p})");
-    let rows = local_experiment(p, reps, big);
+fn usage() -> String {
+    let mut names: Vec<&str> = EXPS.iter().map(|e| e.name).collect();
+    names.dedup();
+    format!(
+        "usage: timings [--exp {}|all] [--max-ranks N] [--threads N] [--big] [--trace-out trace.json]",
+        names.join("|")
+    )
+}
 
-    let ms = |s: f64| format!("{:.3}", s * 1e3);
-    let mut t = Table::new(
-        "Commit cost of one clustered edit, best of reps (ms, cluster max)",
-        &[
-            "mesh",
-            "leaves",
-            "dirty",
-            "dirty %",
-            "full",
-            "incremental",
-            "speedup",
-            "rounds",
-            "splits",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.mesh.to_string(),
-            r.leaves.to_string(),
-            r.dirty_global.to_string(),
-            format!("{:.3}", r.dirty_frac * 100.0),
-            ms(r.full_seconds),
-            ms(r.incremental_seconds),
-            ratio(r.full_seconds, r.incremental_seconds),
-            r.rounds.to_string(),
-            r.splits.to_string(),
-        ]);
-    }
-    t.print();
-
-    let mut t = Table::new(
-        "Service latency, log2-bucket upper bounds (µs; count across ranks)",
-        &[
-            "mesh",
-            "dirty %",
-            "locate n",
-            "locate p50",
-            "locate p99",
-            "neighbor n",
-            "neighbor p50",
-            "neighbor p99",
-            "commit n",
-            "commit p50",
-            "commit p99",
-        ],
-    );
-    let us = |ns: u64| format!("{:.1}", ns as f64 * 1e-3);
-    for r in &rows {
-        t.row(vec![
-            r.mesh.to_string(),
-            format!("{:.3}", r.dirty_frac * 100.0),
-            r.point_locate.count.to_string(),
-            us(r.point_locate.p50_ns),
-            us(r.point_locate.p99_ns),
-            r.neighbor_query.count.to_string(),
-            us(r.neighbor_query.p50_ns),
-            us(r.neighbor_query.p99_ns),
-            r.commit.count.to_string(),
-            us(r.commit.p50_ns),
-            us(r.commit.p99_ns),
-        ]);
-    }
-    t.print();
-
-    for r in &rows {
-        BenchRecord::new("local")
-            .u("ranks", r.ranks as u64)
-            .s("mesh", r.mesh)
-            .u("leaves", r.leaves)
-            .u("dirty_global", r.dirty_global)
-            .f("dirty_frac", r.dirty_frac)
-            .f("full_s", r.full_seconds)
-            .f("incremental_s", r.incremental_seconds)
-            .f("speedup", r.speedup)
-            .u("rounds", r.rounds as u64)
-            .u("splits", r.splits)
-            .u("forest_checksum", r.checksum)
-            .u("point_locate_n", r.point_locate.count)
-            .u("point_locate_p50_ns", r.point_locate.p50_ns)
-            .u("point_locate_p99_ns", r.point_locate.p99_ns)
-            .u("neighbor_query_n", r.neighbor_query.count)
-            .u("neighbor_query_p50_ns", r.neighbor_query.p50_ns)
-            .u("neighbor_query_p99_ns", r.neighbor_query.p99_ns)
-            .u("commit_n", r.commit.count)
-            .u("commit_p50_ns", r.commit.p50_ns)
-            .u("commit_p99_ns", r.commit.p99_ns)
-            .emit();
-    }
+fn fail(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
     let mut exp = "all".to_string();
-    let mut max_ranks = 8usize;
-    let mut max_ranks_set = false;
-    let mut big = false;
-    let mut trace_out: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--exp" => {
-                exp = args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--exp requires a value");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--trace-out" => {
-                trace_out = Some(args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--trace-out requires a path");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
+    let mut opts = Opts {
+        max_ranks: None,
+        big: false,
+        trace_out: None,
+    };
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = |what: &str| {
+            args.next()
+                .unwrap_or_else(|| fail(&format!("{flag} requires {what}")))
+        };
+        match flag.as_str() {
+            "--exp" => exp = value("a value"),
+            "--trace-out" => opts.trace_out = Some(value("a path")),
+            "--big" => opts.big = true,
             "--threads" => {
-                let n: usize = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads requires an integer >= 1");
-                        std::process::exit(2);
-                    });
-                if !forestbal_par::set_global_threads(n) {
-                    eprintln!("--threads: pool already initialized");
-                    std::process::exit(2);
+                let n = value("an integer >= 1").parse().unwrap_or(0);
+                if n == 0 {
+                    fail("--threads requires an integer >= 1");
                 }
-                i += 2;
+                if !forestbal_par::set_global_threads(n) {
+                    fail("--threads: pool already initialized");
+                }
             }
             "--max-ranks" => {
-                max_ranks = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--max-ranks requires an integer");
-                        std::process::exit(2);
-                    });
-                max_ranks_set = true;
-                i += 2;
+                let parsed = value("an integer").parse();
+                let n = parsed.unwrap_or_else(|_| fail("--max-ranks requires an integer"));
+                opts.max_ranks = Some(n);
             }
-            "--big" => {
-                big = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                eprintln!(
-                    "usage: timings [--exp weak|strong|notify|subtree|kernel|wire|seeds|ripple|local|simscale|weakscale|all] \
-                     [--max-ranks N] [--threads N] [--big] [--trace-out trace.json]"
-                );
-                std::process::exit(2);
-            }
+            other => fail(&format!("unknown argument {other}\n{}", usage())),
         }
     }
-    let known = [
-        "all",
-        "subtree",
-        "kernel",
-        "wire",
-        "seeds",
-        "notify",
-        "weak",
-        "strong",
-        "ripple",
-        "local",
-        "simscale",
-        "weakscale",
-    ];
-    if !known.contains(&exp.as_str()) {
-        eprintln!("unknown experiment {exp}");
-        eprintln!(
-            "usage: timings [--exp weak|strong|notify|subtree|kernel|wire|seeds|ripple|local|simscale|weakscale|all] \
-             [--max-ranks N] [--threads N] [--big] [--trace-out trace.json]"
+    let selected = sections(&exp);
+    if selected.is_empty() {
+        fail(&format!("unknown experiment {exp}\n{}", usage()));
+    }
+    if opts.trace_out.is_some() && exp != "simscale" {
+        fail("--trace-out only applies to --exp simscale");
+    }
+    // Each section: heading, notes, every table its rows fill, then the
+    // rows themselves as `BENCH` lines.
+    for e in selected {
+        println!("\n#### {}", e.heading);
+        let rows = (e.run)(&opts);
+        for t in tables(&rows) {
+            t.print();
+        }
+        for r in &rows {
+            r.emit();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every experiment at its smallest size.
+    fn smallest_rows() -> Vec<BenchRecord> {
+        let ice = IceSheetParams {
+            nx: 2,
+            ny: 2,
+            base_level: 1,
+            max_level: 4,
+            seed: 1,
+        };
+        let sim = SimConfig::default();
+        let (new, notify) = (BalanceVariant::New, ReversalScheme::Notify);
+        [
+            subtree_experiment(&[400]),
+            kernel_experiment(&[2000]),
+            par_kernel_experiment(2_000, 1, 2),
+            wire_experiment(),
+            seeds_distance_experiment(&[5], 1),
+            decision_experiment(),
+            notify_experiment(&[4], 2, 2),
+            weak_scaling_experiment(&[(1, 1)], 3),
+            strong_scaling_experiment(&[1], ice),
+            ripple_ablation_experiment(&[2], 1, 3),
+            local_experiment(1, 1, (1, 2), ice),
+            sim_reversal_scaling(&[8], 3, 2, sim),
+            sim_balance_scaling(&[4], 1, 2, 2, sim),
+            sim_balance_traced(4, 1, 2, new, notify, sim).rows,
+            weakscale_experiment(&[4], 2, 2, SimConfig::builder()),
+        ]
+        .concat()
+    }
+
+    /// Field names of one `BENCH` JSON object, in order. Enough of a
+    /// parser for rows whose string values hold no `,"`.
+    fn json_keys(line: &str) -> Vec<&str> {
+        let body = line.trim().trim_start_matches('{').trim_end_matches('}');
+        body.split(",\"")
+            .map(|field| {
+                let (key, _) = field.split_once("\":").expect("a \"key\":value field");
+                key.trim_start_matches('"')
+            })
+            .collect()
+    }
+
+    /// The schema pin: every section's tables render from the rows its
+    /// experiments return (a misspelt column key panics here), every row
+    /// is valid JSON, and the committed snapshots' field lists are
+    /// reproduced name for name, in order.
+    #[test]
+    fn every_table_renders_and_committed_schemas_hold() {
+        let rows = smallest_rows();
+        // A table whose family name matches no row would silently vanish.
+        assert_eq!(tables(&rows).len(), 29, "a table found no rows");
+        assert!(tables(&rows[..1]).len() == 1 && tables(&[]).is_empty());
+        for r in &rows {
+            let json = r.json();
+            forestbal_trace::validate_json(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+            assert_eq!(json_keys(&json), r.keys().collect::<Vec<_>>());
+        }
+
+        let committed = [
+            include_str!("../../../../BENCH_kernel.json"),
+            include_str!("../../../../BENCH_local.json"),
+            include_str!("../../../../BENCH_weakscale.json"),
+        ];
+        let mut pinned = Vec::new();
+        for line in committed.iter().flat_map(|file| file.lines()) {
+            let want = json_keys(line);
+            let bench = line.split('"').nth(3).expect("a \"bench\":\"name\" head");
+            let row = rows
+                .iter()
+                .find(|r| r.bench() == bench)
+                .unwrap_or_else(|| panic!("no experiment emits {bench:?} rows"));
+            assert_eq!(row.keys().collect::<Vec<_>>(), want, "{bench}");
+            pinned.push(bench);
+        }
+        pinned.dedup();
+        assert_eq!(
+            pinned,
+            ["kernel", "kernel_par", "kernel_wire", "local", "weakscale"]
         );
-        std::process::exit(2);
     }
-    let all = exp == "all";
-    if all || exp == "subtree" {
-        run_subtree(big);
+
+    #[test]
+    fn ratio_handles_zero() {
+        assert_eq!(times(f64::INFINITY), "-");
+        assert_eq!(times(f64::NAN), "-");
+        assert_eq!(times(3.5), "3.50x");
+        let row = |den: f64| {
+            BenchRecord::new("kernel")
+                .f("set_build_s", 7.0)
+                .f("table_build_s", den)
+                .f("response_reduction", 7.0 / den)
+        };
+        assert_eq!(over_table_build(&row(2.0), "set_build_s"), "3.50x");
+        assert_eq!(over_table_build(&row(0.0), "set_build_s"), "-");
+        assert_eq!(ratio(&row(2.0), "response_reduction"), "3.50x");
+        assert_eq!(ratio(&row(0.0), "response_reduction"), "-");
     }
-    if all || exp == "kernel" {
-        run_kernel(big);
-    }
-    if exp == "wire" {
-        // `kernel` (and `all`) already include the wire table; this runs
-        // it alone, fast enough for the CI feature matrix.
-        run_wire();
-    }
-    if all || exp == "seeds" {
-        run_seeds();
-    }
-    if all || exp == "notify" {
-        run_notify(max_ranks.max(16));
-    }
-    if all || exp == "weak" {
-        run_weak(max_ranks, big);
-    }
-    if all || exp == "strong" {
-        run_strong(max_ranks, big);
-    }
-    if all || exp == "ripple" {
-        run_ripple(max_ranks);
-    }
-    if all || exp == "local" {
-        run_local(max_ranks, big);
-    }
-    // Deliberately not part of `all`: large simulated rank counts are
-    // only sensible in release builds.
-    if exp == "simscale" {
-        run_simscale(big);
-        if let Some(path) = &trace_out {
-            run_traced(path, SimConfig::default());
-        }
-    } else if trace_out.is_some() {
-        eprintln!("--trace-out only applies to --exp simscale");
-        std::process::exit(2);
-    }
-    if exp == "weakscale" {
-        // `--max-ranks` caps the simulated rank list here (CI smoke runs
-        // only the P = 8192 points); unlike the threaded experiments the
-        // default is the full list, not the host's core count.
-        run_weakscale(max_ranks_set.then_some(max_ranks), big);
+
+    #[test]
+    fn exp_names_select_sections() {
+        let selected = |exp: &str| -> Vec<&str> {
+            sections(exp)
+                .iter()
+                .map(|e| e.heading.split([':', ' ']).next().unwrap())
+                .collect()
+        };
+        assert_eq!(selected("wire"), ["Packed"]);
+        assert_eq!(selected("kernel"), ["Packed-key", "Intra-rank", "Packed"]);
+        assert_eq!(selected("all").len(), EXPS.len() - 2);
+        assert!(selected("nope").is_empty());
+        assert!(usage().contains("|simscale|weakscale|all]"));
     }
 }

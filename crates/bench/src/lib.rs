@@ -1,18 +1,12 @@
 //! Benchmark harnesses reproducing the IPDPS'12 evaluation.
 //!
-//! [`experiments`] holds one driver per paper table/figure; the `timings`
-//! binary (named after p4est's `timings` example, which produced the
-//! paper's numbers) prints them as tables. Criterion micro-benchmarks for
-//! the serial kernels live under `benches/`.
+//! [`experiments`] holds one driver per paper table/figure, each
+//! returning [`report::BenchRecord`] rows; the `timings` binary (named
+//! after p4est's `timings` example, which produced the paper's numbers)
+//! prints them as `BENCH` lines and as tables projected from the same
+//! rows.
 
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod report;
-
-pub use experiments::{
-    adapted_subtree_input, local_experiment, notify_experiment, par_is_balanced,
-    ripple_ablation_experiment, seeds_distance_experiment, sim_balance_scaling, sim_balance_traced,
-    sim_reversal_scaling, strong_scaling_experiment, subtree_experiment, weak_scaling_experiment,
-    LatencySummary, LocalRow, TracedSimBalance,
-};

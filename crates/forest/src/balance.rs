@@ -625,21 +625,8 @@ impl<const D: usize> Forest<D> {
         for (t, rkey, packed) in reconstructed.into_iter().flatten() {
             splices.entry(t).or_default().insert(rkey, packed);
         }
-        for (t, mut reps) in splices {
-            let v = self
-                .local
-                .get_mut(t)
-                .expect("splice in tree without leaves");
-            let mut out = Vec::with_capacity(v.len() + reps.len() * 8);
-            for &k in v.iter() {
-                match reps.remove(&k) {
-                    Some(s) => out.extend(s),
-                    None => out.push(k),
-                }
-            }
-            debug_assert!(reps.is_empty(), "replacement for a vanished leaf");
-            debug_assert!(is_linear_keys::<D>(&out));
-            *v = out;
+        for (t, reps) in splices {
+            self.local.splice(t, reps);
         }
     }
 

@@ -33,14 +33,18 @@
 //!
 //! Each round: (1) announce the changed leaves whose insulation layer
 //! reaches other ranks, in home-frame packed-key runs (the ghost wire
-//! format); (2) receive remote changes, [`GhostLayer::patch`] them in,
-//! and seed the worklist with them *and* with local leaves adjacent to
-//! them (the reverse direction: an unchanged fine leaf must split a
-//! freshly coarsened remote parent); (3) drain the worklist to a local
-//! fixed point, recording splits in the overlay; (4) vote. Patching
-//! *before* processing is what keeps simultaneous adaptations on both
-//! sides of a partition boundary from ever splitting against a stale
-//! ghost entry.
+//! format); (2) receive remote changes and [`GhostLayer::patch`] them
+//! in; (3) seed the worklist with the received leaves and with the
+//! local leaves and ghosts adjacent to them (the reverse direction: an
+//! unchanged fine leaf must split a freshly coarsened remote parent) —
+//! in round 1 also with those adjacent to this rank's own merged
+//! parents; (4) drain the worklist to a local fixed point, recording
+//! splits in the overlay; (5) vote. Step 3 is the only place that reads
+//! the ghost layer to seed, and it always runs behind step 2: patching
+//! *before* seeding is what keeps simultaneous adaptations on both
+//! sides of a partition boundary — two ranks coarsening facing families
+//! in one epoch included — from ever splitting against a stale ghost
+//! entry.
 
 use crate::connectivity::TreeId;
 use crate::forest::Forest;
@@ -178,7 +182,7 @@ pub struct IncrementalReport {
 }
 
 /// Per-tree splice overlay: `base key -> current replacement leaves`.
-/// The base arrays stay untouched until [`merge_overlay`] applies every
+/// The base arrays stay untouched until `LeafStore::splice` applies every
 /// accumulated split in one pass per affected tree, so a small dirty
 /// region never forces a full-array rewrite per round.
 type Overlay = BTreeMap<TreeId, BTreeMap<u128, Vec<u128>>>;
@@ -315,12 +319,12 @@ impl<const D: usize> Forest<D> {
         // refined leaf is at most one level finer than it, so no
         // pre-existing leaf is ≥ 2 levels finer than its new children
         // (and a neighbor refined by the same batch is itself dirty and
-        // already on the worklist).
-        for (t, keys) in dirty.iter_coarsened() {
-            for &k in keys {
-                self.seed_adjacent(cond, ghosts, &overlay, t, k, &mut work);
-            }
-        }
+        // already on the worklist). They are seeded in round 1, behind
+        // the first ghost patch, together with the received leaves.
+        let mut reverse: Vec<(TreeId, u128)> = dirty
+            .iter_coarsened()
+            .flat_map(|(t, keys)| keys.iter().map(move |&k| (t, k)))
+            .collect();
 
         loop {
             report.rounds += 1;
@@ -362,7 +366,10 @@ impl<const D: usize> Forest<D> {
             }
             for &(_, t, gk) in &received {
                 work.push_back((t, gk));
-                self.seed_adjacent(cond, ghosts, &overlay, t, gk, &mut work);
+                reverse.push((t, gk));
+            }
+            for (t, k) in reverse.drain(..) {
+                self.seed_adjacent(cond, ghosts, &overlay, t, k, &mut work);
             }
 
             // --- Local fixed point over the splice overlay -----------
@@ -411,21 +418,8 @@ impl<const D: usize> Forest<D> {
         }
 
         // --- Merge the overlay into the leaf arrays, one pass each ---
-        for (t, mut reps) in overlay {
-            let v = self
-                .local
-                .get_mut(t)
-                .expect("overlay for a tree without leaves");
-            let mut merged = Vec::with_capacity(v.len() + reps.len() * 8);
-            for &k in v.iter() {
-                match reps.remove(&k) {
-                    Some(r) => merged.extend(r),
-                    None => merged.push(k),
-                }
-            }
-            debug_assert!(reps.is_empty(), "replacement for a vanished leaf");
-            debug_assert!(forestbal_octant::is_linear_keys::<D>(&merged));
-            *v = merged;
+        for (t, reps) in overlay {
+            self.local.splice(t, reps);
         }
         debug_assert!(self.local.check_invariants());
 
@@ -439,7 +433,7 @@ impl<const D: usize> Forest<D> {
 
     /// Push the current local leaves and ghost entries adjacent to
     /// octant `k` of `tree` onto the worklist (the reverse half of the
-    /// round-0 and receive-time seeding).
+    /// seeding; called behind the round's ghost patch only).
     ///
     /// Only neighbors **at least two levels finer** than `k` are pushed:
     /// a work item at level `l` splits containers coarser than `l - 1`

@@ -20,6 +20,7 @@
 
 use crate::connectivity::TreeId;
 use forestbal_octant::{key, Octant, PackedOctant};
+use std::collections::BTreeMap;
 
 /// Per-tree sorted arrays of packed leaf keys — the native storage of
 /// [`crate::Forest`]. See the module docs for the layout and invariants.
@@ -82,6 +83,25 @@ impl<const D: usize> LeafStore<D> {
             }
         };
         &mut self.trees[i].1
+    }
+
+    /// Replace each leaf of `tree` that is a key of `reps` by its
+    /// replacement run, in one pass over the tree's array. Every key of
+    /// `reps` must be a current leaf and every run a linear refinement
+    /// of its key (debug-checked).
+    #[inline]
+    pub(crate) fn splice(&mut self, tree: TreeId, mut reps: BTreeMap<u128, Vec<u128>>) {
+        let v = self.get_mut(tree).expect("splice in a tree without leaves");
+        let mut out = Vec::with_capacity(v.len() + reps.len() * 8);
+        for &k in v.iter() {
+            match reps.remove(&k) {
+                Some(run) => out.extend(run),
+                None => out.push(k),
+            }
+        }
+        debug_assert!(reps.is_empty(), "replacement for a vanished leaf");
+        debug_assert!(forestbal_octant::is_linear_keys::<D>(&out));
+        *v = out;
     }
 
     /// Drop trees whose key arrays became empty (restores the invariant

@@ -308,10 +308,7 @@ where
     F: Fn(&SimCtx) -> T + Send + Sync,
 {
     let cfg = McConfig {
-        sim: SimConfig {
-            fifo: trace.fifo,
-            ..SimConfig::default()
-        },
+        sim: SimConfig::builder().fifo(trace.fifo).build(),
         eager_collectives: trace.eager_collectives,
         max_drops: trace.max_drops,
         max_duplicates: trace.max_duplicates,

@@ -194,7 +194,7 @@ pub fn check_balance(size: usize, cfg: McConfig) -> McReport {
 }
 
 /// The incremental-epoch closure: a balanced 2D fractal forest with its
-/// ghost layer, then two targeted adaptation epochs committed through
+/// ghost layer, then three targeted adaptation epochs committed through
 /// `apply_edits` + `balance_incremental` — the changed-leaf exchange of
 /// [`forestbal_forest::incremental`], with the ghost layer patched in
 /// place across epochs. Per epoch the result is compared against
@@ -208,7 +208,7 @@ fn epochs_digest(ctx: &SimCtx) -> (bool, bool, bool, u64) {
     f.balance(ctx, cond, BalanceVariant::New, ReversalScheme::Notify);
     let mut ghosts = f.ghost_layer(ctx);
     let mut oracle_ok = true;
-    for epoch in 0..2u32 {
+    for epoch in 0..3u32 {
         let mut batch = AdaptBatch::new();
         if epoch == 0 {
             // Refine each rank's deepest leaf: forces splits across the
@@ -220,7 +220,7 @@ fn epochs_digest(ctx: &SimCtx) -> (bool, bool, bool, u64) {
             if let Some((t, o)) = deepest {
                 batch.refine(t, &o);
             }
-        } else {
+        } else if epoch == 1 {
             // Coarsen each rank's first family (or refine the first
             // leaf): simultaneous bilateral edits against patched ghosts.
             let first = f.trees().next().map(|(t, v)| (t, v.get(0)));
@@ -229,6 +229,17 @@ fn epochs_digest(ctx: &SimCtx) -> (bool, bool, bool, u64) {
                     batch.coarsen(t, &o.parent());
                 } else {
                     batch.refine(t, &o);
+                }
+            }
+        } else {
+            // Coarsen every complete family on every rank: merged
+            // parents face each other across the partition boundary
+            // while each side still holds the other's finer pre-epoch
+            // ghosts, which must be patched away before anything seeds
+            // from them.
+            for (t, v) in f.trees() {
+                for o in v.iter().filter(|o| o.level > 0 && o.child_id() == 0) {
+                    batch.coarsen(t, &o.parent());
                 }
             }
         }
@@ -245,7 +256,7 @@ fn epochs_digest(ctx: &SimCtx) -> (bool, bool, bool, u64) {
     (oracle_ok, balanced, superset, f.checksum(ctx))
 }
 
-/// Exhaustively check two incremental epochs at P = `size`: in every
+/// Exhaustively check three incremental epochs at P = `size`: in every
 /// delivery interleaving the exchange terminates (the checker's
 /// built-in quiescence), each epoch's result is bit-identical to the
 /// full-balance serial oracle, the final forest is 2:1-balanced, the

@@ -150,7 +150,7 @@ fn replaying_a_counterexample_against_fixed_code_passes() {
 
 #[test]
 fn epochs_p2_every_interleaving_matches_full_balance_oracle() {
-    // Two incremental-rebalance epochs: the changed-leaf exchange must
+    // Three incremental-rebalance epochs: the changed-leaf exchange must
     // terminate, match the serial full-balance oracle bit for bit, and
     // keep the patched ghost layer a superset of a fresh exchange, in
     // every delivery interleaving.

@@ -11,7 +11,7 @@
 use forestbal_comm::{Cluster, Comm};
 use forestbal_forest::{AdaptBatch, BrickConnectivity, Forest};
 use forestbal_octant::key;
-use forestbal_service::{ForestService, ServiceConfig};
+use forestbal_service::{ForestService, MovingFront, ServiceConfig};
 use forestbal_sim::{SimCluster, SimConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -46,22 +46,17 @@ fn random_batch<const D: usize>(f: &Forest<D>, seed: u64, max_level: u8) -> Adap
     b
 }
 
-/// Build a randomly refined forest, run `epochs` random batches through
-/// a never-falling-back service (incremental path) and through a full
+/// Run `epochs` batches from `next_batch(epoch, snapshot)` through a
+/// never-falling-back service (incremental path) and through a full
 /// balance twin, asserting leaf-for-leaf identity each epoch. Returns
 /// the final checksum for cross-runtime comparison.
 fn epochs_vs_full<C: Comm, const D: usize>(
     ctx: &C,
-    conn: Arc<BrickConnectivity<D>>,
-    base_level: u8,
+    f: Forest<D>,
     max_level: u8,
-    seed: u64,
     epochs: u32,
+    mut next_batch: impl FnMut(u32, &Forest<D>) -> AdaptBatch<D>,
 ) -> u64 {
-    let mut f = Forest::new_uniform(conn, ctx, base_level);
-    f.refine(true, max_level, |t, o| {
-        leaf_hash(seed ^ 0xF0F0, t, key::pack(o)).is_multiple_of(4)
-    });
     let mut cfg = ServiceConfig::new(D as u8);
     cfg.max_level = max_level;
     cfg.fallback_dirty_fraction = f64::INFINITY; // always incremental
@@ -69,11 +64,7 @@ fn epochs_vs_full<C: Comm, const D: usize>(
     let mut full = svc.forest().clone();
 
     for e in 0..epochs {
-        let batch = random_batch(
-            svc.forest(),
-            seed ^ (e as u64).wrapping_mul(0xA5A5),
-            max_level,
-        );
+        let batch = next_batch(e, svc.forest());
         svc.submit_batch(&batch);
         let rep = svc.commit(ctx);
         assert!(!rep.fallback);
@@ -89,6 +80,47 @@ fn epochs_vs_full<C: Comm, const D: usize>(
     svc.forest().checksum(ctx)
 }
 
+/// [`epochs_vs_full`] on a randomly refined forest (~1/4 of the leaves,
+/// recursively) with two random batches.
+fn random_epochs<C: Comm, const D: usize>(
+    ctx: &C,
+    conn: Arc<BrickConnectivity<D>>,
+    base_level: u8,
+    max_level: u8,
+    seed: u64,
+) -> u64 {
+    let mut f = Forest::new_uniform(conn, ctx, base_level);
+    f.refine(true, max_level, |t, o| {
+        leaf_hash(seed ^ 0xF0F0, t, key::pack(o)).is_multiple_of(4)
+    });
+    epochs_vs_full(ctx, f, max_level, 2, |e, snap| {
+        random_batch(snap, seed ^ (e as u64).wrapping_mul(0xA5A5), max_level)
+    })
+}
+
+/// [`epochs_vs_full`] under a moving refinement front on the 3×2×1
+/// brick: from epoch 14 on, families behind the front coarsen on both
+/// sides of a partition boundary in the same epoch, so a merged parent
+/// faces the neighbor rank's *pre-epoch* finer ghosts until the first
+/// exchange patches them away.
+fn front_epochs<C: Comm>(ctx: &C) -> u64 {
+    const BRICK: [usize; 3] = [3, 2, 1];
+    let conn = Arc::new(BrickConnectivity::<3>::new(BRICK, [false; 3]));
+    let mut front = MovingFront {
+        center: [0.8, 0.6, 0.4],
+        velocity: [0.05, 0.03, 0.01],
+        radius: 0.15,
+        max_level: 5,
+        base_level: 3,
+    };
+    let f = Forest::new_uniform(conn, ctx, front.base_level);
+    epochs_vs_full(ctx, f, front.max_level, 30, |_, snap| {
+        let batch = front.batch(snap);
+        front.step(BRICK);
+        batch
+    })
+}
+
 proptest! {
     // Each case runs threaded + simulated + jittered epochs twice over
     // (incremental and full twin), so keep the case count modest.
@@ -99,20 +131,20 @@ proptest! {
     fn incremental_matches_full_2d(p in 1usize..5, seed in any::<u64>()) {
         let threaded = Cluster::run(p, move |ctx| {
             let conn = Arc::new(BrickConnectivity::<2>::new([2, 1], [false; 2]));
-            epochs_vs_full(ctx, conn, 2, 5, seed, 2)
+            random_epochs(ctx, conn, 2, 5, seed)
         });
         let sim = SimCluster::run(p, SimConfig::default(), move |ctx| {
             let conn = Arc::new(BrickConnectivity::<2>::new([2, 1], [false; 2]));
-            epochs_vs_full(ctx, conn, 2, 5, seed, 2)
+            random_epochs(ctx, conn, 2, 5, seed)
         });
         prop_assert_eq!(&threaded.results, &sim.results);
 
         let jittered = SimCluster::run(
             p,
-            SimConfig::default().with_seed(seed).with_jitter(2_500),
+            SimConfig::builder().seed(seed).jitter_ns(2_500).build(),
             move |ctx| {
                 let conn = Arc::new(BrickConnectivity::<2>::new([2, 1], [false; 2]));
-                epochs_vs_full(ctx, conn, 2, 5, seed, 2)
+                random_epochs(ctx, conn, 2, 5, seed)
             },
         );
         prop_assert_eq!(&threaded.results, &jittered.results);
@@ -122,18 +154,32 @@ proptest! {
     fn incremental_matches_full_3d(p in 1usize..4, seed in any::<u64>()) {
         let threaded = Cluster::run(p, move |ctx| {
             let conn = Arc::new(BrickConnectivity::<3>::new([2, 1, 1], [false; 3]));
-            epochs_vs_full(ctx, conn, 1, 4, seed, 2)
+            random_epochs(ctx, conn, 1, 4, seed)
         });
         let jittered = SimCluster::run(
             p,
-            SimConfig::default().with_seed(seed).with_jitter(2_500),
+            SimConfig::builder().seed(seed).jitter_ns(2_500).build(),
             move |ctx| {
                 let conn = Arc::new(BrickConnectivity::<3>::new([2, 1, 1], [false; 3]));
-                epochs_vs_full(ctx, conn, 1, 4, seed, 2)
+                random_epochs(ctx, conn, 1, 4, seed)
             },
         );
         prop_assert_eq!(&threaded.results, &jittered.results);
     }
+}
+
+/// Simultaneous coarsening on both sides of a partition boundary must
+/// not re-split merged parents against stale ghosts: every epoch of the
+/// moving front matches the full-balance twin, threaded and simulated.
+#[test]
+fn moving_front_matches_full_across_rank_boundaries() {
+    let serial = Cluster::run(1, front_epochs).results[0];
+    for p in [2usize, 3] {
+        let out = Cluster::run(p, front_epochs);
+        assert!(out.results.iter().all(|&c| c == serial), "P={p}");
+    }
+    let sim = SimCluster::run(2, SimConfig::default(), front_epochs);
+    assert!(sim.results.iter().all(|&c| c == serial), "sim P=2");
 }
 
 /// The mixed service loop — queries interleaved with adaptations — on

@@ -32,12 +32,7 @@ pub enum Backend {
 /// deliberately round so virtual-time numbers are easy to read; scaling
 /// *trends* (the paper's subject) are insensitive to the exact constants.
 ///
-/// Prefer [`SimConfig::builder`] over struct-literal construction or
-/// direct field assignment: the builder reads as a sentence and keeps
-/// working when fields are added. The public fields remain for backward
-/// compatibility (`SimConfig { latency_ns: 5, ..Default::default() }`
-/// still compiles) but direct field poking is deprecated in spirit —
-/// new code should not rely on the field set being stable.
+/// Construct with [`SimConfig::default`] or [`SimConfig::builder`].
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
     /// α: fixed per-message latency in nanoseconds (used by the flat
@@ -108,30 +103,6 @@ impl SimConfig {
         SimConfigBuilder {
             cfg: SimConfig::default(),
         }
-    }
-
-    /// This config with a different fault-injection seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// This config with message-delay jitter up to `jitter_ns`.
-    pub fn with_jitter(mut self, jitter_ns: u64) -> Self {
-        self.jitter_ns = jitter_ns;
-        self
-    }
-
-    /// This config with a different network model.
-    pub fn with_network(mut self, network: NetworkSpec) -> Self {
-        self.network = network;
-        self
-    }
-
-    /// This config with a specific execution backend.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
     }
 }
 

@@ -1297,20 +1297,24 @@ mod tests {
     #[test]
     fn runs_are_bit_identical() {
         let run = || {
-            SimCluster::run(16, cfg().with_seed(7).with_jitter(500), |ctx| {
-                // Everyone shouts at everyone; receive in arrival order.
-                for dst in 0..ctx.size() {
-                    if dst != ctx.rank() {
-                        ctx.send(dst, 3, vec![ctx.rank() as u8]);
+            SimCluster::run(
+                16,
+                SimConfig::builder().seed(7).jitter_ns(500).build(),
+                |ctx| {
+                    // Everyone shouts at everyone; receive in arrival order.
+                    for dst in 0..ctx.size() {
+                        if dst != ctx.rank() {
+                            ctx.send(dst, 3, vec![ctx.rank() as u8]);
+                        }
                     }
-                }
-                let mut order = Vec::new();
-                for _ in 0..ctx.size() - 1 {
-                    let (src, _) = ctx.recv(None, 3);
-                    order.push(src);
-                }
-                (order, ctx.now_ns())
-            })
+                    let mut order = Vec::new();
+                    for _ in 0..ctx.size() - 1 {
+                        let (src, _) = ctx.recv(None, 3);
+                        order.push(src);
+                    }
+                    (order, ctx.now_ns())
+                },
+            )
         };
         let a = run();
         let b = run();
@@ -1336,9 +1340,9 @@ mod tests {
             (src, total, ctx.now_ns())
         };
         for jitter in [0, 700] {
-            let base = cfg().with_seed(11).with_jitter(jitter);
-            let t = SimCluster::run(37, base.with_backend(Backend::Threads), work);
-            let f = SimCluster::run(37, base.with_backend(Backend::Fiber), work);
+            let base = SimConfig::builder().seed(11).jitter_ns(jitter);
+            let t = SimCluster::run(37, base.backend(Backend::Threads).build(), work);
+            let f = SimCluster::run(37, base.backend(Backend::Fiber).build(), work);
             assert_eq!(t.results, f.results);
             assert_eq!(t.finish_ns, f.finish_ns);
             assert_eq!(t.stats, f.stats);
@@ -1362,11 +1366,15 @@ mod tests {
                 burn(n - 1) + pad[0]
             }
         }
-        let out = SimCluster::run(4, cfg().with_backend(Backend::Fiber), |ctx| {
-            let x = burn(500);
-            ctx.barrier();
-            x
-        });
+        let out = SimCluster::run(
+            4,
+            SimConfig::builder().backend(Backend::Fiber).build(),
+            |ctx| {
+                let x = burn(500);
+                ctx.barrier();
+                x
+            },
+        );
         assert!(out.results.iter().all(|&x| x == burn(500)));
     }
 
@@ -1374,17 +1382,21 @@ mod tests {
     fn jitter_reorders_but_fifo_holds() {
         // With heavy jitter and FIFO on, two same-pair messages must
         // still arrive in send order.
-        let out = SimCluster::run(2, cfg().with_seed(123).with_jitter(1_000_000), |ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 9, vec![1]);
-                ctx.send(1, 9, vec![2]);
-                Vec::new()
-            } else {
-                let (_, a) = ctx.recv(None, 9);
-                let (_, b) = ctx.recv(None, 9);
-                vec![a[0], b[0]]
-            }
-        });
+        let out = SimCluster::run(
+            2,
+            SimConfig::builder().seed(123).jitter_ns(1_000_000).build(),
+            |ctx| {
+                if ctx.rank() == 0 {
+                    ctx.send(1, 9, vec![1]);
+                    ctx.send(1, 9, vec![2]);
+                    Vec::new()
+                } else {
+                    let (_, a) = ctx.recv(None, 9);
+                    let (_, b) = ctx.recv(None, 9);
+                    vec![a[0], b[0]]
+                }
+            },
+        );
         assert_eq!(out.results[1], vec![1, 2]);
     }
 
@@ -1413,7 +1425,7 @@ mod tests {
                 continue;
             }
             let result = catch_unwind(AssertUnwindSafe(|| {
-                SimCluster::run(8, cfg().with_backend(backend), |ctx| {
+                SimCluster::run(8, SimConfig::builder().backend(backend).build(), |ctx| {
                     if ctx.rank() == 3 {
                         panic!("sim rank 3 exploded");
                     }
@@ -1547,8 +1559,12 @@ mod tests {
                 log: Vec::new(),
                 step: 0,
             };
-            let out =
-                SimCluster::run_with_strategy(6, cfg().with_network(network), &mut strat, work);
+            let out = SimCluster::run_with_strategy(
+                6,
+                SimConfig::builder().network(network).build(),
+                &mut strat,
+                work,
+            );
             (out.results, strat.log)
         };
         let (flat_results, flat_log) = run(NetworkSpec::Flat);
@@ -1612,7 +1628,9 @@ mod tests {
         let flat = SimCluster::run(48, cfg(), work);
         let fat = SimCluster::run(
             48,
-            cfg().with_network(NetworkSpec::FatTree(FatTreeParams::default())),
+            SimConfig::builder()
+                .network(NetworkSpec::FatTree(FatTreeParams::default()))
+                .build(),
             work,
         );
         assert_eq!(flat.results, fat.results);
@@ -1638,7 +1656,9 @@ mod tests {
         };
         let out = SimCluster::run(
             8,
-            cfg().with_network(NetworkSpec::Hierarchical(params)),
+            SimConfig::builder()
+                .network(NetworkSpec::Hierarchical(params))
+                .build(),
             |ctx| {
                 // Rank 0 pings its node-mate (1) and a remote rank (4).
                 match ctx.rank() {

@@ -69,7 +69,7 @@ proptest! {
         let r3 = recv.clone();
         let jittered = SimCluster::run(
             p,
-            SimConfig::default().with_seed(seed).with_jitter(2_500),
+            SimConfig::builder().seed(seed).jitter_ns(2_500).build(),
             move |ctx| run_reversal_on(ctx, &r3, which, max_ranges),
         );
         prop_assert_eq!(&threaded.results, &jittered.results);

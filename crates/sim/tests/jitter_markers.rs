@@ -55,7 +55,7 @@ proptest! {
         seed in any::<u64>(),
         jitter_ns in 1_000u64..10_000_000,
     ) {
-        let jittered = SimConfig::default().with_seed(seed).with_jitter(jitter_ns);
+        let jittered = SimConfig::builder().seed(seed).jitter_ns(jitter_ns).build();
         prop_assert_eq!(digest_2d(SimConfig::default()), digest_2d(jittered));
         prop_assert_eq!(digest_3d(SimConfig::default()), digest_3d(jittered));
     }

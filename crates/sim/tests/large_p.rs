@@ -33,7 +33,7 @@ fn balance_at(
 #[cfg_attr(debug_assertions, ignore = "P = 4096 is a release-mode test")]
 fn p4096_balance_all_variants_and_schemes() {
     let p = 4096;
-    let cfg = SimConfig::default().with_seed(42).with_jitter(750);
+    let cfg = SimConfig::builder().seed(42).jitter_ns(750).build();
     let mut sizes: Option<(u64, u64)> = None;
     for scheme in [
         ReversalScheme::Naive,
@@ -64,7 +64,8 @@ fn p4096_balance_all_variants_and_schemes() {
 #[cfg_attr(debug_assertions, ignore = "P = 4096 is a release-mode test")]
 fn p4096_is_bit_identical_across_runs() {
     let p = 4096;
-    let cfg = SimConfig::default().with_seed(2012).with_jitter(1_500);
+    let jittered = SimConfig::builder().jitter_ns(1_500);
+    let cfg = jittered.seed(2012).build();
     let a = balance_at(p, cfg, BalanceVariant::New, ReversalScheme::Notify);
     let b = balance_at(p, cfg, BalanceVariant::New, ReversalScheme::Notify);
     assert_eq!(a, b, "same seed must reproduce results, makespan, stats");
@@ -72,7 +73,7 @@ fn p4096_is_bit_identical_across_runs() {
     // the answer.
     let c = balance_at(
         p,
-        cfg.with_seed(7),
+        jittered.seed(7).build(),
         BalanceVariant::New,
         ReversalScheme::Notify,
     );

@@ -86,7 +86,7 @@ fn reversal_workload<C: Comm>(ctx: &C) -> (Vec<usize>, Vec<usize>, Vec<usize>, u
 #[test]
 fn default_model_is_bitwise_historical_at_p1024() {
     let p = 1024;
-    let cfg = SimConfig::default().with_seed(9).with_jitter(400);
+    let cfg = SimConfig::builder().seed(9).jitter_ns(400).build();
     let mut hist = Historical::from(&cfg);
     let new = SimCluster::run(p, cfg, reversal_workload);
     let old = SimCluster::run_with_model(p, cfg, &mut hist, reversal_workload);
@@ -97,7 +97,7 @@ fn default_model_is_bitwise_historical_at_p1024() {
 #[cfg_attr(debug_assertions, ignore = "P = 1024 balance is a release-mode test")]
 fn default_model_is_bitwise_historical_for_balance_at_p1024() {
     let p = 1024;
-    let cfg = SimConfig::default().with_seed(2012);
+    let cfg = SimConfig::builder().seed(2012).build();
     let balance = |ctx: &forestbal_sim::SimCtx| {
         let mut f = fractal_forest(ctx, 2, 3);
         let before = f.num_global(ctx);
@@ -120,7 +120,7 @@ fn default_model_is_bitwise_historical_for_balance_at_p1024() {
 #[test]
 fn default_model_is_bitwise_historical_for_balance_small() {
     let p = 24;
-    let cfg = SimConfig::default().with_seed(5).with_jitter(900);
+    let cfg = SimConfig::builder().seed(5).jitter_ns(900).build();
     let balance = |ctx: &forestbal_sim::SimCtx| {
         let mut f = fractal_forest(ctx, 2, 3);
         f.balance(
@@ -154,19 +154,21 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let ns_per_byte = rate_milli as f64 / 1000.0;
-        let flat_cfg = SimConfig::builder()
+        let base = SimConfig::builder()
             .latency_ns(latency)
             .ns_per_byte(ns_per_byte)
             .seed(seed)
-            .jitter_ns(300)
+            .jitter_ns(300);
+        let flat_cfg = base.build();
+        let hier_cfg = base
+            .network(NetworkSpec::Hierarchical(HierarchicalParams {
+                ranks_per_node: k,
+                intra_latency_ns: latency,
+                intra_ns_per_byte: ns_per_byte,
+                inter_latency_ns: latency,
+                inter_ns_per_byte: ns_per_byte,
+            }))
             .build();
-        let hier_cfg = flat_cfg.with_network(NetworkSpec::Hierarchical(HierarchicalParams {
-            ranks_per_node: k,
-            intra_latency_ns: latency,
-            intra_ns_per_byte: ns_per_byte,
-            inter_latency_ns: latency,
-            inter_ns_per_byte: ns_per_byte,
-        }));
         let flat = SimCluster::run(p, flat_cfg, reversal_workload);
         let hier = SimCluster::run(p, hier_cfg, reversal_workload);
         prop_assert_eq!(&flat.results, &hier.results);

@@ -59,7 +59,7 @@ proptest! {
         // histograms are order-free sums, so the trace shape must hold.
         let jittered = SimCluster::run(
             p,
-            SimConfig::default().with_seed(level as u64).with_jitter(2_500),
+            SimConfig::builder().seed(level as u64).jitter_ns(2_500).build(),
             move |ctx| traced_balance(ctx, level, variant, scheme),
         );
         prop_assert_eq!(&threaded.results, &jittered.results);
