@@ -219,6 +219,19 @@ fn tables(rows: &[BenchRecord]) -> Vec<Table> {
         ],
     );
     t.push(
+        "Morton indices from a struct octant: coordinates vs packed key (ns per octant)",
+        "kernel",
+        &[
+            Col::new("input", "input_len", plain),
+            Col::new("interleave", "interleave_struct_ns", scaled::<0, 1>),
+            Col::new("pack+index", "interleave_packed_ns", scaled::<0, 1>),
+            Col::new("deinterleave", "deinterleave_struct_ns", scaled::<0, 1>),
+            Col::new("unpack", "deinterleave_packed_ns", scaled::<0, 1>),
+            Col::new("index range", "index_struct_ns", scaled::<0, 1>),
+            Col::new("pack+range", "index_packed_ns", scaled::<0, 1>),
+        ],
+    );
+    t.push(
         "New-kernel subtree balance end to end: HashSet baseline vs packed (µs)",
         "kernel",
         &[
@@ -812,7 +825,7 @@ mod tests {
     fn every_table_renders_and_committed_schemas_hold() {
         let rows = smallest_rows();
         // A table whose family name matches no row would silently vanish.
-        assert_eq!(tables(&rows).len(), 29, "a table found no rows");
+        assert_eq!(tables(&rows).len(), 30, "a table found no rows");
         assert!(tables(&rows[..1]).len() == 1 && tables(&[]).is_empty());
         for r in &rows {
             let json = r.json();

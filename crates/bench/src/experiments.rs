@@ -22,8 +22,8 @@ use forestbal_core::{
 use forestbal_forest::{BalanceReport, BalanceTimings, BalanceVariant, Forest, ReversalScheme};
 use forestbal_mesh::{fractal_forest, ice_sheet_forest, IceSheetParams};
 use forestbal_octant::{
-    complete_subtree, linearize, sort_keys_with, sort_octants_with, Octant, OctantSet, OctantTable,
-    SortScratch,
+    complete_subtree, key, linearize, morton, pack_batch, sort_keys_with, sort_octants_with,
+    MortonIndex, Octant, OctantSet, OctantTable, PackedOctant, SortScratch,
 };
 use forestbal_service::{clustered_batch, ForestService, Request, RequestClass, ServiceConfig};
 use forestbal_sim::{
@@ -775,6 +775,52 @@ pub fn kernel_experiment(targets: &[usize]) -> Vec<BenchRecord> {
             let table_probes_per_op = (table.probe_count() - probes_before) as f64
                 / (table.lookup_count() - lookups_before).max(1) as f64;
 
+            // --- Morton indices: through the struct vs through the key ---
+            // Both start from the same struct octants and fold results
+            // into a checksum, so each pair is also checked equal. The
+            // packed index column includes the pack: one dilation either
+            // way, which is what keeps the two within a small factor.
+            let per_octant_ns = |seconds: f64| -> f64 { seconds * 1e9 / input.len() as f64 };
+            let mut keys = Vec::new();
+            pack_batch(&input, &mut keys);
+            let indices: Vec<MortonIndex> = input.iter().map(Octant::index).collect();
+            let mut sums = [0u128; 6];
+            let interleave_struct_ns = per_octant_ns(timed(reps, || {
+                sums[0] = input
+                    .iter()
+                    .fold(0, |h, o| h ^ morton::interleave(black_box(&o.coords)));
+            }));
+            let interleave_packed_ns = per_octant_ns(timed(reps, || {
+                sums[1] = input
+                    .iter()
+                    .fold(0, |h, o| h ^ PackedOctant::new(black_box(o)).index());
+            }));
+            let deinterleave_struct_ns = per_octant_ns(timed(reps, || {
+                sums[2] = indices.iter().fold(0, |h, &i| {
+                    h ^ morton::deinterleave::<3>(black_box(i))[0] as u128
+                });
+            }));
+            let deinterleave_packed_ns = per_octant_ns(timed(reps, || {
+                sums[3] = keys.iter().fold(0, |h, &k| {
+                    h ^ key::unpack::<3>(black_box(k)).coords[0] as u128
+                });
+            }));
+            let index_struct_ns = per_octant_ns(timed(reps, || {
+                sums[4] = input.iter().fold(0, |h, o| {
+                    let o = black_box(o);
+                    h ^ o.index() ^ o.last_index()
+                });
+            }));
+            let index_packed_ns = per_octant_ns(timed(reps, || {
+                sums[5] = input.iter().fold(0, |h, o| {
+                    let p = PackedOctant::new(black_box(o));
+                    h ^ p.index() ^ p.last_index()
+                });
+            }));
+            assert_eq!(sums[0], sums[1], "interleave: struct and key disagree");
+            assert_eq!(sums[2], sums[3], "deinterleave: struct and key disagree");
+            assert_eq!(sums[4], sums[5], "index range: struct and key disagree");
+
             // --- full kernel: HashSet baseline vs packed, fresh vs reused ---
             let bal_reps = reps.min(5);
             let mut base_out = (Vec::new(), BalanceStats::default());
@@ -818,6 +864,12 @@ pub fn kernel_experiment(targets: &[usize]) -> Vec<BenchRecord> {
                 .speedup("table_query_speedup", "set_query_s", "table_query_s")
                 .f("table_probes_per_op", table_probes_per_op)
                 .u("table_grows", table.grow_count())
+                .f("interleave_struct_ns", interleave_struct_ns)
+                .f("interleave_packed_ns", interleave_packed_ns)
+                .f("deinterleave_struct_ns", deinterleave_struct_ns)
+                .f("deinterleave_packed_ns", deinterleave_packed_ns)
+                .f("index_struct_ns", index_struct_ns)
+                .f("index_packed_ns", index_packed_ns)
                 .f("balance_hashset_s", balance_hashset_seconds)
                 .f("balance_fresh_s", balance_fresh_seconds)
                 .f("balance_scratch_s", balance_scratch_seconds)

@@ -162,10 +162,6 @@ fn phase1_tree<const D: usize>(
     variant: BalanceVariant,
     scratch: &mut BalanceScratch<D>,
 ) -> BalanceStats {
-    let (lo, hi) = (
-        PackedOctant::<D>(v[0]).index(),
-        PackedOctant::<D>(v[v.len() - 1]).last_index(),
-    );
     decoded.clear();
     unpack_batch(v, decoded);
     let sub = decoded[0].nearest_common_ancestor(&decoded[decoded.len() - 1]);
@@ -173,14 +169,26 @@ fn phase1_tree<const D: usize>(
         BalanceVariant::Old => balance_subtree_old_ext_scratch(&sub, decoded, &[], cond, scratch),
         BalanceVariant::New => balance_subtree_new_with_stats_scratch(&sub, decoded, cond, scratch),
     };
-    let clipped: Vec<Octant<D>> = balanced
-        .into_iter()
-        .filter(|o| o.index() >= lo && o.last_index() <= hi)
-        .collect();
-    v.clear();
-    pack_batch(&clipped, v);
-    debug_assert!(is_linear_keys::<D>(v));
+    clip_and_pack(&balanced, v);
     bs
+}
+
+/// Replace the non-empty leaf array `v` by the packed keys of the octants
+/// of `balanced` (a subtree kernel's in-root, linear output) that lie
+/// inside the unit-cell range `v` spans. First and last cell indices both
+/// grow along a linear array, so the survivors are one contiguous run:
+/// two binary searches find it, and only the run is packed.
+fn clip_and_pack<const D: usize>(balanced: &[Octant<D>], v: &mut Vec<u128>) {
+    debug_assert!(is_linear(balanced));
+    let (lo, hi) = (
+        PackedOctant::<D>(v[0]).index(),
+        PackedOctant::<D>(v[v.len() - 1]).last_index(),
+    );
+    let start = balanced.partition_point(|o| o.index() < lo);
+    let end = balanced.partition_point(|o| o.last_index() <= hi);
+    v.clear();
+    pack_batch(&balanced[start..end], v);
+    debug_assert!(is_linear_keys::<D>(v));
 }
 
 impl<const D: usize> Forest<D> {
@@ -498,12 +506,13 @@ impl<const D: usize> Forest<D> {
         while pos < data.len() {
             let eid = codec::get_u32(data, &mut pos);
             let tree = codec::get_u32(data, &mut pos);
-            let r = key::unpack::<D>(codec::get_key::<D>(data, &mut pos));
+            let rk = PackedOctant::<D>(codec::get_key::<D>(data, &mut pos));
+            let r = rk.octant();
 
             let mut out: Vec<Octant<D>> = Vec::new();
             if let Some(v) = self.local.get(tree) {
                 for dir in directions::<D>() {
-                    let n = r.neighbor(&dir);
+                    let n = rk.neighbor(&dir);
                     if !n.is_inside_root() {
                         continue; // insulation falling outside this tree
                     }
@@ -655,10 +664,6 @@ impl<const D: usize> Forest<D> {
             if v.is_empty() {
                 continue;
             }
-            let (lo, hi) = (
-                PackedOctant::<D>(v[0]).index(),
-                PackedOctant::<D>(v[v.len() - 1]).last_index(),
-            );
             let mut decoded: Vec<Octant<D>> = Vec::with_capacity(v.len());
             unpack_batch(v, &mut decoded);
             let sub = decoded[0].nearest_common_ancestor(&decoded[decoded.len() - 1]);
@@ -671,13 +676,7 @@ impl<const D: usize> Forest<D> {
             debug_assert!(is_linear(&interior));
             let (balanced, _) =
                 balance_subtree_old_ext_scratch(&sub, &interior, &exterior, cond, scratch);
-            let clipped: Vec<Octant<D>> = balanced
-                .into_iter()
-                .filter(|o| o.index() >= lo && o.last_index() <= hi)
-                .collect();
-            v.clear();
-            pack_batch(&clipped, v);
-            debug_assert!(is_linear_keys::<D>(v));
+            clip_and_pack(&balanced, v);
         }
     }
 }

@@ -166,7 +166,16 @@ impl<const D: usize> BrickConnectivity<D> {
     /// for every neighbor/insulation construction) so that it maps to at
     /// most one neighboring tree per axis.
     pub fn transform(&self, t: TreeId, o: &Octant<D>) -> Option<(TreeId, Octant<D>)> {
-        let mut tc = self.tree_coords(t);
+        self.transform_from(self.tree_coords(t), o)
+    }
+
+    /// [`BrickConnectivity::transform`] from the grid coordinates of the
+    /// home tree, for callers that remap many octants of one tree.
+    pub(crate) fn transform_from(
+        &self,
+        mut tc: [usize; D],
+        o: &Octant<D>,
+    ) -> Option<(TreeId, Octant<D>)> {
         let mut coords = o.coords;
         for i in 0..D {
             debug_assert!(

@@ -12,10 +12,10 @@
 //! communication: every rank incident to a node derives the same
 //! coordinates and the same owner from the partition markers.
 
+use crate::connectivity::{BrickConnectivity, TreeId};
 use crate::forest::{Forest, GlobalPos};
-use crate::ghost::GhostLayer;
 use forestbal_comm::Comm;
-use forestbal_octant::{Coord, Octant, MAX_LEVEL, ROOT_LEN};
+use forestbal_octant::{morton, Coord, Octant, ROOT_LEN};
 
 /// One node incident to this rank's leaves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -49,47 +49,94 @@ impl<const D: usize> Nodes<D> {
     }
 }
 
+/// Width of one coordinate field of a packed node record: `D` fields and
+/// the low "local" bit fill a `u128`.
+const fn field_bits<const D: usize>() -> u32 {
+    127 / D as u32
+}
+
+/// One `(leaf, corner)` incidence as a sortable `u128`: the node's
+/// canonical coordinates, axis 0 in the most significant field (so record
+/// order is the lexicographic `gcoord` order of [`Nodes::nodes`]), above a
+/// low bit that tells a local leaf's corner from a ghost's. 16 bytes per
+/// incidence keep the `2^D × leaves` records inside the cycle's memory
+/// budget; a `([i64; D], bool)` record would double them.
+#[inline]
+fn pack_record<const D: usize>(g: &[i64; D], local: bool) -> u128 {
+    let mut rec = 0u128;
+    for &c in g {
+        rec = rec << field_bits::<D>() | c as u128;
+    }
+    rec << 1 | local as u128
+}
+
+/// The canonical coordinates of a record.
+#[inline]
+fn record_gcoord<const D: usize>(rec: u128) -> [i64; D] {
+    let w = field_bits::<D>();
+    std::array::from_fn(|i| ((rec >> (1 + (D - 1 - i) as u32 * w)) & ((1 << w) - 1)) as i64)
+}
+
 impl<const D: usize> Forest<D> {
     /// Enumerate the nodes incident to local leaves, classify hanging
     /// nodes, assign owners, and count independent nodes globally.
+    ///
+    /// One sweep, no search: every corner of every local and ghost leaf
+    /// becomes a record, one sort brings the incidences of each node
+    /// together, and a node is hanging iff it has fewer corner incidences
+    /// than in-domain incident unit cells. (The leaf containing an incident
+    /// cell either has the node as a corner — then it contains exactly that
+    /// one incident cell — or holds the node inside a face or edge, which
+    /// is what hanging means; and every leaf touching a local leaf is
+    /// local or in the ghost layer.)
     ///
     /// The forest must be 2:1 balanced for the hanging classification to
     /// be meaningful (the method itself tolerates any forest).
     pub fn enumerate_nodes(&mut self, ctx: &impl Comm) -> Nodes<D> {
         forestbal_trace::span_begin("nodes", || ctx.now_ns());
         let ghosts = self.ghost_layer(ctx);
-        let dims = self.connectivity().dims();
-        let extent: [i64; D] = std::array::from_fn(|i| dims[i] as i64 * ROOT_LEN as i64);
+        let domain = Domain::new(self.connectivity());
+        assert!(
+            domain.extent.iter().all(|&e| e >> field_bits::<D>() == 0),
+            "brick extent {:?} overflows a {}-bit node record field",
+            domain.extent,
+            field_bits::<D>()
+        );
 
-        // Candidate nodes: all corners of all local leaves.
-        let mut coords: Vec<[i64; D]> = Vec::new();
-        for (t, v) in self.trees() {
-            let tc = self.connectivity().tree_coords(t);
-            for o in v.iter() {
-                for corner in 0..Octant::<D>::NUM_CHILDREN {
-                    coords.push(self.canonical_node(&tc, &o, corner, &extent));
-                }
+        let corners = Octant::<D>::NUM_CHILDREN;
+        let mut records: Vec<u128> =
+            Vec::with_capacity((self.num_local() + ghosts.len()) * corners);
+        let mut push_corners = |base: &[i64; D], o: &Octant<D>, local: bool| {
+            for corner in 0..corners {
+                records.push(pack_record(&domain.canonical_node(base, o, corner), local));
             }
+        };
+        for (t, v) in self.trees() {
+            let base = domain.tree_base(t);
+            v.iter().for_each(|o| push_corners(&base, &o, true));
         }
-        // Node coordinates are `[i64; D]` global grid points, not Morton
-        // keys, so the packed radix path does not apply here; this sort
-        // is outside the balance hot path.
-        coords.sort_unstable();
-        coords.dedup();
+        for (t, _, o) in ghosts.iter() {
+            push_corners(&domain.tree_base(t), o, false);
+        }
+        records.sort_unstable();
 
-        let mut nodes = Vec::with_capacity(coords.len());
+        // Runs of equal coordinates are nodes; the local bit sorts last
+        // within a run, so a run's last record tells whether a local leaf
+        // touches the node.
+        let is_node = |run: &[u128]| run[run.len() - 1] & 1 == 1;
+        let runs = || records.chunk_by(|a, b| a >> 1 == b >> 1);
+        let mut nodes = Vec::with_capacity(runs().filter(|run| is_node(run)).count());
         let mut owned_independent = 0u64;
-        for g in coords {
-            let (hanging, owner_pos) = self.classify_node(&ghosts, &g, &extent);
-            let owned = owner_pos.is_some_and(|pos| {
-                let o = self.owner_of(pos);
-                o == self.rank()
-            });
+        for run in runs().filter(|run| is_node(run)) {
+            let gcoord = record_gcoord::<D>(run[0]);
+            let (cells, owner_pos) = domain.incident_cells(&gcoord);
+            let hanging = run.len() < cells;
+            let owned = owner_pos.is_some_and(|pos| self.owner_of(pos) == self.rank());
             if owned && !hanging {
                 owned_independent += 1;
             }
             nodes.push(NodeInfo {
-                gcoord: g,
+                gcoord,
                 hanging,
                 owned,
             });
@@ -105,91 +152,79 @@ impl<const D: usize> Forest<D> {
         forestbal_trace::span_end(|| ctx.now_ns());
         out
     }
+}
 
-    /// Canonical global coordinates of leaf corner `corner`.
-    fn canonical_node(
-        &self,
-        tree_coords: &[usize; D],
-        o: &Octant<D>,
-        corner: usize,
-        extent: &[i64; D],
-    ) -> [i64; D] {
-        let periodic = self.periodic_axes();
+/// The brick as a grid of unit cells: what node canonicalization and the
+/// incident-cell count need of the connectivity, read once per sweep.
+struct Domain<'a, const D: usize> {
+    conn: &'a BrickConnectivity<D>,
+    /// Unit cells per axis.
+    extent: [i64; D],
+    periodic: [bool; D],
+}
+
+impl<'a, const D: usize> Domain<'a, D> {
+    fn new(conn: &'a BrickConnectivity<D>) -> Self {
+        let dims = conn.dims();
+        Domain {
+            conn,
+            extent: std::array::from_fn(|i| dims[i] as i64 * ROOT_LEN as i64),
+            periodic: conn.periodic(),
+        }
+    }
+
+    /// Global coordinates of tree `t`'s origin.
+    fn tree_base(&self, t: TreeId) -> [i64; D] {
+        let tc = self.conn.tree_coords(t);
+        std::array::from_fn(|i| tc[i] as i64 * ROOT_LEN as i64)
+    }
+
+    /// Canonical global coordinates of corner `corner` of leaf `o` of the
+    /// tree at `base`: a periodic axis identifies `extent` with `0`.
+    #[inline]
+    fn canonical_node(&self, base: &[i64; D], o: &Octant<D>, corner: usize) -> [i64; D] {
         std::array::from_fn(|i| {
-            let mut g = tree_coords[i] as i64 * ROOT_LEN as i64
-                + o.coords[i] as i64
-                + ((corner >> i) & 1) as i64 * o.len() as i64;
-            if periodic[i] {
-                g = g.rem_euclid(extent[i]);
+            let g = base[i] + o.coords[i] as i64 + ((corner >> i) & 1) as i64 * o.len() as i64;
+            if self.periodic[i] && g == self.extent[i] {
+                0
+            } else {
+                g
             }
-            g
         })
     }
 
-    /// Classify one node: hanging flag and the canonical owner position
-    /// (the Morton-least in-domain incident unit cell), `None` for a node
-    /// with no in-domain incident cell (cannot happen for leaf corners).
-    fn classify_node(
-        &self,
-        ghosts: &GhostLayer<D>,
-        g: &[i64; D],
-        extent: &[i64; D],
-    ) -> (bool, Option<GlobalPos>) {
-        let periodic = self.periodic_axes();
-        let mut hanging = false;
+    /// How many unit cells incident to the canonical node `g` are in the
+    /// domain (inside the brick after periodic wrap, in a tree that is not
+    /// masked out), and the canonical owner position: the least of them in
+    /// the forest-wide curve order (`None` only for a point no leaf
+    /// touches).
+    fn incident_cells(&self, g: &[i64; D]) -> (usize, Option<GlobalPos>) {
+        let mut cells = 0;
         let mut owner: Option<GlobalPos> = None;
-        for delta in 0..Octant::<D>::NUM_CHILDREN {
+        'cell: for delta in 0..Octant::<D>::NUM_CHILDREN {
             // Incident unit cell: lower corner g - delta.
-            let mut u = [0i64; D];
-            let mut outside = false;
-            for i in 0..D {
-                u[i] = g[i] - ((delta >> i) & 1) as i64;
-                if periodic[i] {
-                    u[i] = u[i].rem_euclid(extent[i]);
-                } else if u[i] < 0 || u[i] >= extent[i] {
-                    outside = true;
-                    break;
-                }
-            }
-            if outside {
-                continue;
-            }
-            // Split into (tree, local cell).
             let mut tc = [0usize; D];
-            let mut lc = [0 as Coord; D];
+            let mut coords = [0 as Coord; D];
             for i in 0..D {
-                tc[i] = (u[i] / ROOT_LEN as i64) as usize;
-                lc[i] = (u[i] % ROOT_LEN as i64) as Coord;
+                let mut u = g[i] - ((delta >> i) & 1) as i64;
+                if u < 0 && self.periodic[i] {
+                    u += self.extent[i];
+                }
+                if u < 0 || u >= self.extent[i] {
+                    continue 'cell; // beyond a non-periodic face of the brick
+                }
+                tc[i] = (u / ROOT_LEN as i64) as usize;
+                coords[i] = (u % ROOT_LEN as i64) as Coord;
             }
-            let Some(tree) = self.connectivity().try_tree_id(tc) else {
-                continue; // masked-out cell: outside the domain
+            let Some(tree) = self.conn.try_tree_id(tc) else {
+                continue; // masked-out tree: outside the domain
             };
-            let cell = Octant::<D> {
-                coords: lc,
-                level: MAX_LEVEL,
-            };
-            let pos = GlobalPos {
-                tree,
-                index: cell.index(),
-            };
-            owner = Some(match owner {
-                Some(best) if best <= pos => best,
-                _ => pos,
-            });
-            // The touching leaf: hanging iff it doesn't share the node.
-            if let Some(leaf) = self.containing_leaf(Some(ghosts), tree, &cell) {
-                let tcoords = self.connectivity().tree_coords(tree);
-                let shares = (0..Octant::<D>::NUM_CHILDREN)
-                    .any(|corner| self.canonical_node(&tcoords, &leaf, corner, extent) == *g);
-                hanging |= !shares;
-            }
+            cells += 1;
+            let index = morton::interleave(&coords);
+            let pos = GlobalPos { tree, index };
+            owner = Some(owner.map_or(pos, |best| best.min(pos)));
         }
-        (hanging, owner)
-    }
-
-    /// Periodicity flags of the connectivity (helper).
-    fn periodic_axes(&self) -> [bool; D] {
-        self.connectivity().periodic()
+        (cells, owner)
     }
 }
 
@@ -197,10 +232,171 @@ impl<const D: usize> Forest<D> {
 mod tests {
     use super::*;
     use crate::balance::{BalanceVariant, ReversalScheme};
-    use crate::connectivity::BrickConnectivity;
+    use crate::ghost::GhostLayer;
+    use crate::reach::tests::{bricks, pseudo_refine};
     use forestbal_comm::Cluster;
     use forestbal_core::Condition;
+    use forestbal_octant::MAX_LEVEL;
+    use proptest::prelude::*;
     use std::sync::Arc;
+
+    /// The per-cell oracle the sweep replaced: every corner of every local
+    /// leaf, sorted and deduplicated, each classified by looking up the
+    /// leaf that contains each of its incident unit cells.
+    impl<const D: usize> Forest<D> {
+        fn enumerate_nodes_by_search(&mut self, ctx: &impl Comm) -> Vec<NodeInfo<D>> {
+            let ghosts = self.ghost_layer(ctx);
+            let dims = self.connectivity().dims();
+            let extent: [i64; D] = std::array::from_fn(|i| dims[i] as i64 * ROOT_LEN as i64);
+            let mut coords: Vec<[i64; D]> = Vec::new();
+            for (t, v) in self.trees() {
+                let tc = self.connectivity().tree_coords(t);
+                for o in v.iter() {
+                    for corner in 0..Octant::<D>::NUM_CHILDREN {
+                        coords.push(self.canonical_node(&tc, &o, corner, &extent));
+                    }
+                }
+            }
+            coords.sort_unstable();
+            coords.dedup();
+            coords
+                .into_iter()
+                .map(|gcoord| {
+                    let (hanging, owner_pos) = self.classify_node(&ghosts, &gcoord, &extent);
+                    NodeInfo {
+                        gcoord,
+                        hanging,
+                        owned: owner_pos.is_some_and(|pos| self.owner_of(pos) == self.rank()),
+                    }
+                })
+                .collect()
+        }
+
+        /// Canonical global coordinates of leaf corner `corner`.
+        fn canonical_node(
+            &self,
+            tree_coords: &[usize; D],
+            o: &Octant<D>,
+            corner: usize,
+            extent: &[i64; D],
+        ) -> [i64; D] {
+            let periodic = self.connectivity().periodic();
+            std::array::from_fn(|i| {
+                let mut g = tree_coords[i] as i64 * ROOT_LEN as i64
+                    + o.coords[i] as i64
+                    + ((corner >> i) & 1) as i64 * o.len() as i64;
+                if periodic[i] {
+                    g = g.rem_euclid(extent[i]);
+                }
+                g
+            })
+        }
+
+        /// Classify one node: hanging flag and the canonical owner position
+        /// (the Morton-least in-domain incident unit cell).
+        fn classify_node(
+            &self,
+            ghosts: &GhostLayer<D>,
+            g: &[i64; D],
+            extent: &[i64; D],
+        ) -> (bool, Option<GlobalPos>) {
+            let periodic = self.connectivity().periodic();
+            let mut hanging = false;
+            let mut owner: Option<GlobalPos> = None;
+            for delta in 0..Octant::<D>::NUM_CHILDREN {
+                // Incident unit cell: lower corner g - delta.
+                let mut u = [0i64; D];
+                let mut outside = false;
+                for i in 0..D {
+                    u[i] = g[i] - ((delta >> i) & 1) as i64;
+                    if periodic[i] {
+                        u[i] = u[i].rem_euclid(extent[i]);
+                    } else if u[i] < 0 || u[i] >= extent[i] {
+                        outside = true;
+                        break;
+                    }
+                }
+                if outside {
+                    continue;
+                }
+                // Split into (tree, local cell).
+                let mut tc = [0usize; D];
+                let mut lc = [0 as Coord; D];
+                for i in 0..D {
+                    tc[i] = (u[i] / ROOT_LEN as i64) as usize;
+                    lc[i] = (u[i] % ROOT_LEN as i64) as Coord;
+                }
+                let Some(tree) = self.connectivity().try_tree_id(tc) else {
+                    continue; // masked-out cell: outside the domain
+                };
+                let cell = Octant::<D> {
+                    coords: lc,
+                    level: MAX_LEVEL,
+                };
+                let pos = GlobalPos {
+                    tree,
+                    index: cell.index(),
+                };
+                owner = Some(match owner {
+                    Some(best) if best <= pos => best,
+                    _ => pos,
+                });
+                // The touching leaf: hanging iff it doesn't share the node.
+                if let Some(leaf) = self.containing_leaf(Some(ghosts), tree, &cell) {
+                    let tcoords = self.connectivity().tree_coords(tree);
+                    let shares = (0..Octant::<D>::NUM_CHILDREN)
+                        .any(|corner| self.canonical_node(&tcoords, &leaf, corner, extent) == *g);
+                    hanging |= !shares;
+                }
+            }
+            (hanging, owner)
+        }
+    }
+
+    /// The sweep against the per-cell oracle, node for node, on a randomly
+    /// refined forest before and after balancing it.
+    fn sweep_matches_search<const D: usize>(seed: u64, denom: u64, max_level: u8) {
+        let mut hanging = 0;
+        for (name, conn) in bricks::<D>() {
+            let conn = Arc::new(conn);
+            for p in [1usize, 2, 3, 5] {
+                let conn = Arc::clone(&conn);
+                let out = Cluster::run(p, move |ctx| {
+                    let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 2);
+                    f.refine(true, max_level, |t, o| pseudo_refine(seed, t, o, denom));
+                    let mut hanging = 0;
+                    for balanced in [false, true] {
+                        if balanced {
+                            let cond = Condition::full(D as u8);
+                            f.balance(ctx, cond, BalanceVariant::New, ReversalScheme::Notify);
+                        }
+                        let got = f.enumerate_nodes(ctx);
+                        let want = f.enumerate_nodes_by_search(ctx);
+                        assert_eq!(got.nodes, want, "{name} P={p} balanced={balanced}");
+                        hanging += got.num_hanging();
+                    }
+                    hanging
+                });
+                hanging += out.results.iter().sum::<usize>();
+            }
+        }
+        assert!(hanging > 0, "no hanging node to classify");
+    }
+
+    proptest! {
+        // Each case spawns 16 clusters and enumerates four times in each.
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn sweep_matches_search_2d(seed in any::<u64>(), denom in 2u64..5) {
+            sweep_matches_search::<2>(seed, denom, 5);
+        }
+
+        #[test]
+        fn sweep_matches_search_3d(seed in any::<u64>(), denom in 3u64..6) {
+            sweep_matches_search::<3>(seed, denom, 4);
+        }
+    }
 
     #[test]
     fn uniform_grid_node_count() {

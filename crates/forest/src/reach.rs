@@ -38,8 +38,11 @@ impl<const D: usize> Forest<D> {
     /// the indices of its extreme corners, so a leaf whose insulation
     /// bounding box stays inside the root and within the local range
     /// reaches nothing but `(self, tree, [0; D])` — the phase-1 case no
-    /// caller wants. The vast majority of leaves pass this O(1) test and
-    /// skip the direction loop entirely, visiting nothing.
+    /// caller wants. Nothing exists beyond a non-periodic face of the
+    /// brick, so the box is clamped there first: a leaf on such a face is
+    /// as interior as its in-forest neighbors make it. The vast majority
+    /// of leaves pass this O(1) test and skip the direction loop entirely,
+    /// visiting nothing.
     pub(crate) fn for_each_reach(
         &self,
         tree: TreeId,
@@ -47,22 +50,36 @@ impl<const D: usize> Forest<D> {
         local_range: (MortonIndex, MortonIndex),
         mut visit: impl FnMut(usize, TreeId, [Coord; D]),
     ) {
+        let conn = self.connectivity();
+        let (tc, dims, periodic) = (conn.tree_coords(tree), conn.dims(), conn.periodic());
         let r = key::unpack::<D>(k);
         let len = r.len();
-        let ins_min: [Coord; D] = std::array::from_fn(|i| r.coords[i] - len);
+        let ins_min: [Coord; D] = std::array::from_fn(|i| {
+            let c = r.coords[i] - len;
+            if tc[i] == 0 && !periodic[i] {
+                c.max(0)
+            } else {
+                c
+            }
+        });
+        let ins_max: [Coord; D] = std::array::from_fn(|i| {
+            let c = r.coords[i] + 2 * len - 1;
+            if tc[i] + 1 == dims[i] && !periodic[i] {
+                c.min(ROOT_LEN - 1)
+            } else {
+                c
+            }
+        });
         let interior = ins_min.iter().all(|&c| c >= 0)
-            && (0..D).all(|i| r.coords[i] + 2 * len <= ROOT_LEN)
-            && {
-                let ins_max: [Coord; D] = std::array::from_fn(|i| r.coords[i] + 2 * len - 1);
-                morton::interleave::<D>(&ins_min) >= local_range.0
-                    && morton::interleave::<D>(&ins_max) <= local_range.1
-            };
+            && ins_max.iter().all(|&c| c < ROOT_LEN)
+            && morton::interleave::<D>(&ins_min) >= local_range.0
+            && morton::interleave::<D>(&ins_max) <= local_range.1;
         if interior {
             return;
         }
         for dir in directions::<D>() {
             let n = r.neighbor(&dir);
-            let Some((t2, n2)) = self.connectivity().transform(tree, &n) else {
+            let Some((t2, n2)) = conn.transform_from(tc, &n) else {
                 continue;
             };
             let off: [Coord; D] = std::array::from_fn(|i| n2.coords[i] - n.coords[i]);
@@ -140,7 +157,7 @@ impl RunExchange {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::connectivity::BrickConnectivity;
     use forestbal_comm::Cluster;
@@ -148,7 +165,12 @@ mod tests {
     use std::sync::Arc;
 
     /// Deterministic pseudo-random refinement predicate from a seed.
-    fn pseudo_refine<const D: usize>(seed: u64, t: TreeId, o: &Octant<D>, denom: u64) -> bool {
+    pub(crate) fn pseudo_refine<const D: usize>(
+        seed: u64,
+        t: TreeId,
+        o: &Octant<D>,
+        denom: u64,
+    ) -> bool {
         let mut h = seed ^ (t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         for &c in &o.coords {
             h ^= (c as u64).wrapping_mul(0xff51_afd7_ed55_8ccd);
@@ -161,17 +183,20 @@ mod tests {
 
     /// A periodic single tree (a leaf at the root face reaches the tree
     /// itself through the wrap and must not be rejected), a multi-tree
-    /// brick and a masked L-brick.
-    fn bricks<const D: usize>() -> Vec<(&'static str, BrickConnectivity<D>)> {
+    /// brick, a masked L-brick and a one-tree-thick slab (in 3D every
+    /// leaf on a z face lies on a face of the brick, where only the clamp
+    /// lets the rejection fire).
+    pub(crate) fn bricks<const D: usize>() -> Vec<(&'static str, BrickConnectivity<D>)> {
         let two_by: [usize; D] = std::array::from_fn(|i| if i == 0 { 2 } else { 1 });
-        let ell: [usize; D] = std::array::from_fn(|i| if i < 2 { 2 } else { 1 });
+        let slab: [usize; D] = std::array::from_fn(|i| if i < 2 { 2 } else { 1 });
         vec![
             ("periodic", BrickConnectivity::new([1; D], [true; D])),
             ("multi", BrickConnectivity::new(two_by, [false; D])),
             (
                 "ell",
-                BrickConnectivity::masked(ell, [false; D], |c| !(c[0] == 1 && c[1] == 1)),
+                BrickConnectivity::masked(slab, [false; D], |c| !(c[0] == 1 && c[1] == 1)),
             ),
+            ("slab", BrickConnectivity::new(slab, [false; D])),
         ]
     }
 
@@ -187,7 +212,7 @@ mod tests {
                     let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 2);
                     f.refine(true, max_level, |t, o| pseudo_refine(seed, t, o, denom));
                     let me = ctx.rank();
-                    let (mut rejected, mut remote) = (0usize, 0usize);
+                    let (mut rejected, mut clamped, mut remote) = (0usize, 0usize, 0usize);
                     for (t, keys) in f.local.iter() {
                         let range = f.local_range(t).unwrap();
                         for &k in keys {
@@ -211,18 +236,27 @@ mod tests {
                             let own = (me, t, [0; D]);
                             if got.is_empty() {
                                 rejected += 1;
+                                // On a face of its tree: its insulation box
+                                // leaves the root, so the clamp rejected it.
+                                let on_face = |&c: &Coord| c == 0 || c + r.len() == ROOT_LEN;
+                                clamped += r.coords.iter().any(on_face) as usize;
                                 want.retain(|d| *d != own);
                             }
                             remote += want.iter().filter(|d| **d != own).count();
                             assert_eq!(got, want, "{name} P={p} tree {t} leaf {r:?}");
                         }
                     }
-                    (rejected, remote)
+                    (rejected, clamped, remote)
                 });
                 let rejected: usize = out.results.iter().map(|r| r.0).sum();
-                let remote: usize = out.results.iter().map(|r| r.1).sum();
+                let clamped: usize = out.results.iter().map(|r| r.1).sum();
+                let remote: usize = out.results.iter().map(|r| r.2).sum();
                 if p == 1 {
                     assert!(rejected > 0, "{name}: the rejection never fired");
+                    assert!(
+                        clamped > 0 || name == "periodic",
+                        "{name}: no leaf on a brick face was rejected"
+                    );
                 }
                 assert!(remote > 0, "{name} P={p}: nothing reaches out");
             }
@@ -230,7 +264,7 @@ mod tests {
     }
 
     proptest! {
-        // Each case spawns 12 clusters; keep the counts modest.
+        // Each case spawns 16 clusters; keep the counts modest.
         #![proptest_config(ProptestConfig::with_cases(8))]
 
         #[test]

@@ -17,7 +17,8 @@
 //!
 //! * Each coordinate is biased by [`KEY_BIAS`]` = 4 * ROOT_LEN = 2^26` into
 //!   an unsigned 27-bit field, then bit-interleaved (axis `i` at bit
-//!   `j*D + i` of bit-level `j`, exactly like [`crate::morton::interleave`]).
+//!   `j*D + i` of bit-level `j`, exactly like [`crate::morton::interleave`],
+//!   and on the same `dilate` ladders).
 //! * The level occupies the low 5 bits (`MAX_LEVEL = 24 < 32`).
 //!
 //! Bit budget: 2D keys use `2*27 + 5 = 59` bits and fit a `u64`; 3D keys
@@ -44,6 +45,7 @@
 //! reach at most one root length outside the root cube.
 
 use crate::coords::{Coord, ROOT_LEN};
+use crate::dilate::{contract2, contract3_wide, dilate2, dilate3_wide};
 use crate::octant::Octant;
 
 /// Bits per packed coordinate field.
@@ -85,66 +87,6 @@ pub fn packable_all<const D: usize>(a: &[Octant<D>]) -> bool {
     a.iter().all(packable)
 }
 
-/// Spread the low 32 bits of `v` to even bit positions (stride 2).
-#[inline]
-fn spread2(v: u64) -> u64 {
-    let mut x = v & 0xFFFF_FFFF;
-    x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
-    x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
-    x = (x | (x << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-    x = (x | (x << 2)) & 0x3333_3333_3333_3333;
-    x = (x | (x << 1)) & 0x5555_5555_5555_5555;
-    x
-}
-
-/// Inverse of [`spread2`]: gather every second bit into the low 32.
-#[inline]
-fn compact2(v: u64) -> u64 {
-    let mut x = v & 0x5555_5555_5555_5555;
-    x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
-    x = (x | (x >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
-    x = (x | (x >> 4)) & 0x00FF_00FF_00FF_00FF;
-    x = (x | (x >> 8)) & 0x0000_FFFF_0000_FFFF;
-    x = (x | (x >> 16)) & 0x0000_0000_FFFF_FFFF;
-    x
-}
-
-/// Spread the low 21 bits of `v` to every third bit position (stride 3).
-#[inline]
-fn spread3(v: u64) -> u64 {
-    let mut x = v & 0x1F_FFFF;
-    x = (x | (x << 32)) & 0x1F_0000_0000_FFFF;
-    x = (x | (x << 16)) & 0x1F_0000_FF00_00FF;
-    x = (x | (x << 8)) & 0x100F_00F0_0F00_F00F;
-    x = (x | (x << 4)) & 0x10C3_0C30_C30C_30C3;
-    x = (x | (x << 2)) & 0x1249_2492_4924_9249;
-    x
-}
-
-/// Inverse of [`spread3`].
-#[inline]
-fn compact3(v: u64) -> u64 {
-    let mut x = v & 0x1249_2492_4924_9249;
-    x = (x | (x >> 2)) & 0x10C3_0C30_C30C_30C3;
-    x = (x | (x >> 4)) & 0x100F_00F0_0F00_F00F;
-    x = (x | (x >> 8)) & 0x1F_0000_FF00_00FF;
-    x = (x | (x >> 16)) & 0x1F_0000_0000_FFFF;
-    x = (x | (x >> 32)) & 0x1F_FFFF;
-    x
-}
-
-/// Spread a 27-bit value to stride 3 as a `u128` (split 21 + 6).
-#[inline]
-fn spread3_27(v: u64) -> u128 {
-    spread3(v & 0x1F_FFFF) as u128 | (spread3(v >> 21) as u128) << 63
-}
-
-/// Inverse of [`spread3_27`].
-#[inline]
-fn compact3_27(v: u128) -> u64 {
-    compact3(v as u64 & 0x1249_2492_4924_9249) | compact3((v >> 63) as u64) << 21
-}
-
 #[inline]
 fn bias(c: Coord) -> u64 {
     debug_assert!(
@@ -166,11 +108,11 @@ fn unbias(b: u64) -> Coord {
 pub fn pack<const D: usize>(o: &Octant<D>) -> u128 {
     debug_assert!(packable(o), "unpackable octant {o:?}");
     let interleaved: u128 = match D {
-        2 => pack2_interleave(bias(o.coords[0]), bias(o.coords[1])) as u128,
+        2 => (dilate2(bias(o.coords[0])) | dilate2(bias(o.coords[1])) << 1) as u128,
         3 => {
-            spread3_27(bias(o.coords[0]))
-                | spread3_27(bias(o.coords[1])) << 1
-                | spread3_27(bias(o.coords[2])) << 2
+            dilate3_wide(bias(o.coords[0]))
+                | dilate3_wide(bias(o.coords[1])) << 1
+                | dilate3_wide(bias(o.coords[2])) << 2
         }
         _ => {
             // Generic bit loop for the rare other dimensions (D <= 4).
@@ -187,11 +129,6 @@ pub fn pack<const D: usize>(o: &Octant<D>) -> u128 {
     interleaved << KEY_LEVEL_BITS | o.level as u128
 }
 
-#[inline]
-fn pack2_interleave(bx: u64, by: u64) -> u64 {
-    spread2(bx) | spread2(by) << 1
-}
-
 /// Pack into a `u64` — only valid for `D <= 2` (59 bits used in 2D).
 #[inline]
 pub fn pack64<const D: usize>(o: &Octant<D>) -> u64 {
@@ -205,11 +142,8 @@ pub fn unpack<const D: usize>(key: u128) -> Octant<D> {
     let level = (key & ((1 << KEY_LEVEL_BITS) - 1)) as u8;
     let idx = key >> KEY_LEVEL_BITS;
     let coords: [Coord; D] = match D {
-        2 => {
-            let i = idx as u64;
-            std::array::from_fn(|a| unbias(compact2(i >> a)))
-        }
-        3 => std::array::from_fn(|a| unbias(compact3_27(idx >> a))),
+        2 => std::array::from_fn(|a| unbias(contract2(idx as u64 >> a))),
+        3 => std::array::from_fn(|a| unbias(contract3_wide(idx >> a))),
         _ => {
             let mut coords = [0u64; D];
             for bit in 0..KEY_COORD_BITS {
@@ -384,15 +318,6 @@ mod tests {
             let c = o.child(i);
             assert!(pack(&o) < pack(&c));
             o = c;
-        }
-    }
-
-    #[test]
-    fn spread_compact_inverses() {
-        for v in [0u64, 1, 0x1F_FFFF, 0x7FF_FFFF, 0x555_5555, 0x2AA_AAAA] {
-            assert_eq!(compact2(spread2(v & 0xFFFF_FFFF)), v & 0xFFFF_FFFF);
-            assert_eq!(compact3(spread3(v & 0x1F_FFFF)), v & 0x1F_FFFF);
-            assert_eq!(compact3_27(spread3_27(v & 0x7FF_FFFF)), v & 0x7FF_FFFF);
         }
     }
 }

@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod coords;
+mod dilate;
 pub mod direction;
 pub mod hash;
 pub mod key;

@@ -2,7 +2,8 @@
 
 use forestbal_octant::{
     complete_subtree, is_complete, is_linear, key, linearize, morton, sort_octants,
-    sort_octants_with, Octant, OctantSet, OctantTable, SortScratch, MAX_LEVEL, ROOT_LEN,
+    sort_octants_with, Octant, OctantSet, OctantTable, PackedOctant, SortScratch, MAX_LEVEL,
+    ROOT_LEN,
 };
 use proptest::prelude::*;
 
@@ -309,5 +310,85 @@ proptest! {
         let mut expect: Vec<_> = set.iter().copied().collect();
         expect.sort_unstable();
         prop_assert_eq!(drained, expect);
+    }
+}
+
+/// The bit-serial interleave the word-parallel kernels replaced: bit `b`
+/// of axis `i` lands at bit `b * D + i`. Kept here as the oracle.
+fn interleave_bit_serial<const D: usize>(coords: &[i32; D]) -> u128 {
+    let mut idx = 0u128;
+    for bit in 0..MAX_LEVEL as u32 {
+        for (i, &c) in coords.iter().enumerate() {
+            idx |= ((c as u128 >> bit) & 1) << (bit * D as u32 + i as u32);
+        }
+    }
+    idx
+}
+
+/// Inverse of [`interleave_bit_serial`].
+fn deinterleave_bit_serial<const D: usize>(idx: u128) -> [i32; D] {
+    let mut coords = [0i32; D];
+    for bit in 0..MAX_LEVEL as u32 {
+        for (i, c) in coords.iter_mut().enumerate() {
+            *c |= (((idx >> (bit * D as u32 + i as u32)) & 1) as i32) << bit;
+        }
+    }
+    coords
+}
+
+/// Random in-root coordinates, with the extremes `0` and `ROOT_LEN - 1`
+/// substituted on the axes whose `pin` digit (base 3) says so.
+fn pinned<const D: usize>(raw: [i32; 4], pin: u32) -> [i32; D] {
+    std::array::from_fn(|i| match pin / 3u32.pow(i as u32) % 3 {
+        0 => 0,
+        1 => ROOT_LEN - 1,
+        _ => raw[i],
+    })
+}
+
+fn interleave_matches_bit_serial<const D: usize>(raw: [i32; 4], pin: u32) {
+    let c = pinned::<D>(raw, pin);
+    let idx = morton::interleave(&c);
+    assert_eq!(idx, interleave_bit_serial(&c), "D={D} {c:?}");
+    assert_eq!(morton::deinterleave::<D>(idx), c, "D={D} {c:?}");
+    assert_eq!(deinterleave_bit_serial::<D>(idx), c, "D={D} {c:?}");
+}
+
+fn index_roundtrips_and_matches_packed<const D: usize>(o: Octant<D>) {
+    assert_eq!(o.index(), interleave_bit_serial(&o.coords));
+    assert_eq!(Octant::<D>::from_index(o.index(), o.level), o);
+    let p = PackedOctant::new(&o);
+    assert_eq!(o.index(), p.index());
+    assert_eq!(o.last_index(), p.last_index());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn interleave_matches_bit_serial_all_dims(
+        raw in prop::collection::vec(0..ROOT_LEN, 4),
+        pin in 0u32..81,
+    ) {
+        let raw = [raw[0], raw[1], raw[2], raw[3]];
+        interleave_matches_bit_serial::<1>(raw, pin);
+        interleave_matches_bit_serial::<2>(raw, pin);
+        interleave_matches_bit_serial::<3>(raw, pin);
+        interleave_matches_bit_serial::<4>(raw, pin);
+    }
+
+    #[test]
+    fn index_roundtrips_and_matches_packed_2d(o in arb_octant::<2>(MAX_LEVEL)) {
+        index_roundtrips_and_matches_packed(o);
+    }
+
+    #[test]
+    fn index_roundtrips_and_matches_packed_3d(o in arb_octant::<3>(MAX_LEVEL)) {
+        index_roundtrips_and_matches_packed(o);
+    }
+
+    #[test]
+    fn index_roundtrips_and_matches_packed_4d(o in arb_octant::<4>(MAX_LEVEL)) {
+        index_roundtrips_and_matches_packed(o);
     }
 }
