@@ -82,12 +82,6 @@ fn ratio(r: &BenchRecord, key: &str) -> String {
     times(r.f64(key))
 }
 
-/// Field `key` over `table_build_s`: a ratio the pinned `kernel` row
-/// does not carry.
-fn over_table_build(r: &BenchRecord, key: &str) -> String {
-    times(r.f64(key) / r.f64("table_build_s"))
-}
-
 /// A fraction as a whole percentage.
 fn percent(r: &BenchRecord, key: &str) -> String {
     format!("{:.0}%", 100.0 * r.f64(key))
@@ -204,16 +198,12 @@ fn tables(rows: &[BenchRecord]) -> Vec<Table> {
         ],
     );
     t.push(
-        "Octant membership: HashSet vs open-addressing table",
+        "Octant membership: the open-addressing table",
         "kernel",
         &[
             Col::new("input", "input_len", plain),
-            Col::new("set build µs", "set_build_s", US),
-            Col::new("table build µs", "table_build_s", US),
-            Col::new("speedup", "set_build_s", over_table_build),
-            Col::new("set query ns", "set_query_s", NS),
-            Col::new("table query ns", "table_query_s", NS),
-            Col::new("speedup", "table_query_speedup", ratio),
+            Col::new("build µs", "table_build_s", US),
+            Col::new("query ns", "table_query_s", NS),
             Col::new("probes/op", "table_probes_per_op", scaled::<0, 2>),
             Col::new("grows", "table_grows", plain),
         ],
@@ -232,14 +222,12 @@ fn tables(rows: &[BenchRecord]) -> Vec<Table> {
         ],
     );
     t.push(
-        "New-kernel subtree balance end to end: HashSet baseline vs packed (µs)",
+        "New-kernel subtree balance end to end: fresh vs reused scratch (µs)",
         "kernel",
         &[
             Col::new("input", "input_len", plain),
-            Col::new("hashset", "balance_hashset_s", US),
-            Col::new("packed fresh", "balance_fresh_s", US),
-            Col::new("packed scratch", "balance_scratch_s", US),
-            Col::new("speedup", "balance_speedup", ratio),
+            Col::new("fresh", "balance_fresh_s", US),
+            Col::new("scratch", "balance_scratch_s", US),
         ],
     );
     // One `kernel_par` row fills two table rows, one per kernel.
@@ -861,14 +849,7 @@ mod tests {
         assert_eq!(times(f64::INFINITY), "-");
         assert_eq!(times(f64::NAN), "-");
         assert_eq!(times(3.5), "3.50x");
-        let row = |den: f64| {
-            BenchRecord::new("kernel")
-                .f("set_build_s", 7.0)
-                .f("table_build_s", den)
-                .f("response_reduction", 7.0 / den)
-        };
-        assert_eq!(over_table_build(&row(2.0), "set_build_s"), "3.50x");
-        assert_eq!(over_table_build(&row(0.0), "set_build_s"), "-");
+        let row = |den: f64| BenchRecord::new("wire").f("response_reduction", 7.0 / den);
         assert_eq!(ratio(&row(2.0), "response_reduction"), "3.50x");
         assert_eq!(ratio(&row(0.0), "response_reduction"), "-");
     }

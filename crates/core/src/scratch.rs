@@ -34,7 +34,7 @@ pub struct BalanceScratch<const D: usize> {
     /// Secondary buffer (the new kernel's interior filter).
     pub(crate) aux: Vec<Octant<D>>,
     /// Per-worker child arenas for parallel phases (see
-    /// [`BalanceScratch::take_workers`]); persist across calls so the
+    /// [`BalanceScratch::for_each_task`]); persist across calls so the
     /// steady state stays allocation-free at any thread count.
     workers: Vec<BalanceScratch<D>>,
     /// Counter deltas merged back from worker arenas, included in
@@ -104,25 +104,39 @@ impl<const D: usize> BalanceScratch<D> {
         }
     }
 
-    /// Take exactly `n` per-worker child arenas for a parallel phase,
-    /// growing (fresh arenas) or shrinking the persistent stash as the
-    /// pool width dictates. Pair with [`BalanceScratch::restore_workers`].
-    pub fn take_workers(&mut self, n: usize) -> Vec<BalanceScratch<D>> {
-        let mut w = std::mem::take(&mut self.workers);
-        w.truncate(n);
-        w.resize_with(n, BalanceScratch::new);
-        w
-    }
-
-    /// Return worker arenas after a parallel phase, folding each worker's
-    /// counter growth since its `bases` snapshot into this scratch's
-    /// totals — in worker-index order, per the determinism contract of
-    /// `forestbal-par` (the totals are sums, hence schedule-invariant).
-    pub fn restore_workers(&mut self, workers: Vec<BalanceScratch<D>>, bases: &[ScratchStats]) {
-        for (w, base) in workers.iter().zip(bases) {
+    /// Run `f(index, task, arena)` once per element of `tasks` on the
+    /// current `forestbal-par` pool: the one dispatch of the parallel
+    /// balance phases. Each pool worker gets its own child arena (kept
+    /// across calls, grown or shrunk to the pool width); a width-1 pool
+    /// or a single task runs on this arena itself. Afterwards every
+    /// worker's counter growth is folded into this scratch's totals in
+    /// worker-index order, per the determinism contract of
+    /// `forestbal-par` (the totals are sums, hence schedule-invariant),
+    /// so [`BalanceScratch::stats`] reads the same at every pool width.
+    pub fn for_each_task<T: Send>(
+        &mut self,
+        tasks: &mut [T],
+        f: impl Fn(usize, &mut T, &mut BalanceScratch<D>) + Sync,
+    ) {
+        let pool = forestbal_par::current();
+        if pool.threads() == 1 || tasks.len() < 2 {
+            for (i, task) in tasks.iter_mut().enumerate() {
+                f(i, task, self);
+            }
+            return;
+        }
+        let mut workers = std::mem::take(&mut self.workers);
+        workers.truncate(pool.threads());
+        workers.resize_with(pool.threads(), BalanceScratch::new);
+        let bases: Vec<ScratchStats> = workers.iter().map(BalanceScratch::stats).collect();
+        let mut stash = workers.into_iter();
+        let arena =
+            forestbal_par::PerWorker::new(&pool, |_| stash.next().expect("one arena per worker"));
+        pool.for_each_mut(tasks, |i, task, w| arena.with(w, |ws| f(i, task, ws)));
+        self.workers = arena.drain().collect();
+        for (w, base) in self.workers.iter().zip(&bases) {
             self.absorbed.accumulate(&w.stats().delta_since(base));
         }
-        self.workers = workers;
     }
 
     /// Sort a vector through the scratch's radix buffers.

@@ -3,8 +3,9 @@
 
 use forestbal_core::oracle::{is_balanced_tree, oracle_balanced_pair, ripple_balance};
 use forestbal_core::{
-    balance_subtree_new, balance_subtree_old, complete_reduced, find_seeds, is_balanced_pair,
-    reconstruct_from_seeds, reduce, Condition,
+    balance_subtree_new, balance_subtree_new_with_stats_scratch, balance_subtree_old,
+    balance_subtree_old_ext_scratch, complete_reduced, find_seeds, is_balanced_pair,
+    reconstruct_from_seeds, reduce, BalanceScratch, Condition,
 };
 use forestbal_octant::{is_complete, linearize, Octant};
 use proptest::prelude::*;
@@ -283,6 +284,49 @@ proptest! {
         prop_assert_eq!(once, twice);
     }
 
+    // ---- scratch arenas -------------------------------------------------
+
+    #[test]
+    fn scratch_reuse_is_invisible(
+        inputs in prop::collection::vec(arb_input::<3>(5, 12), 2..8),
+        cond in arb_cond(3),
+    ) {
+        // One scratch threaded through many mixed invocations produces
+        // exactly what fresh scratches produce, outputs and stats.
+        let root = Octant::<3>::root();
+        let mut reused = BalanceScratch::<3>::new();
+        for input in &inputs {
+            let fresh = &mut BalanceScratch::new();
+            prop_assert_eq!(
+                balance_subtree_new_with_stats_scratch(&root, input, cond, &mut reused),
+                balance_subtree_new_with_stats_scratch(&root, input, cond, fresh)
+            );
+            prop_assert_eq!(
+                balance_subtree_old_ext_scratch(&root, input, &[], cond, &mut reused),
+                balance_subtree_old_ext_scratch(&root, input, &[], cond, fresh)
+            );
+        }
+    }
+
+    #[test]
+    fn presized_tables_do_not_regrow_in_steady_state(
+        pins in prop::collection::vec(arb_input::<3>(5, 12), 1..6),
+    ) {
+        // The phase-1 workload: inputs that are already balanced (the
+        // normal state of a forest being rebalanced). With
+        // `input.len()`-derived pre-sizing, neither kernel's tables may
+        // regrow, whatever the arena held before.
+        let root = Octant::<3>::root();
+        let cond = Condition::full(3);
+        let mut scratch = BalanceScratch::<3>::new();
+        for pins in &pins {
+            let balanced = balance_subtree_new(&root, pins, cond);
+            balance_subtree_new_with_stats_scratch(&root, &balanced, cond, &mut scratch);
+            balance_subtree_old_ext_scratch(&root, &balanced, &[], cond, &mut scratch);
+            prop_assert_eq!(scratch.stats().table_grows, 0);
+        }
+    }
+
     // ---- exterior constraints (auxiliary octants, Figure 4b) ------------
 
     #[test]
@@ -297,7 +341,6 @@ proptest! {
         // Balance a root child with random exterior octants living in the
         // other children: must equal the global cone overlay clipped to
         // the subtree.
-        use forestbal_core::{balance_subtree_old_ext_scratch, BalanceScratch};
         let g = Octant::<2>::root();
         let sub = g.child(sub_id);
         let mut exterior: Vec<Octant<2>> = Vec::new();

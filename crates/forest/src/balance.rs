@@ -157,17 +157,18 @@ type ReconTask<const D: usize> = (Vec<Octant<D>>, Option<(TreeId, u128, Vec<u128
 /// result is bit-identical to the serial loop.
 fn phase1_tree<const D: usize>(
     v: &mut Vec<u128>,
-    decoded: &mut Vec<Octant<D>>,
     cond: Condition,
     variant: BalanceVariant,
     scratch: &mut BalanceScratch<D>,
 ) -> BalanceStats {
-    decoded.clear();
-    unpack_batch(v, decoded);
+    let mut decoded = Vec::with_capacity(v.len());
+    unpack_batch(v, &mut decoded);
     let sub = decoded[0].nearest_common_ancestor(&decoded[decoded.len() - 1]);
     let (balanced, bs) = match variant {
-        BalanceVariant::Old => balance_subtree_old_ext_scratch(&sub, decoded, &[], cond, scratch),
-        BalanceVariant::New => balance_subtree_new_with_stats_scratch(&sub, decoded, cond, scratch),
+        BalanceVariant::Old => balance_subtree_old_ext_scratch(&sub, &decoded, &[], cond, scratch),
+        BalanceVariant::New => {
+            balance_subtree_new_with_stats_scratch(&sub, &decoded, cond, scratch)
+        }
     };
     clip_and_pack(&balanced, v);
     bs
@@ -243,35 +244,18 @@ impl<const D: usize> Forest<D> {
         // rank's phase-1 loop and is threaded on through phase 4.
         let ks_base = scratch.stats();
         let mut local_stats = BalanceStats::default();
-        let pool = forestbal_par::current();
         let mut tree_tasks: Vec<(&mut Vec<u128>, BalanceStats)> = self
             .local
             .iter_mut()
             .filter(|(_, v)| !v.is_empty())
             .map(|(_, v)| (v, BalanceStats::default()))
             .collect();
-        if pool.threads() > 1 && tree_tasks.len() > 1 {
-            // Independent subtree kernels across the work queue, one task
-            // per tree, per-worker scratch arenas; stats fold in task order
-            // below, so nothing about the schedule reaches the output.
-            let workers = scratch.take_workers(pool.threads());
-            let bases: Vec<_> = workers.iter().map(|w| w.stats()).collect();
-            let mut stash = workers.into_iter();
-            let arena = forestbal_par::PerWorker::new(&pool, |_| {
-                (stash.next().expect("one arena per worker"), Vec::new())
-            });
-            pool.for_each_mut(&mut tree_tasks, |_, (v, stats), w| {
-                arena.with(w, |(ws, decoded)| {
-                    *stats = phase1_tree(v, decoded, cond, variant, ws);
-                });
-            });
-            scratch.restore_workers(arena.drain().map(|(ws, _)| ws).collect(), &bases);
-        } else {
-            let mut decoded: Vec<Octant<D>> = Vec::new();
-            for (v, stats) in tree_tasks.iter_mut() {
-                *stats = phase1_tree(v, &mut decoded, cond, variant, scratch);
-            }
-        }
+        // Independent subtree kernels, one task per tree; stats fold in
+        // task order below, so nothing about the schedule reaches the
+        // output.
+        scratch.for_each_task(&mut tree_tasks, |_, (v, stats), ws| {
+            *stats = phase1_tree(v, cond, variant, ws);
+        });
         for (_, bs) in &tree_tasks {
             local_stats.hash_queries += bs.hash_queries;
             local_stats.binary_searches += bs.binary_searches;
@@ -583,55 +567,23 @@ impl<const D: usize> Forest<D> {
         // Replacements are collected per qid and merged below in qid order
         // — the same insertion order as the serial loop, so the splice map
         // is bit-identical for any thread count.
-        let pool = forestbal_par::current();
-        let reconstructed: Vec<Option<(TreeId, u128, Vec<u128>)>> =
-            if pool.threads() > 1 && per_qid.len() > 1 {
-                let workers = scratch.take_workers(pool.threads());
-                let bases: Vec<_> = workers.iter().map(|w| w.stats()).collect();
-                let mut stash = workers.into_iter();
-                let arena = forestbal_par::PerWorker::new(&pool, |_| {
-                    stash.next().expect("one arena per worker")
-                });
-                let mut tasks: Vec<ReconTask<D>> = per_qid.into_iter().map(|s| (s, None)).collect();
-                pool.for_each_mut(&mut tasks, |qid, (seeds, out), w| {
-                    if seeds.is_empty() {
-                        return;
-                    }
-                    let (t, r) = queries[qid];
-                    arena.with(w, |ws| {
-                        ws.linearize(seeds);
-                        let s = reconstruct_from_seeds_scratch(&r, seeds, cond, ws);
-                        if s.len() > 1 {
-                            let mut packed = Vec::with_capacity(s.len());
-                            pack_batch(&s, &mut packed);
-                            *out = Some((t, key::pack(&r), packed));
-                        }
-                    });
-                });
-                scratch.restore_workers(arena.drain().collect(), &bases);
-                tasks.into_iter().map(|(_, out)| out).collect()
-            } else {
-                per_qid
-                    .into_iter()
-                    .enumerate()
-                    .map(|(qid, mut seeds)| {
-                        if seeds.is_empty() {
-                            return None;
-                        }
-                        let (t, r) = queries[qid];
-                        scratch.linearize(&mut seeds);
-                        let s = reconstruct_from_seeds_scratch(&r, &seeds, cond, scratch);
-                        (s.len() > 1).then(|| {
-                            let mut packed = Vec::with_capacity(s.len());
-                            pack_batch(&s, &mut packed);
-                            (t, key::pack(&r), packed)
-                        })
-                    })
-                    .collect()
-            };
+        let mut tasks: Vec<ReconTask<D>> = per_qid.into_iter().map(|s| (s, None)).collect();
+        scratch.for_each_task(&mut tasks, |qid, (seeds, out), ws| {
+            if seeds.is_empty() {
+                return;
+            }
+            let (t, r) = queries[qid];
+            ws.linearize(seeds);
+            let s = reconstruct_from_seeds_scratch(&r, seeds, cond, ws);
+            if s.len() > 1 {
+                let mut packed = Vec::with_capacity(s.len());
+                pack_batch(&s, &mut packed);
+                *out = Some((t, key::pack(&r), packed));
+            }
+        });
         // tree -> (query key -> packed replacement leaves)
         let mut splices: BTreeMap<TreeId, BTreeMap<u128, Vec<u128>>> = BTreeMap::new();
-        for (t, rkey, packed) in reconstructed.into_iter().flatten() {
+        for (t, rkey, packed) in tasks.into_iter().filter_map(|(_, out)| out) {
             splices.entry(t).or_default().insert(rkey, packed);
         }
         for (t, reps) in splices {

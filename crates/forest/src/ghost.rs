@@ -97,14 +97,10 @@ impl<const D: usize> Forest<D> {
         let pool = forestbal_par::current();
         let mut chunks: Vec<(TreeId, &[u128])> = Vec::new();
         for (t, keys) in this.local.iter() {
-            if pool.threads() > 1 {
-                for r in pool.chunk_ranges(keys.len(), GHOST_PAR_CHUNK) {
-                    if !r.is_empty() {
-                        chunks.push((t, &keys[r]));
-                    }
+            for r in pool.chunk_ranges(keys.len(), GHOST_PAR_CHUNK) {
+                if !r.is_empty() {
+                    chunks.push((t, &keys[r]));
                 }
-            } else {
-                chunks.push((t, keys));
             }
         }
         let scan_chunk = |&(t, keys): &(TreeId, &[u128])| -> Vec<(usize, u128)> {
@@ -121,11 +117,7 @@ impl<const D: usize> Forest<D> {
             }
             cand
         };
-        let candidates: Vec<Vec<(usize, u128)>> = if pool.threads() > 1 && chunks.len() > 1 {
-            pool.map(chunks.len(), |c, _| scan_chunk(&chunks[c]))
-        } else {
-            chunks.iter().map(scan_chunk).collect()
-        };
+        let candidates = pool.map(chunks.len(), |c, _| scan_chunk(&chunks[c]));
         let mut out = RunExchange::default();
         let mut sent_octants = 0u64;
         for ((t, _), cand) in chunks.iter().zip(&candidates) {

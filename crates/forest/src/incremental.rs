@@ -10,12 +10,13 @@
 //!   by leaf, applied in one sorted-merge pass over the SoA key arrays
 //!   (edit keys are radix-sorted first; the leaf arrays are never fully
 //!   re-sorted), returning the [`DirtySet`] of created leaves.
-//! * [`Forest::balance_incremental`] — a *seeded* ripple: instead of
-//!   exchanging every boundary leaf each round
-//!   ([`Forest::balance_ripple`]), only **changed** leaves travel, the
-//!   prior epoch's [`GhostLayer`] is patched in place as they arrive,
-//!   and the local fixed point runs over a splice overlay so untouched
-//!   parts of the leaf arrays are never rewritten or re-indexed.
+//! * [`Forest::balance_incremental`] — a *seeded* ripple: only
+//!   **changed** leaves travel, the prior epoch's [`GhostLayer`] is
+//!   patched in place as they arrive, and the local fixed point runs
+//!   over a splice overlay so untouched parts of the leaf arrays are
+//!   never rewritten or re-indexed. (The §II-B baseline
+//!   [`Forest::balance_ripple`] is this engine seeded with every leaf
+//!   and an empty layer.)
 //!
 //! ## Why the result is bit-identical to a full balance
 //!
@@ -145,6 +146,16 @@ pub struct DirtySet<const D: usize> {
 }
 
 impl<const D: usize> DirtySet<D> {
+    /// Every leaf of `local` as dirty: the seed of
+    /// [`Forest::balance_ripple`], under which every constraint of the
+    /// forest is on the worklist.
+    pub(crate) fn all_leaves(local: &crate::store::LeafStore<D>) -> Self {
+        DirtySet {
+            per_tree: local.iter().map(|(t, v)| (t, v.to_vec())).collect(),
+            ..Self::default()
+        }
+    }
+
     /// Number of dirty leaves.
     pub fn len(&self) -> usize {
         self.per_tree.values().map(Vec::len).sum()
@@ -210,6 +221,12 @@ impl<const D: usize> Forest<D> {
         }
         let mut coarsens: BTreeMap<TreeId, Vec<u128>> = BTreeMap::new();
         for &(t, k) in &batch.coarsen {
+            // A parent at `MAX_LEVEL` has no family to merge (and no
+            // first child to key the merge scan by).
+            if PackedOctant::<D>(k).level() >= MAX_LEVEL {
+                dirty.skipped += 1;
+                continue;
+            }
             coarsens.entry(t).or_default().push(k);
         }
         for v in refines.values_mut().chain(coarsens.values_mut()) {
@@ -232,12 +249,13 @@ impl<const D: usize> Forest<D> {
 
         // The per-tree validation/merge scans are independent: each reads
         // only its own leaf array and its own slice of the sorted edits.
-        // With more than one dirty tree and a multi-thread pool they run
-        // as one task per tree with per-worker sort scratch; the outcomes
-        // fold below in tree order, so the dirty set (and the counters,
-        // which are sums) is identical at every thread count.
-        let refines = &refines;
-        let coarsens = &coarsens;
+        // They run as one pool task per tree with per-worker sort
+        // scratch; the outcomes fold below in tree order, so the dirty
+        // set (and the counters, which are sums) is identical at every
+        // thread count.
+        fn edits(of: &BTreeMap<TreeId, Vec<u128>>, t: TreeId) -> &[u128] {
+            of.get(&t).map(Vec::as_slice).unwrap_or(&[])
+        }
         let mut tasks: Vec<(TreeId, &mut Vec<u128>, TreeEdits)> = self
             .local
             .iter_mut()
@@ -245,22 +263,13 @@ impl<const D: usize> Forest<D> {
             .map(|(t, v)| (t, v, TreeEdits::default()))
             .collect();
         let pool = forestbal_par::current();
-        if pool.threads() > 1 && tasks.len() > 1 {
-            let arena = forestbal_par::PerWorker::new(&pool, |_| SortScratch::new());
-            pool.for_each_mut(&mut tasks, |_, (t, v, res), w| {
-                let refi = refines.get(t).map(Vec::as_slice).unwrap_or(&[]);
-                let coar = coarsens.get(t).map(Vec::as_slice).unwrap_or(&[]);
-                arena.with(w, |sort| {
-                    *res = merge_tree_edits::<D>(v, refi, coar, max_level, sort);
-                });
+        let arena = forestbal_par::PerWorker::new(&pool, |_| SortScratch::new());
+        pool.for_each_mut(&mut tasks, |_, (t, v, res), w| {
+            let (refi, coar) = (edits(&refines, *t), edits(&coarsens, *t));
+            arena.with(w, |sort| {
+                *res = merge_tree_edits::<D>(v, refi, coar, max_level, sort);
             });
-        } else {
-            for (t, v, res) in tasks.iter_mut() {
-                let refi = refines.get(t).map(Vec::as_slice).unwrap_or(&[]);
-                let coar = coarsens.get(t).map(Vec::as_slice).unwrap_or(&[]);
-                *res = merge_tree_edits::<D>(v, refi, coar, max_level, &mut self.sort);
-            }
-        }
+        });
         for (t, _, res) in tasks {
             dirty.refined += res.refined;
             dirty.coarsened += res.coarsened;
@@ -524,6 +533,8 @@ struct TreeEdits {
 /// its leaf array in a single merge pass. Pure per-tree kernel: reads
 /// nothing but its arguments, so [`Forest::apply_edits`] may run one
 /// invocation per tree concurrently.
+/// Every parent of `coar` is coarser than `MAX_LEVEL` (the caller counts
+/// the others as skipped), so its first child exists.
 fn merge_tree_edits<const D: usize>(
     v: &mut Vec<u128>,
     refi: &[u128],
@@ -686,10 +697,11 @@ mod tests {
             batch.refine(0, &first); // duplicate
             batch.coarsen(0, &first.parent()); // conflicts with the refine
             batch.coarsen(7, &first.parent()); // no such tree
+            batch.coarsen(0, &first.first_descendant(MAX_LEVEL)); // childless parent
             let dirty = f.apply_edits(&batch, 5);
             assert_eq!(dirty.refined, 1);
             assert_eq!(dirty.coarsened, 0);
-            assert_eq!(dirty.skipped, 4);
+            assert_eq!(dirty.skipped, 5);
             assert!(f.local.check_invariants());
         });
     }

@@ -7,27 +7,18 @@
 //! when an octant ultimately causes another octant on a remote process's
 //! partition to split."
 //!
-//! Each round: (a) reach a local 2:1 fixed point; (b) send boundary
-//! leaves to the ranks owning their insulation layers; (c) split local
-//! leaves violating 2:1 against received ghosts; repeat until no rank
-//! changed anything. The one-pass algorithm of [`crate::balance`] does
-//! the same job with a single query/response round; this baseline exists
-//! for the ablation benchmarks and as an independent cross-check.
-//!
-//! The split fixed points run natively on packed keys: the worklists are
-//! `BTreeSet<u128>`/`VecDeque<u128>` and all neighbor/containment tests
-//! are [`PackedOctant`] bit arithmetic — no struct octants are
-//! materialized except the per-leaf decode in the boundary scan.
+//! This is the worklist engine of [`crate::incremental`] seeded with
+//! *every* local leaf and an empty ghost layer: round 1 announces each
+//! boundary leaf to the owners of its insulation layer (which builds the
+//! layer through [`GhostLayer::patch`]), later rounds carry only leaves
+//! that split, until no rank changed anything. [`crate::balance`] needs
+//! one query/response round for the same mesh; this is its ablation.
 
-use crate::connectivity::{translate, TreeId};
 use crate::forest::Forest;
-use crate::reach::RunExchange;
+use crate::ghost::GhostLayer;
+use crate::incremental::DirtySet;
 use forestbal_comm::Comm;
 use forestbal_core::Condition;
-use forestbal_octant::{codim, directions, is_linear_keys, key, Octant, PackedOctant};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-const RIPPLE_TAG: u32 = 0xBA1A_0010;
 
 /// Outcome counters of a ripple balance run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -45,169 +36,25 @@ impl<const D: usize> Forest<D> {
     pub fn balance_ripple(&mut self, ctx: &impl Comm, cond: Condition) -> RippleStats {
         forestbal_trace::span_begin("ripple", || ctx.now_ns());
         self.update_markers(ctx);
-        let me = ctx.rank();
-        let mut stats = RippleStats::default();
-        loop {
-            stats.rounds += 1;
-            forestbal_trace::span_begin("ripple.round", || ctx.now_ns());
-            let mut changed = self.local_ripple_fixed_point(cond, &mut stats);
-
-            // Exchange boundary leaves with every rank owning part of a
-            // local leaf's insulation layer. Translated leaves go out as
-            // packed keys in tree runs; the tree sequence is not monotone
-            // here, so runs may be short — still correct (see codec docs).
-            let mut out = RunExchange::default();
-            for (t, keys) in self.local.iter() {
-                let Some(range) = self.local_range(t) else {
-                    continue;
-                };
-                for &k in keys {
-                    self.for_each_reach(t, k, range, |owner, t2, off| {
-                        if owner == me && t2 == t && off == [0; D] {
-                            return;
-                        }
-                        let r = translate(&key::unpack::<D>(k), &off);
-                        out.push::<D>(owner, t2, key::pack(&r));
-                    });
-                }
-            }
-            let mut ghosts: BTreeMap<TreeId, Vec<u128>> = BTreeMap::new();
-            out.exchange::<D>(ctx, RIPPLE_TAG, |_, t, keys| {
-                ghosts.entry(t).or_default().extend_from_slice(keys)
-            });
-
-            changed |= self.split_against_ghosts(&ghosts, cond, &mut stats);
-
-            // Global convergence vote.
-            let done = !ctx.allreduce_or(changed);
-            forestbal_trace::span_end(|| ctx.now_ns());
-            if done {
-                forestbal_trace::counter_add("ripple.rounds", stats.rounds as u64);
-                forestbal_trace::counter_add("ripple.splits", stats.splits);
-                forestbal_trace::span_end(|| ctx.now_ns());
-                return stats;
-            }
+        let every_leaf = DirtySet::all_leaves(&self.local);
+        let report = self.balance_incremental(ctx, cond, &every_leaf, &mut GhostLayer::default());
+        forestbal_trace::counter_add("ripple.rounds", report.rounds as u64);
+        forestbal_trace::counter_add("ripple.splits", report.splits);
+        forestbal_trace::span_end(|| ctx.now_ns());
+        RippleStats {
+            rounds: report.rounds,
+            splits: report.splits,
         }
     }
-
-    /// Split local leaves until every pair of *local* neighbors satisfies
-    /// 2:1. Returns whether anything changed.
-    fn local_ripple_fixed_point(&mut self, cond: Condition, stats: &mut RippleStats) -> bool {
-        let mut changed = false;
-        for (_, v) in self.local.iter_mut() {
-            if v.is_empty() {
-                continue;
-            }
-            let lo = PackedOctant::<D>(v[0]).index();
-            let hi = PackedOctant::<D>(v[v.len() - 1]).last_index();
-            let mut set: BTreeSet<u128> = v.iter().copied().collect();
-            let mut work: VecDeque<u128> = v.iter().copied().collect();
-            let mut tree_changed = false;
-            while let Some(k) = work.pop_front() {
-                if !set.contains(&k) {
-                    continue;
-                }
-                let o = PackedOctant::<D>(k);
-                for dir in directions::<D>() {
-                    if !cond.constrains(codim(&dir)) {
-                        continue;
-                    }
-                    let n = o.neighbor(&dir);
-                    if !n.is_inside_root() || n.index() < lo || n.last_index() > hi {
-                        continue; // outside this rank's slice: ghost rounds
-                    }
-                    let splits = split_container(&mut set, n, o.level(), |ch| work.push_back(ch));
-                    stats.splits += splits;
-                    tree_changed |= splits > 0;
-                }
-            }
-            if tree_changed {
-                changed = true;
-                *v = set.into_iter().collect();
-                debug_assert!(is_linear_keys::<D>(v));
-            }
-        }
-        changed
-    }
-
-    /// Split local leaves violating 2:1 against received ghost keys
-    /// (which may lie outside the tree root). Returns whether anything
-    /// changed.
-    fn split_against_ghosts(
-        &mut self,
-        ghosts: &BTreeMap<TreeId, Vec<u128>>,
-        cond: Condition,
-        stats: &mut RippleStats,
-    ) -> bool {
-        let mut changed = false;
-        for (t, gs) in ghosts {
-            let Some(v) = self.local.get_mut(*t) else {
-                continue;
-            };
-            if v.is_empty() {
-                continue;
-            }
-            let mut set: BTreeSet<u128> = v.iter().copied().collect();
-            let mut tree_changed = false;
-            for &gk in gs {
-                let g = PackedOctant::<D>(gk);
-                for dir in directions::<D>() {
-                    if !cond.constrains(codim(&dir)) {
-                        continue;
-                    }
-                    let n = g.neighbor(&dir);
-                    // Only the part of the ghost's neighborhood inside
-                    // this tree matters here.
-                    if !n.is_inside_root() {
-                        continue;
-                    }
-                    let splits = split_container(&mut set, n, g.level(), |_| {});
-                    stats.splits += splits;
-                    tree_changed |= splits > 0;
-                }
-            }
-            if tree_changed {
-                changed = true;
-                *v = set.into_iter().collect();
-                debug_assert!(is_linear_keys::<D>(v));
-            }
-        }
-        changed
-    }
-}
-
-/// Split the leaf of `set` containing `n` until it is within one level of
-/// `level` (that of the octant whose neighbor `n` is), handing every
-/// created child to `created`. Returns the number of splits.
-fn split_container<const D: usize>(
-    set: &mut BTreeSet<u128>,
-    n: PackedOctant<D>,
-    level: u8,
-    mut created: impl FnMut(u128),
-) -> u64 {
-    let mut splits = 0;
-    while let Some(&ck) = set.range(..=n.0).next_back() {
-        let c = PackedOctant::<D>(ck);
-        if !c.contains(n) || c.level() + 1 >= level {
-            break;
-        }
-        set.remove(&ck);
-        splits += 1;
-        for i in 0..Octant::<D>::NUM_CHILDREN {
-            let ch = c.child(i).0;
-            set.insert(ch);
-            created(ch);
-        }
-    }
-    splits
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connectivity::BrickConnectivity;
+    use crate::connectivity::{BrickConnectivity, TreeId};
     use crate::serial::{is_forest_balanced, serial_forest_balance};
     use forestbal_comm::Cluster;
+    use forestbal_octant::Octant;
     use std::sync::Arc;
 
     #[test]

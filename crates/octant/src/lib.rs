@@ -51,13 +51,11 @@
 pub mod coords;
 mod dilate;
 pub mod direction;
-pub mod hash;
 pub mod key;
 pub mod linear;
 pub mod morton;
 pub mod octant;
 pub mod packed;
-pub mod path;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 pub mod simd;
 pub mod sort;
@@ -65,7 +63,6 @@ pub mod table;
 
 pub use coords::{Coord, MAX_LEVEL, ROOT_LEN};
 pub use direction::{codim, directions, directions_up_to_codim, Direction};
-pub use hash::{FxBuildHasher, OctantMap, OctantSet};
 pub use key::{packable, packable_all};
 pub use linear::{
     complete_region, complete_subtree, is_complete, is_linear, is_linear_keys, is_sorted_strict,

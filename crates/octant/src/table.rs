@@ -1,7 +1,8 @@
 //! Flat open-addressing octant membership table over packed integer keys.
 //!
-//! [`OctantTable`] replaces the `HashSet`-backed [`crate::hash::OctantSet`]
-//! in the balance kernels. It stores one packed key per slot in a
+//! [`OctantTable`] is the membership set of the balance kernels (in
+//! place of a `HashSet<Octant<D>>`, which the tests keep as their
+//! oracle). It stores one packed key per slot in a
 //! power-of-two `Vec<u128>`, probes linearly from a hashed home slot, and
 //! never stores the 16-byte octant struct at all — membership is a compare
 //! of integers in a cache-friendly flat array, with no buckets and no
@@ -288,7 +289,7 @@ impl<const D: usize> Default for OctantTable<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::OctantSet;
+    use std::collections::HashSet;
 
     type Oct3 = Octant<3>;
 
@@ -325,10 +326,10 @@ mod tests {
     }
 
     #[test]
-    fn matches_octant_set() {
+    fn matches_hash_set() {
         let octs = soup::<3>(2000, 31);
         let mut t = OctantTable::<3>::with_capacity_for(octs.len());
-        let mut h = OctantSet::<3>::default();
+        let mut h = HashSet::<Octant<3>>::new();
         for o in &octs {
             assert_eq!(t.insert(o), h.insert(*o), "insert diverges on {o:?}");
         }
@@ -361,7 +362,7 @@ mod tests {
     fn undersized_table_grows_correctly() {
         let octs = soup::<2>(600, 5);
         let mut t = OctantTable::<2>::with_capacity_for(4);
-        let mut h = OctantSet::<2>::default();
+        let mut h = HashSet::<Octant<2>>::new();
         for o in &octs {
             t.insert(o);
             h.insert(*o);
@@ -397,7 +398,7 @@ mod tests {
     fn drain_into_empties_table() {
         let octs = soup::<2>(300, 3);
         let mut t = OctantTable::<2>::with_capacity_for(octs.len());
-        let mut uniq = OctantSet::<2>::default();
+        let mut uniq = HashSet::<Octant<2>>::new();
         for o in &octs {
             t.insert(o);
             uniq.insert(*o);

@@ -2,10 +2,10 @@
 
 use forestbal_octant::{
     complete_subtree, is_complete, is_linear, key, linearize, morton, sort_octants,
-    sort_octants_with, Octant, OctantSet, OctantTable, PackedOctant, SortScratch, MAX_LEVEL,
-    ROOT_LEN,
+    sort_octants_with, Octant, OctantTable, PackedOctant, SortScratch, MAX_LEVEL, ROOT_LEN,
 };
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// Strategy: a random in-root octant built by a random child-id path.
 fn arb_octant<const D: usize>(max_depth: u8) -> impl Strategy<Value = Octant<D>> {
@@ -169,39 +169,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn key_is_order_isomorphic_2d(a in arb_octant::<2>(8), b in arb_octant::<2>(8)) {
-        // The packed u128 key orders exactly like the Morton comparison
-        // and round-trips.
-        prop_assert_eq!(a.key().cmp(&b.key()), a.cmp(&b));
-        prop_assert_eq!(Octant::<2>::from_key(a.key()), a);
-    }
-
-    #[test]
-    fn path_roundtrips_3d(o in arb_octant::<3>(8)) {
-        prop_assert_eq!(Octant::<3>::from_path(&o.path()), Some(o));
-    }
-
-    #[test]
-    fn next_at_level_is_successor_3d(o in arb_octant::<3>(6)) {
-        match o.next_at_level() {
-            Some(n) => {
-                prop_assert_eq!(n.level, o.level);
-                prop_assert_eq!(n.index(), o.last_index() + 1);
-                prop_assert_eq!(n.prev_at_level(), Some(o));
-            }
-            None => prop_assert_eq!(
-                o.last_index(),
-                Octant::<3>::root().last_index(),
-                "only the curve's last octant has no successor"
-            ),
-        }
-    }
-}
-
 /// Strategy: a random octant that may lie outside the root cube, shifted by
 /// up to one root length per axis — the full range the balance algorithms
 /// produce and the packed-key codec supports.
@@ -273,12 +240,12 @@ proptest! {
     }
 
     #[test]
-    fn octant_table_matches_octant_set_2d(
+    fn octant_table_matches_hash_set_2d(
         v in prop::collection::vec(arb_shifted_octant::<2>(8), 1..200),
         probes in prop::collection::vec(arb_shifted_octant::<2>(8), 0..50),
     ) {
         let mut table = OctantTable::<2>::with_capacity_for(v.len());
-        let mut set = OctantSet::<2>::default();
+        let mut set = HashSet::<Octant<2>>::new();
         for o in &v {
             prop_assert_eq!(table.insert(o), set.insert(*o));
         }
@@ -290,12 +257,12 @@ proptest! {
     }
 
     #[test]
-    fn octant_table_matches_octant_set_3d(
+    fn octant_table_matches_hash_set_3d(
         v in prop::collection::vec(arb_shifted_octant::<3>(8), 1..200),
         probes in prop::collection::vec(arb_shifted_octant::<3>(8), 0..50),
     ) {
         let mut table = OctantTable::<3>::with_capacity_for(v.len());
-        let mut set = OctantSet::<3>::default();
+        let mut set = HashSet::<Octant<3>>::new();
         for o in &v {
             prop_assert_eq!(table.insert(o), set.insert(*o));
         }

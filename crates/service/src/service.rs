@@ -432,7 +432,11 @@ mod tests {
             let cfg = ServiceConfig::new(2);
             let mut svc = service_2d(ctx, cfg);
             let before = svc.forest().checksum(ctx);
+            // A parent at `MAX_LEVEL` has no family: skipped, not applied.
+            let parent = Octant::root().first_descendant(MAX_LEVEL);
+            svc.submit(ctx, Request::Coarsen { tree: 0, parent });
             let rep = svc.commit(ctx);
+            assert_eq!(rep.skipped, 1);
             assert_eq!(rep.dirty_global, 0);
             assert!(rep.incremental.is_none() && rep.full.is_none());
             assert_eq!(svc.forest().checksum(ctx), before);

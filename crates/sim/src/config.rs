@@ -2,29 +2,6 @@
 
 use crate::net::NetworkSpec;
 
-/// Which execution backend hosts the per-rank coroutines.
-///
-/// Ranks always run one at a time (baton passing); the backend only
-/// decides what a suspended rank *is*: a parked OS thread or a userspace
-/// fiber. Virtual times, delivery orders and results are identical across
-/// backends — pinned by a differential test.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Pick [`Backend::Fiber`] where supported (x86_64 Linux), else
-    /// [`Backend::Threads`]. The default.
-    #[default]
-    Auto,
-    /// One OS thread per rank. Portable, but the kernel's thread and
-    /// memory-map budgets (`kernel.pid_max`, `vm.max_map_count`) cap P
-    /// at a few thousand ranks.
-    Threads,
-    /// Userspace stackful coroutines: all ranks share one OS thread and
-    /// one lazily-faulted stack slab, so P = 112k ranks fit in one
-    /// process with no kernel tunables. Panics at run start on platforms
-    /// without fiber support.
-    Fiber,
-}
-
 /// Cost model and determinism parameters for a [`crate::SimCluster`] run.
 ///
 /// The defaults model a commodity cluster interconnect: 1 µs message
@@ -77,8 +54,6 @@ pub struct SimConfig {
     /// reproduces the historical `α + β·bytes` virtual times
     /// bit-identically).
     pub network: NetworkSpec,
-    /// Execution backend for the rank coroutines.
-    pub backend: Backend,
 }
 
 impl Default for SimConfig {
@@ -91,7 +66,6 @@ impl Default for SimConfig {
             fifo: true,
             stack_size: 1 << 20,
             network: NetworkSpec::Flat,
-            backend: Backend::Auto,
         }
     }
 }
@@ -157,12 +131,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Execution backend.
-    pub fn backend(mut self, v: Backend) -> Self {
-        self.cfg.backend = v;
-        self
-    }
-
     /// Finish: the assembled [`SimConfig`].
     pub fn build(self) -> SimConfig {
         self.cfg
@@ -184,7 +152,6 @@ mod tests {
             .fifo(false)
             .stack_size(1 << 16)
             .network(NetworkSpec::FatTree(FatTreeParams::default()))
-            .backend(Backend::Threads)
             .build();
         let s = SimConfig {
             latency_ns: 500,
@@ -194,7 +161,6 @@ mod tests {
             fifo: false,
             stack_size: 1 << 16,
             network: NetworkSpec::FatTree(FatTreeParams::default()),
-            backend: Backend::Threads,
         };
         assert_eq!(format!("{b:?}"), format!("{s:?}"));
     }

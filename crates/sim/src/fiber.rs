@@ -31,7 +31,7 @@
 //! Rust frame with unwind info).
 //!
 //! Only x86_64 Linux is supported; [`supported`] reports availability and
-//! `Backend::Auto` falls back to threads elsewhere.
+//! the runtime hosts ranks on threads elsewhere.
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub(crate) use imp::supported;
@@ -328,9 +328,9 @@ mod stub {
         false
     }
 
-    /// Unavailable on this platform; `Backend::Auto` selects threads and
-    /// an explicit `Backend::Fiber` panics before construction, so none
-    /// of these methods can be reached.
+    /// Unavailable on this platform; the runtime hosts ranks on threads
+    /// wherever [`supported`] is false, so none of these methods can be
+    /// reached.
     pub(crate) struct FiberPool;
 
     #[allow(dead_code)]

@@ -21,10 +21,10 @@
 //! - a [`DeliveryStrategy`] hook replaces time-ordered delivery with an
 //!   externally chosen order — the executor interface behind the
 //!   `forestbal-mc` exhaustive model checker,
-//! - rank coroutines are hosted by a pluggable [`Backend`]: OS threads
-//!   (portable) or userspace fibers (x86_64 Linux, the default there),
+//! - rank coroutines are hosted by userspace fibers on x86_64 Linux,
 //!   which make paper-scale virtual runs at P = 112,128 ranks feasible
-//!   in one process.
+//!   in one process, and by one OS thread per rank on every other
+//!   platform — chosen by the platform, with bit-identical results.
 //!
 //! Because the paper's algorithms are written against the `Comm` trait,
 //! they run unmodified here at P = 4096–65536 on one machine — which is
@@ -58,7 +58,7 @@ pub mod net;
 mod runtime;
 pub mod strategy;
 
-pub use config::{Backend, SimConfig, SimConfigBuilder};
+pub use config::{SimConfig, SimConfigBuilder};
 pub use net::{
     FatTree, FatTreeParams, FlatAlphaBeta, Hierarchical, HierarchicalParams, NetModel, NetStats,
     NetworkModel, NetworkSpec,

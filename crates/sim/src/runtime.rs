@@ -9,18 +9,18 @@
 //! (with its outbox of sends) and parks. There is no parallelism, no
 //! shared mutable state between ranks, and therefore no nondeterminism.
 //!
-//! Two interchangeable backends host the coroutines
-//! ([`crate::Backend`]):
+//! Two interchangeable hosts run the coroutines, chosen by the platform
+//! ([`fiber::supported`]), not by the caller:
 //!
-//! - **Threads** — one parked OS thread per rank, baton-passed through
-//!   channels. Portable, but kernel task/map limits cap P at a few
-//!   thousand.
-//! - **Fiber** — userspace stackful coroutines sharing one OS thread and
-//!   one lazily-faulted stack slab (see [`crate::fiber`]), which is what
-//!   makes P = 112,128 virtual ranks fit in one process. Default where
-//!   supported (x86_64 Linux).
+//! - **Fibers** (x86_64 Linux) — userspace stackful coroutines sharing
+//!   one OS thread and one lazily-faulted stack slab (see
+//!   [`crate::fiber`]), which is what makes P = 112,128 virtual ranks
+//!   fit in one process.
+//! - **Threads** (everywhere else) — one parked OS thread per rank,
+//!   baton-passed through channels. Portable, but kernel task/map limits
+//!   cap P at a few thousand.
 //!
-//! Backends affect wall-clock cost only; virtual times, delivery orders,
+//! The host affects wall-clock cost only; virtual times, delivery orders,
 //! stats and results are bit-identical (pinned by a differential test).
 //!
 //! # How time advances
@@ -42,7 +42,7 @@
 //!   collective completion time (`max(entry times) + ⌈log₂P⌉·α +
 //!   β·total_bytes` under the flat model).
 
-use crate::config::{Backend, SimConfig};
+use crate::config::SimConfig;
 use crate::fiber;
 use crate::net::{NetStats, NetworkModel};
 use crate::strategy::{hash_bytes, Candidate, Delivered, DeliveryStrategy, MsgMeta, Op};
@@ -841,8 +841,8 @@ fn map_count_shortfall(size: usize) -> Option<String> {
     (needed > max).then(|| {
         format!(
             "{size} simulated ranks need ~{needed} kernel memory maps but \
-             vm.max_map_count is {max}; use Backend::Auto (fibers), raise the \
-             sysctl, or lower P"
+             vm.max_map_count is {max} (this platform hosts every rank on an \
+             OS thread); raise the sysctl or lower P"
         )
     })
 }
@@ -871,7 +871,7 @@ impl SimCluster {
         T: Send,
         F: Fn(&SimCtx) -> T + Send + Sync,
     {
-        Self::run_inner(size, config, None, None, f)
+        Self::run_inner(size, config, fiber::supported(), None, None, f)
     }
 
     /// Like [`SimCluster::run`], but event delivery order is picked by
@@ -888,7 +888,7 @@ impl SimCluster {
         T: Send,
         F: Fn(&SimCtx) -> T + Send + Sync,
     {
-        Self::run_inner(size, config, Some(strategy), None, f)
+        Self::run_inner(size, config, fiber::supported(), Some(strategy), None, f)
     }
 
     /// Like [`SimCluster::run`], but every message and collective is
@@ -908,12 +908,17 @@ impl SimCluster {
         T: Send,
         F: Fn(&SimCtx) -> T + Send + Sync,
     {
-        Self::run_inner(size, config, None, Some(model), f)
+        Self::run_inner(size, config, fiber::supported(), None, Some(model), f)
     }
 
+    /// The one entry behind every `run*`: `fibers` picks the host of the
+    /// rank coroutines (fibers, else one OS thread per rank). Public
+    /// callers pass [`fiber::supported`]; only the differential tests of
+    /// this module pass anything else.
     fn run_inner<'a, T, F>(
         size: usize,
         config: SimConfig,
+        fibers: bool,
         strategy: Option<&'a mut dyn DeliveryStrategy>,
         model: Option<&'a mut dyn NetworkModel>,
         f: F,
@@ -923,25 +928,7 @@ impl SimCluster {
         F: Fn(&SimCtx) -> T + Send + Sync,
     {
         assert!(size >= 1, "a cluster needs at least one rank");
-        let backend = match config.backend {
-            Backend::Auto => {
-                if fiber::supported() {
-                    Backend::Fiber
-                } else {
-                    Backend::Threads
-                }
-            }
-            Backend::Fiber => {
-                assert!(
-                    fiber::supported(),
-                    "Backend::Fiber is only available on x86_64 Linux; \
-                     use Backend::Auto (falls back to threads) or Backend::Threads"
-                );
-                Backend::Fiber
-            }
-            Backend::Threads => Backend::Threads,
-        };
-        if backend == Backend::Threads {
+        if !fibers {
             if let Some(msg) = map_count_shortfall(size) {
                 panic!("{msg}");
             }
@@ -964,80 +951,74 @@ impl SimCluster {
         // must run scheduler → pool → results — which is exactly the
         // reverse of this declaration order.
         let fiber_results: RefCell<Vec<Option<T>>> = RefCell::new(Vec::new());
-        let fiber_boxes: Vec<FiberBox> = match backend {
-            Backend::Fiber => (0..size).map(|_| FiberBox::default()).collect(),
-            _ => Vec::new(),
+        let fiber_boxes: Vec<FiberBox> = if fibers {
+            (0..size).map(|_| FiberBox::default()).collect()
+        } else {
+            Vec::new()
         };
-        let fiber_pool: Option<fiber::FiberPool> = match backend {
-            Backend::Fiber => Some(fiber::FiberPool::new(size, config.stack_size)),
-            _ => None,
-        };
+        let fiber_pool = fibers.then(|| fiber::FiberPool::new(size, config.stack_size));
 
         let mut thread_yield_tx = None;
         let mut thread_resume_rxs = Vec::new();
 
-        let io = match backend {
-            Backend::Fiber => {
-                fiber_results.borrow_mut().extend((0..size).map(|_| None));
-                let pool = fiber_pool.as_ref().expect("just constructed");
-                let pool_ptr: *const fiber::FiberPool = pool;
-                for (rank, fiber_box) in fiber_boxes.iter().enumerate() {
-                    let bx: *const FiberBox = fiber_box;
-                    let results = &fiber_results;
-                    let body = move || {
-                        let bx_ref = unsafe { &*bx };
-                        match bx_ref.resume.borrow_mut().take() {
-                            Some(Resume::Start) => {}
-                            // Shut down before starting: nothing ran,
-                            // nothing to report.
-                            _ => return,
-                        }
-                        let ctx = SimCtx {
-                            rank,
-                            size,
-                            io: CtxIo::Fiber { pool: pool_ptr, bx },
-                            outbox: RefCell::new(Vec::new()),
-                            stats: RefCell::new(CommStats::default()),
-                            now: Cell::new(0),
-                        };
-                        let y = match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-                            Ok(v) => {
-                                results.borrow_mut()[rank] = Some(v);
-                                RankYield::Finished {
-                                    outbox: ctx.outbox.take(),
-                                    stats: Box::new(ctx.stats()),
-                                }
-                            }
-                            Err(p) => {
-                                if p.downcast_ref::<ShutdownSignal>().is_some() {
-                                    RankYield::ShutdownDone
-                                } else {
-                                    RankYield::Panicked(p)
-                                }
-                            }
-                        };
-                        *bx_ref.yielded.borrow_mut() = Some(y);
+        let io = if let Some(pool) = fiber_pool.as_ref() {
+            fiber_results.borrow_mut().extend((0..size).map(|_| None));
+            let pool_ptr: *const fiber::FiberPool = pool;
+            for (rank, fiber_box) in fiber_boxes.iter().enumerate() {
+                let bx: *const FiberBox = fiber_box;
+                let results = &fiber_results;
+                let body = move || {
+                    let bx_ref = unsafe { &*bx };
+                    match bx_ref.resume.borrow_mut().take() {
+                        Some(Resume::Start) => {}
+                        // Shut down before starting: nothing ran,
+                        // nothing to report.
+                        _ => return,
+                    }
+                    let ctx = SimCtx {
+                        rank,
+                        size,
+                        io: CtxIo::Fiber { pool: pool_ptr, bx },
+                        outbox: RefCell::new(Vec::new()),
+                        stats: RefCell::new(CommStats::default()),
+                        now: Cell::new(0),
                     };
-                    // Safety: the pool is dropped (consuming or dropping
-                    // every body) before `f`, `fiber_results` and the
-                    // boxes go away — see the declaration-order note.
-                    unsafe { pool.spawn_unchecked(rank, Box::new(body)) };
-                }
-                RankIo::Fibers {
-                    pool,
-                    boxes: &fiber_boxes,
-                }
+                    let y = match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+                        Ok(v) => {
+                            results.borrow_mut()[rank] = Some(v);
+                            RankYield::Finished {
+                                outbox: ctx.outbox.take(),
+                                stats: Box::new(ctx.stats()),
+                            }
+                        }
+                        Err(p) => {
+                            if p.downcast_ref::<ShutdownSignal>().is_some() {
+                                RankYield::ShutdownDone
+                            } else {
+                                RankYield::Panicked(p)
+                            }
+                        }
+                    };
+                    *bx_ref.yielded.borrow_mut() = Some(y);
+                };
+                // Safety: the pool is dropped (consuming or dropping
+                // every body) before `f`, `fiber_results` and the
+                // boxes go away — see the declaration-order note.
+                unsafe { pool.spawn_unchecked(rank, Box::new(body)) };
             }
-            _ => {
-                let (yield_tx, yield_rx) = channel::<(usize, RankYield)>();
-                let (resume_txs, resume_rxs): (Vec<_>, Vec<_>) =
-                    (0..size).map(|_| channel::<Resume>()).unzip();
-                thread_yield_tx = Some(yield_tx);
-                thread_resume_rxs = resume_rxs;
-                RankIo::Threads {
-                    resume_txs,
-                    yield_rx,
-                }
+            RankIo::Fibers {
+                pool,
+                boxes: &fiber_boxes,
+            }
+        } else {
+            let (yield_tx, yield_rx) = channel::<(usize, RankYield)>();
+            let (resume_txs, resume_rxs): (Vec<_>, Vec<_>) =
+                (0..size).map(|_| channel::<Resume>()).unzip();
+            thread_yield_tx = Some(yield_tx);
+            thread_resume_rxs = resume_rxs;
+            RankIo::Threads {
+                resume_txs,
+                yield_rx,
             }
         };
 
@@ -1081,89 +1062,86 @@ impl SimCluster {
         }
 
         let mut thread_results: Vec<Option<T>> = Vec::new();
-        match backend {
-            Backend::Fiber => sched.run(),
-            _ => {
-                let yield_tx = thread_yield_tx.take().expect("thread backend has a sender");
-                std::thread::scope(|scope| {
-                    // Spawn failures (e.g. hitting the OS thread limit at
-                    // large P) must not leave already-parked ranks blocked
-                    // in `recv` — shut the cluster down and report, instead
-                    // of deadlocking the join.
-                    let mut spawn_error = None;
-                    let mut handles = Vec::with_capacity(size);
-                    for (rank, resume_rx) in thread_resume_rxs.drain(..).enumerate() {
-                        let yield_tx = yield_tx.clone();
-                        let spawned = std::thread::Builder::new()
-                            .name(format!("simrank-{rank}"))
-                            .stack_size(config.stack_size)
-                            .spawn_scoped(scope, move || -> Option<T> {
-                                let ctx = SimCtx {
-                                    rank,
-                                    size,
-                                    io: CtxIo::Thread {
-                                        yield_tx,
-                                        resume_rx,
-                                    },
-                                    outbox: RefCell::new(Vec::new()),
-                                    stats: RefCell::new(CommStats::default()),
-                                    now: Cell::new(0),
-                                };
-                                let (yield_tx, resume_rx) = match &ctx.io {
-                                    CtxIo::Thread {
-                                        yield_tx,
-                                        resume_rx,
-                                    } => (yield_tx, resume_rx),
-                                    _ => unreachable!(),
-                                };
-                                match resume_rx.recv() {
-                                    Ok(Resume::Start) => {}
-                                    _ => return None,
-                                }
-                                match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-                                    Ok(v) => {
-                                        let _ = yield_tx.send((
-                                            rank,
-                                            RankYield::Finished {
-                                                outbox: ctx.outbox.take(),
-                                                stats: Box::new(ctx.stats()),
-                                            },
-                                        ));
-                                        Some(v)
-                                    }
-                                    Err(payload) => {
-                                        if payload.downcast_ref::<ShutdownSignal>().is_none() {
-                                            let _ =
-                                                yield_tx.send((rank, RankYield::Panicked(payload)));
-                                        }
-                                        None
-                                    }
-                                }
-                            });
-                        match spawned {
-                            Ok(h) => handles.push(h),
-                            Err(e) => {
-                                spawn_error = Some((rank, e));
-                                break;
+        if fibers {
+            sched.run();
+        } else {
+            let yield_tx = thread_yield_tx.take().expect("thread host has a sender");
+            std::thread::scope(|scope| {
+                // Spawn failures (e.g. hitting the OS thread limit at
+                // large P) must not leave already-parked ranks blocked
+                // in `recv` — shut the cluster down and report, instead
+                // of deadlocking the join.
+                let mut spawn_error = None;
+                let mut handles = Vec::with_capacity(size);
+                for (rank, resume_rx) in thread_resume_rxs.drain(..).enumerate() {
+                    let yield_tx = yield_tx.clone();
+                    let spawned = std::thread::Builder::new()
+                        .name(format!("simrank-{rank}"))
+                        .stack_size(config.stack_size)
+                        .spawn_scoped(scope, move || -> Option<T> {
+                            let ctx = SimCtx {
+                                rank,
+                                size,
+                                io: CtxIo::Thread {
+                                    yield_tx,
+                                    resume_rx,
+                                },
+                                outbox: RefCell::new(Vec::new()),
+                                stats: RefCell::new(CommStats::default()),
+                                now: Cell::new(0),
+                            };
+                            let (yield_tx, resume_rx) = match &ctx.io {
+                                CtxIo::Thread {
+                                    yield_tx,
+                                    resume_rx,
+                                } => (yield_tx, resume_rx),
+                                _ => unreachable!(),
+                            };
+                            match resume_rx.recv() {
+                                Ok(Resume::Start) => {}
+                                _ => return None,
                             }
+                            match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+                                Ok(v) => {
+                                    let _ = yield_tx.send((
+                                        rank,
+                                        RankYield::Finished {
+                                            outbox: ctx.outbox.take(),
+                                            stats: Box::new(ctx.stats()),
+                                        },
+                                    ));
+                                    Some(v)
+                                }
+                                Err(payload) => {
+                                    if payload.downcast_ref::<ShutdownSignal>().is_none() {
+                                        let _ = yield_tx.send((rank, RankYield::Panicked(payload)));
+                                    }
+                                    None
+                                }
+                            }
+                        });
+                    match spawned {
+                        Ok(h) => handles.push(h),
+                        Err(e) => {
+                            spawn_error = Some((rank, e));
+                            break;
                         }
                     }
-                    drop(yield_tx);
-                    match spawn_error {
-                        None => sched.run(),
-                        Some((rank, e)) => sched.fail(format!(
-                            "failed to spawn simulated rank {rank} of {size}: {e}; each \
-                             simulated rank needs one OS thread under Backend::Threads, \
-                             so raise the process limit (`ulimit -u`) — or use \
-                             Backend::Auto, whose fiber backend needs no threads"
-                        )),
-                    }
-                    thread_results = handles
-                        .into_iter()
-                        .map(|h| h.join().expect("rank thread cannot panic past its catch"))
-                        .collect();
-                });
-            }
+                }
+                drop(yield_tx);
+                match spawn_error {
+                    None => sched.run(),
+                    Some((rank, e)) => sched.fail(format!(
+                        "failed to spawn simulated rank {rank} of {size}: {e}; each \
+                             simulated rank needs one OS thread on this platform, so \
+                             raise the process limit (`ulimit -u`) or lower P"
+                    )),
+                }
+                thread_results = handles
+                    .into_iter()
+                    .map(|h| h.join().expect("rank thread cannot panic past its catch"))
+                    .collect();
+            });
         }
 
         let net_stats = sched.net.net_stats();
@@ -1177,9 +1155,10 @@ impl SimCluster {
         let finish_ns = sched.ranks.iter().map(|st| st.finish_ns).collect();
         drop(sched);
         drop(fiber_pool);
-        let raw = match backend {
-            Backend::Fiber => fiber_results.into_inner(),
-            _ => thread_results,
+        let raw = if fibers {
+            fiber_results.into_inner()
+        } else {
+            thread_results
         };
         let results = raw
             .into_iter()
@@ -1341,8 +1320,8 @@ mod tests {
         };
         for jitter in [0, 700] {
             let base = SimConfig::builder().seed(11).jitter_ns(jitter);
-            let t = SimCluster::run(37, base.backend(Backend::Threads).build(), work);
-            let f = SimCluster::run(37, base.backend(Backend::Fiber).build(), work);
+            let t = SimCluster::run_inner(37, base.build(), false, None, None, work);
+            let f = SimCluster::run_inner(37, base.build(), true, None, None, work);
             assert_eq!(t.results, f.results);
             assert_eq!(t.finish_ns, f.finish_ns);
             assert_eq!(t.stats, f.stats);
@@ -1366,15 +1345,11 @@ mod tests {
                 burn(n - 1) + pad[0]
             }
         }
-        let out = SimCluster::run(
-            4,
-            SimConfig::builder().backend(Backend::Fiber).build(),
-            |ctx| {
-                let x = burn(500);
-                ctx.barrier();
-                x
-            },
-        );
+        let out = SimCluster::run(4, SimConfig::default(), |ctx| {
+            let x = burn(500);
+            ctx.barrier();
+            x
+        });
         assert!(out.results.iter().all(|&x| x == burn(500)));
     }
 
@@ -1420,12 +1395,12 @@ mod tests {
 
     #[test]
     fn rank_panic_propagates_original_message() {
-        for backend in [Backend::Threads, Backend::Fiber] {
-            if backend == Backend::Fiber && !fiber::supported() {
+        for fibers in [false, true] {
+            if fibers && !fiber::supported() {
                 continue;
             }
             let result = catch_unwind(AssertUnwindSafe(|| {
-                SimCluster::run(8, SimConfig::builder().backend(backend).build(), |ctx| {
+                SimCluster::run_inner(8, SimConfig::default(), fibers, None, None, |ctx| {
                     if ctx.rank() == 3 {
                         panic!("sim rank 3 exploded");
                     }

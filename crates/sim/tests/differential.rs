@@ -84,7 +84,8 @@ proptest! {
 
     /// A full one-pass parallel balance of the fractal forest produces
     /// the same mesh (checksummed) and the same per-rank communication
-    /// counters on both runtimes, for every variant and scheme.
+    /// counters on both runtimes, for every variant and scheme — and the
+    /// same mesh as the ripple baseline.
     fn balance_differential(
         p in 1usize..5,
         level in 1u8..3,
@@ -114,6 +115,17 @@ proptest! {
 
         prop_assert_eq!(&threaded.results, &sim.results);
         prop_assert_eq!(&threaded.stats, &sim.stats);
+
+        // The ripple baseline reaches the same mesh through its own
+        // multi-round exchange, under reordered deliveries too.
+        let jitter = SimConfig::builder().seed(which as u64).jitter_ns(2_500);
+        let ripple = SimCluster::run(p, jitter.build(), move |ctx| {
+            let mut f = fractal_forest(ctx, level, spread);
+            let before = f.num_global(ctx);
+            f.balance_ripple(ctx, Condition::full(3));
+            (before, f.checksum(ctx))
+        });
+        prop_assert_eq!(&threaded.results, &ripple.results);
     }
 }
 

@@ -101,7 +101,7 @@ pub mod prelude {
     pub use forestbal_octant::{Octant, MAX_LEVEL, ROOT_LEN};
     pub use forestbal_service::{ForestService, Request, Response, ServiceConfig};
     pub use forestbal_sim::{
-        Backend, FatTree, FatTreeParams, FlatAlphaBeta, Hierarchical, HierarchicalParams, NetStats,
+        FatTree, FatTreeParams, FlatAlphaBeta, Hierarchical, HierarchicalParams, NetStats,
         NetworkModel, NetworkSpec, SimCluster, SimConfig, SimConfigBuilder,
     };
 }
