@@ -24,7 +24,8 @@
 //! - rank coroutines are hosted by userspace fibers on x86_64 Linux,
 //!   which make paper-scale virtual runs at P = 112,128 ranks feasible
 //!   in one process, and by one OS thread per rank on every other
-//!   platform — chosen by the platform, with bit-identical results.
+//!   platform — chosen by the platform, with bit-identical results; the
+//!   two hosts share one rank body, one mailbox and one shutdown path.
 //!
 //! Because the paper's algorithms are written against the `Comm` trait,
 //! they run unmodified here at P = 4096–65536 on one machine — which is
@@ -53,7 +54,9 @@
 #![warn(missing_docs)]
 
 mod config;
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod fiber;
+mod host;
 pub mod net;
 mod runtime;
 pub mod strategy;

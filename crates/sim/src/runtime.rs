@@ -9,19 +9,12 @@
 //! (with its outbox of sends) and parks. There is no parallelism, no
 //! shared mutable state between ranks, and therefore no nondeterminism.
 //!
-//! Two interchangeable hosts run the coroutines, chosen by the platform
-//! ([`fiber::supported`]), not by the caller:
-//!
-//! - **Fibers** (x86_64 Linux) — userspace stackful coroutines sharing
-//!   one OS thread and one lazily-faulted stack slab (see
-//!   [`crate::fiber`]), which is what makes P = 112,128 virtual ranks
-//!   fit in one process.
-//! - **Threads** (everywhere else) — one parked OS thread per rank,
-//!   baton-passed through channels. Portable, but kernel task/map limits
-//!   cap P at a few thousand.
-//!
-//! The host affects wall-clock cost only; virtual times, delivery orders,
-//! stats and results are bit-identical (pinned by a differential test).
+//! Control moves through a [`Host`] — fibers on x86_64 Linux, one OS
+//! thread per rank elsewhere, chosen by the platform (see [`crate::host`]).
+//! Data moves through one [`Mailbox`] per rank, the same for both hosts:
+//! the scheduler writes a resume and switches in, the rank writes its
+//! yield and switches out. One rank body, one shutdown path and one
+//! results vector serve both hosts.
 //!
 //! # How time advances
 //!
@@ -43,15 +36,15 @@
 //!   β·total_bytes` under the flat model).
 
 use crate::config::SimConfig;
-use crate::fiber;
+use crate::host::{self, Host};
 use crate::net::{NetStats, NetworkModel};
 use crate::strategy::{hash_bytes, Candidate, Delivered, DeliveryStrategy, MsgMeta, Op};
 use forestbal_comm::{install_quiet_panic_hook, Comm, CommStats, ShutdownSignal};
+use forestbal_trace::{swap_active, SavedTrace};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// A send buffered in the rank's outbox, flushed at the next yield.
@@ -80,9 +73,7 @@ enum RankYield {
         stats: Box<CommStats>,
     },
     Panicked(Box<dyn Any + Send>),
-    /// Fiber backend only: the rank unwound in response to `Shutdown`.
-    /// (A shut-down thread just exits; a fiber must report back so the
-    /// scheduler knows its stack is dead.)
+    /// The rank unwound in response to `Shutdown`.
     ShutdownDone,
 }
 
@@ -177,60 +168,30 @@ enum EventQueue {
     Pool(Vec<Event>),
 }
 
-/// Mailboxes of one fiber-backed rank. Replaces the two mpsc channels of
-/// the thread backend with two refcells: the scheduler and the fiber are
-/// never runnable at once, so a slot each way is enough (and ~200 bytes
-/// per rank cheaper, which matters ×112k).
+/// One rank's side of the handoff. The scheduler and the rank never run
+/// at once (the [`Host`] contract), so a single-slot cell each way is
+/// enough — a few words per rank, which matters ×112k.
 #[derive(Default)]
-struct FiberBox {
-    resume: RefCell<Option<Resume>>,
-    yielded: RefCell<Option<RankYield>>,
-    /// The rank's parked tracer state while it is switched out (the trace
-    /// recorder is thread-local and all fibers share one thread).
-    trace: RefCell<forestbal_trace::SavedTrace>,
-}
-
-/// How the scheduler reaches the rank coroutines.
-enum RankIo<'s> {
-    Threads {
-        resume_txs: Vec<Sender<Resume>>,
-        yield_rx: Receiver<(usize, RankYield)>,
-    },
-    Fibers {
-        pool: &'s fiber::FiberPool,
-        boxes: &'s [FiberBox],
-    },
-}
-
-/// Hand `resume` to fiber `r`, run it until it parks again, and return
-/// its yield. Swaps the thread-local tracer state both ways so per-rank
-/// `Tracer`s behave as if each rank had its own thread.
-fn fiber_roundtrip(
-    pool: &fiber::FiberPool,
-    boxes: &[FiberBox],
-    r: usize,
-    resume: Resume,
-) -> RankYield {
-    *boxes[r].resume.borrow_mut() = Some(resume);
-    let sched_trace = forestbal_trace::swap_active(boxes[r].trace.take());
-    pool.switch_into(r);
-    *boxes[r].trace.borrow_mut() = forestbal_trace::swap_active(sched_trace);
-    boxes[r]
-        .yielded
-        .borrow_mut()
-        .take()
-        .expect("fiber must yield before returning control")
+struct Mailbox {
+    resume: Cell<Option<Resume>>,
+    yielded: Cell<Option<RankYield>>,
+    /// The rank's tracer state while it is switched out: the recorder is
+    /// thread-local, and fibers share the scheduler's thread. (On the
+    /// thread host the rank records on its own thread and this stays
+    /// empty.)
+    trace: Cell<SavedTrace>,
 }
 
 // Two lifetimes on purpose: `'io` is the (function-local) borrow of the
-// fiber pool and mailboxes, `'x` the caller-supplied trait objects'.
-// Folding them into one would — via `&mut` invariance — force the pool
-// borrow to outlive the function and block dropping the pool.
+// host and mailboxes, `'x` the caller-supplied trait objects'. Folding
+// them into one would — via `&mut` invariance — force the host borrow to
+// outlive the function and block dropping the host.
 struct Scheduler<'io, 'x> {
     cfg: SimConfig,
     size: usize,
     ranks: Vec<RankState>,
-    io: RankIo<'io>,
+    host: &'io dyn Host,
+    mailboxes: &'io [Mailbox],
     /// Prices every message and collective; see [`crate::net`].
     net: &'io mut (dyn NetworkModel + 'x),
     queue: EventQueue,
@@ -480,26 +441,32 @@ impl<'io, 'x> Scheduler<'io, 'x> {
         }
     }
 
+    /// Hand `resume` to rank `r`, run it until it yields, and return the
+    /// yield (`Err` if the host could not start the rank). Swaps the
+    /// thread-local tracer state both ways, so per-rank `Tracer`s on
+    /// fibers behave as if each rank had its own thread.
+    fn roundtrip(&self, r: usize, resume: Resume) -> Result<RankYield, String> {
+        let mbox = &self.mailboxes[r];
+        mbox.resume.set(Some(resume));
+        let sched_trace = swap_active(mbox.trace.take());
+        let switched = self.host.switch_into(r);
+        mbox.trace.set(swap_active(sched_trace));
+        switched?;
+        Ok(mbox
+            .yielded
+            .take()
+            .expect("a rank yields before returning control"))
+    }
+
     /// Resume rank `r` and keep it running until it parks, finishes, or
     /// panics. Instant recv hits (matched from pending) loop without
     /// advancing time.
-    fn run_rank(&mut self, r: usize, resume: Resume) {
-        let mut resume = resume;
+    fn run_rank(&mut self, r: usize, mut resume: Resume) {
         loop {
             self.ranks[r].parked = Parked::No;
-            let y = match &self.io {
-                RankIo::Threads {
-                    resume_txs,
-                    yield_rx,
-                } => {
-                    resume_txs[r]
-                        .send(resume)
-                        .expect("parked rank thread is alive");
-                    let (yr, y) = yield_rx.recv().expect("the running rank always yields");
-                    debug_assert_eq!(yr, r, "only the resumed rank can yield");
-                    y
-                }
-                RankIo::Fibers { pool, boxes } => fiber_roundtrip(pool, boxes, r, resume),
+            let y = match self.roundtrip(r, resume) {
+                Ok(y) => y,
+                Err(msg) => return self.fail(msg),
             };
             match y {
                 RankYield::Block { kind, outbox } => {
@@ -548,31 +515,23 @@ impl<'io, 'x> Scheduler<'io, 'x> {
         }
     }
 
-    /// Unwind every still-parked rank (they panic with [`ShutdownSignal`]
-    /// and exit silently). Threads just exit; started fibers are switched
-    /// in once more so their stacks unwind and run destructors.
+    /// Unwind every still-parked rank: each is switched in once more with
+    /// `Shutdown`, panics with [`ShutdownSignal`] and reports back, so its
+    /// stack unwinds and runs destructors. Never-started ranks have
+    /// nothing to unwind; their bodies drop with the host.
     fn shutdown_survivors(&mut self) {
-        for r in 0..self.ranks.len() {
+        for r in 0..self.size {
             if !self.ranks[r].alive {
                 continue;
             }
             self.ranks[r].alive = false;
             self.live -= 1;
-            match &self.io {
-                RankIo::Threads { resume_txs, .. } => {
-                    let _ = resume_txs[r].send(Resume::Shutdown);
-                }
-                RankIo::Fibers { pool, boxes } => {
-                    if pool.is_started(r) && !pool.is_finished(r) {
-                        let y = fiber_roundtrip(pool, boxes, r, Resume::Shutdown);
-                        debug_assert!(
-                            matches!(y, RankYield::ShutdownDone),
-                            "shut-down fiber yielded something else"
-                        );
-                    }
-                    // Never-started fibers have nothing on their stacks;
-                    // their un-run bodies drop with the pool.
-                }
+            if self.host.is_parked(r) {
+                let y = self.roundtrip(r, Resume::Shutdown);
+                debug_assert!(
+                    matches!(y, Ok(RankYield::ShutdownDone)),
+                    "a shut-down rank yielded something else"
+                );
             }
         }
     }
@@ -683,29 +642,17 @@ impl<'io, 'x> Scheduler<'io, 'x> {
     }
 }
 
-/// How a [`SimCtx`] reaches the scheduler — the rank-side mirror of
-/// [`RankIo`].
-enum CtxIo {
-    Thread {
-        yield_tx: Sender<(usize, RankYield)>,
-        resume_rx: Receiver<Resume>,
-    },
-    /// Raw pointers because the fiber body cannot name the lifetimes of
-    /// the pool/mailboxes it runs under; both live on the `run_inner`
-    /// frame that hosts every fiber, so they strictly outlive it.
-    Fiber {
-        pool: *const fiber::FiberPool,
-        bx: *const FiberBox,
-    },
-}
-
 /// Handle through which a simulated rank communicates. Rank code is
 /// generic over [`Comm`] and cannot tell this apart from the threaded
 /// `RankCtx` — except that [`Comm::now_ns`] reports virtual time.
 pub struct SimCtx {
     rank: usize,
     size: usize,
-    io: CtxIo,
+    /// Raw because rank bodies have their lifetimes erased (see
+    /// `SimCluster::run_inner`); both point into the `run_inner` frame,
+    /// which outlives every rank body.
+    host: *const dyn Host,
+    mbox: *const Mailbox,
     outbox: RefCell<Vec<OutMsg>>,
     stats: RefCell<CommStats>,
     now: Cell<u64>,
@@ -713,31 +660,18 @@ pub struct SimCtx {
 
 impl SimCtx {
     /// Park until the scheduler hands back a resume, yielding the outbox.
+    /// An empty mailbox on wake-up (a host dropped mid-run) unwinds like
+    /// `Shutdown`.
     fn block(&self, kind: BlockKind) -> Resume {
+        // Safety: see the field docs; this rank holds control, so the
+        // scheduler is not touching the mailbox.
+        let (host, mbox) = unsafe { (&*self.host, &*self.mbox) };
         let outbox = self.outbox.take();
-        let y = RankYield::Block { kind, outbox };
-        match &self.io {
-            CtxIo::Thread {
-                yield_tx,
-                resume_rx,
-            } => {
-                if yield_tx.send((self.rank, y)).is_err() {
-                    panic_any(ShutdownSignal);
-                }
-                match resume_rx.recv() {
-                    Ok(Resume::Shutdown) | Err(_) => panic_any(ShutdownSignal),
-                    Ok(r) => r,
-                }
-            }
-            CtxIo::Fiber { pool, bx } => {
-                let bx = unsafe { &**bx };
-                *bx.yielded.borrow_mut() = Some(y);
-                unsafe { (**pool).yield_out(self.rank) };
-                match bx.resume.borrow_mut().take() {
-                    Some(Resume::Shutdown) | None => panic_any(ShutdownSignal),
-                    Some(r) => r,
-                }
-            }
+        mbox.yielded.set(Some(RankYield::Block { kind, outbox }));
+        host.yield_out(self.rank);
+        match mbox.resume.take() {
+            Some(Resume::Shutdown) | None => panic_any(ShutdownSignal),
+            Some(r) => r,
         }
     }
 }
@@ -818,40 +752,6 @@ impl<T> SimRunOutput<T> {
     }
 }
 
-/// Preflight for large `size` on the thread backend: every simulated rank
-/// parks on one OS thread, and each thread costs ~4 kernel memory maps
-/// (stack, guard page, alternate signal stack). Exhausting
-/// `vm.max_map_count` mid-spawn aborts the whole process from inside the
-/// std runtime — uncatchable — so predict the shortfall and panic cleanly
-/// instead. (The fiber backend needs one map total and skips this.)
-#[cfg(target_os = "linux")]
-fn map_count_shortfall(size: usize) -> Option<String> {
-    const MAPS_PER_THREAD: u64 = 4;
-    const SLACK: u64 = 256;
-    let max: u64 = std::fs::read_to_string("/proc/sys/vm/max_map_count")
-        .ok()?
-        .trim()
-        .parse()
-        .ok()?;
-    let used = std::fs::read_to_string("/proc/self/maps")
-        .ok()?
-        .lines()
-        .count() as u64;
-    let needed = used + MAPS_PER_THREAD * size as u64 + SLACK;
-    (needed > max).then(|| {
-        format!(
-            "{size} simulated ranks need ~{needed} kernel memory maps but \
-             vm.max_map_count is {max} (this platform hosts every rank on an \
-             OS thread); raise the sysctl or lower P"
-        )
-    })
-}
-
-#[cfg(not(target_os = "linux"))]
-fn map_count_shortfall(_size: usize) -> Option<String> {
-    None
-}
-
 /// The deterministic discrete-event cluster runtime.
 pub struct SimCluster;
 
@@ -871,7 +771,7 @@ impl SimCluster {
         T: Send,
         F: Fn(&SimCtx) -> T + Send + Sync,
     {
-        Self::run_inner(size, config, fiber::supported(), None, None, f)
+        Self::run_inner(size, config, host::FIBERS, None, None, f)
     }
 
     /// Like [`SimCluster::run`], but event delivery order is picked by
@@ -888,7 +788,7 @@ impl SimCluster {
         T: Send,
         F: Fn(&SimCtx) -> T + Send + Sync,
     {
-        Self::run_inner(size, config, fiber::supported(), Some(strategy), None, f)
+        Self::run_inner(size, config, host::FIBERS, Some(strategy), None, f)
     }
 
     /// Like [`SimCluster::run`], but every message and collective is
@@ -908,13 +808,13 @@ impl SimCluster {
         T: Send,
         F: Fn(&SimCtx) -> T + Send + Sync,
     {
-        Self::run_inner(size, config, fiber::supported(), None, Some(model), f)
+        Self::run_inner(size, config, host::FIBERS, None, Some(model), f)
     }
 
     /// The one entry behind every `run*`: `fibers` picks the host of the
     /// rank coroutines (fibers, else one OS thread per rank). Public
-    /// callers pass [`fiber::supported`]; only the differential tests of
-    /// this module pass anything else.
+    /// callers pass [`host::FIBERS`]; only the differential tests of this
+    /// module pass anything else.
     fn run_inner<'a, T, F>(
         size: usize,
         config: SimConfig,
@@ -928,11 +828,6 @@ impl SimCluster {
         F: Fn(&SimCtx) -> T + Send + Sync,
     {
         assert!(size >= 1, "a cluster needs at least one rank");
-        if !fibers {
-            if let Some(msg) = map_count_shortfall(size) {
-                panic!("{msg}");
-            }
-        }
         install_quiet_panic_hook();
 
         let mut owned_model;
@@ -944,83 +839,53 @@ impl SimCluster {
             }
         };
 
+        // Declaration order is load-bearing: rank bodies borrow `f`,
+        // `results` and `mailboxes`, and the scheduler borrows the host,
+        // so drops must run scheduler → host (which finishes or drops
+        // every body) → mailboxes → results → `f`, the reverse of this
+        // order.
         let f = &f;
-        // Fiber-backend state. Declaration order is load-bearing: the
-        // scheduler (declared last) borrows the pool and boxes, and the
-        // pool's un-run bodies borrow `fiber_results` and `f`, so drops
-        // must run scheduler → pool → results — which is exactly the
-        // reverse of this declaration order.
-        let fiber_results: RefCell<Vec<Option<T>>> = RefCell::new(Vec::new());
-        let fiber_boxes: Vec<FiberBox> = if fibers {
-            (0..size).map(|_| FiberBox::default()).collect()
-        } else {
-            Vec::new()
-        };
-        let fiber_pool = fibers.then(|| fiber::FiberPool::new(size, config.stack_size));
-
-        let mut thread_yield_tx = None;
-        let mut thread_resume_rxs = Vec::new();
-
-        let io = if let Some(pool) = fiber_pool.as_ref() {
-            fiber_results.borrow_mut().extend((0..size).map(|_| None));
-            let pool_ptr: *const fiber::FiberPool = pool;
-            for (rank, fiber_box) in fiber_boxes.iter().enumerate() {
-                let bx: *const FiberBox = fiber_box;
-                let results = &fiber_results;
-                let body = move || {
-                    let bx_ref = unsafe { &*bx };
-                    match bx_ref.resume.borrow_mut().take() {
-                        Some(Resume::Start) => {}
-                        // Shut down before starting: nothing ran,
-                        // nothing to report.
-                        _ => return,
-                    }
-                    let ctx = SimCtx {
-                        rank,
-                        size,
-                        io: CtxIo::Fiber { pool: pool_ptr, bx },
-                        outbox: RefCell::new(Vec::new()),
-                        stats: RefCell::new(CommStats::default()),
-                        now: Cell::new(0),
-                    };
-                    let y = match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-                        Ok(v) => {
-                            results.borrow_mut()[rank] = Some(v);
-                            RankYield::Finished {
-                                outbox: ctx.outbox.take(),
-                                stats: Box::new(ctx.stats()),
-                            }
-                        }
-                        Err(p) => {
-                            if p.downcast_ref::<ShutdownSignal>().is_some() {
-                                RankYield::ShutdownDone
-                            } else {
-                                RankYield::Panicked(p)
-                            }
-                        }
-                    };
-                    *bx_ref.yielded.borrow_mut() = Some(y);
+        let results: RefCell<Vec<Option<T>>> = RefCell::new((0..size).map(|_| None).collect());
+        let mailboxes: Vec<Mailbox> = (0..size).map(|_| Mailbox::default()).collect();
+        let host = host::new_host(fibers, size, config.stack_size);
+        let host_ptr: *const dyn Host = &*host;
+        for (rank, mbox) in mailboxes.iter().enumerate() {
+            let results = &results;
+            let body = move || {
+                let start = mbox.resume.take();
+                debug_assert!(
+                    matches!(start, Some(Resume::Start)),
+                    "first resume is Start"
+                );
+                let ctx = SimCtx {
+                    rank,
+                    size,
+                    host: host_ptr,
+                    mbox,
+                    outbox: RefCell::new(Vec::new()),
+                    stats: RefCell::new(CommStats::default()),
+                    now: Cell::new(0),
                 };
-                // Safety: the pool is dropped (consuming or dropping
-                // every body) before `f`, `fiber_results` and the
-                // boxes go away — see the declaration-order note.
-                unsafe { pool.spawn_unchecked(rank, Box::new(body)) };
-            }
-            RankIo::Fibers {
-                pool,
-                boxes: &fiber_boxes,
-            }
-        } else {
-            let (yield_tx, yield_rx) = channel::<(usize, RankYield)>();
-            let (resume_txs, resume_rxs): (Vec<_>, Vec<_>) =
-                (0..size).map(|_| channel::<Resume>()).unzip();
-            thread_yield_tx = Some(yield_tx);
-            thread_resume_rxs = resume_rxs;
-            RankIo::Threads {
-                resume_txs,
-                yield_rx,
-            }
-        };
+                let y = match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+                    Ok(v) => {
+                        results.borrow_mut()[rank] = Some(v);
+                        RankYield::Finished {
+                            outbox: ctx.outbox.take(),
+                            stats: Box::new(ctx.stats()),
+                        }
+                    }
+                    Err(p) if p.is::<ShutdownSignal>() => RankYield::ShutdownDone,
+                    Err(p) => RankYield::Panicked(p),
+                };
+                mbox.yielded.set(Some(y));
+            };
+            let body: Box<dyn FnOnce() + '_> = Box::new(body);
+            // Safety: the body borrows only `f`, `results` and
+            // `mailboxes`, all declared before the host, which runs or
+            // drops every body by the time it is dropped itself.
+            let body: Box<dyn FnOnce()> = unsafe { std::mem::transmute(body) };
+            host.spawn(rank, body);
+        }
 
         let mut sched = Scheduler {
             cfg: config,
@@ -1035,7 +900,8 @@ impl SimCluster {
                     finish_ns: 0,
                 })
                 .collect(),
-            io,
+            host: &*host,
+            mailboxes: &mailboxes,
             net,
             queue: if strategy.is_some() {
                 EventQueue::Pool(Vec::new())
@@ -1061,88 +927,7 @@ impl SimCluster {
             sched.push(0, r, EventKind::Start);
         }
 
-        let mut thread_results: Vec<Option<T>> = Vec::new();
-        if fibers {
-            sched.run();
-        } else {
-            let yield_tx = thread_yield_tx.take().expect("thread host has a sender");
-            std::thread::scope(|scope| {
-                // Spawn failures (e.g. hitting the OS thread limit at
-                // large P) must not leave already-parked ranks blocked
-                // in `recv` — shut the cluster down and report, instead
-                // of deadlocking the join.
-                let mut spawn_error = None;
-                let mut handles = Vec::with_capacity(size);
-                for (rank, resume_rx) in thread_resume_rxs.drain(..).enumerate() {
-                    let yield_tx = yield_tx.clone();
-                    let spawned = std::thread::Builder::new()
-                        .name(format!("simrank-{rank}"))
-                        .stack_size(config.stack_size)
-                        .spawn_scoped(scope, move || -> Option<T> {
-                            let ctx = SimCtx {
-                                rank,
-                                size,
-                                io: CtxIo::Thread {
-                                    yield_tx,
-                                    resume_rx,
-                                },
-                                outbox: RefCell::new(Vec::new()),
-                                stats: RefCell::new(CommStats::default()),
-                                now: Cell::new(0),
-                            };
-                            let (yield_tx, resume_rx) = match &ctx.io {
-                                CtxIo::Thread {
-                                    yield_tx,
-                                    resume_rx,
-                                } => (yield_tx, resume_rx),
-                                _ => unreachable!(),
-                            };
-                            match resume_rx.recv() {
-                                Ok(Resume::Start) => {}
-                                _ => return None,
-                            }
-                            match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-                                Ok(v) => {
-                                    let _ = yield_tx.send((
-                                        rank,
-                                        RankYield::Finished {
-                                            outbox: ctx.outbox.take(),
-                                            stats: Box::new(ctx.stats()),
-                                        },
-                                    ));
-                                    Some(v)
-                                }
-                                Err(payload) => {
-                                    if payload.downcast_ref::<ShutdownSignal>().is_none() {
-                                        let _ = yield_tx.send((rank, RankYield::Panicked(payload)));
-                                    }
-                                    None
-                                }
-                            }
-                        });
-                    match spawned {
-                        Ok(h) => handles.push(h),
-                        Err(e) => {
-                            spawn_error = Some((rank, e));
-                            break;
-                        }
-                    }
-                }
-                drop(yield_tx);
-                match spawn_error {
-                    None => sched.run(),
-                    Some((rank, e)) => sched.fail(format!(
-                        "failed to spawn simulated rank {rank} of {size}: {e}; each \
-                             simulated rank needs one OS thread on this platform, so \
-                             raise the process limit (`ulimit -u`) or lower P"
-                    )),
-                }
-                thread_results = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("rank thread cannot panic past its catch"))
-                    .collect();
-            });
-        }
+        sched.run();
 
         let net_stats = sched.net.net_stats();
         if let Some(payload) = sched.panic_payload.take() {
@@ -1154,13 +939,9 @@ impl SimCluster {
         let stats = sched.ranks.iter().map(|st| st.stats).collect();
         let finish_ns = sched.ranks.iter().map(|st| st.finish_ns).collect();
         drop(sched);
-        drop(fiber_pool);
-        let raw = if fibers {
-            fiber_results.into_inner()
-        } else {
-            thread_results
-        };
-        let results = raw
+        drop(host);
+        let results = results
+            .into_inner()
             .into_iter()
             .map(|r| r.expect("rank produced no result yet did not panic"))
             .collect();
@@ -1176,8 +957,10 @@ impl SimCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::FIBERS;
     use crate::net::{FatTreeParams, HierarchicalParams, NetworkSpec};
     use crate::strategy::Choice;
+    use forestbal_trace::{counter_add, span, Tracer};
 
     fn cfg() -> SimConfig {
         SimConfig::default()
@@ -1303,20 +1086,30 @@ mod tests {
         assert_eq!(a.net, b.net);
     }
 
-    /// The two backends must be observationally identical: same results,
-    /// same virtual times, same stats, for p2p, collectives and jitter.
+    /// The two hosts must be observationally identical: same results,
+    /// same virtual times, same stats, same per-rank traces, for p2p,
+    /// collectives and jitter. Every span straddles blocking calls, so
+    /// on fibers the tracer handoff at each switch is exercised.
     #[test]
     fn fiber_and_thread_backends_agree() {
-        if !fiber::supported() {
+        if !FIBERS {
             return;
         }
         let work = |ctx: &SimCtx| {
-            let next = (ctx.rank() + 1) % ctx.size();
-            ctx.send(next, 1, vec![ctx.rank() as u8; 1 + ctx.rank() % 7]);
-            let (src, d) = ctx.recv(None, 1);
-            let total = ctx.allreduce_sum(d.len() as u64);
-            ctx.barrier();
-            (src, total, ctx.now_ns())
+            let tracer = Tracer::begin(ctx.rank());
+            let now = || ctx.now_ns();
+            let (src, total) = span("exchange", now, || {
+                let next = (ctx.rank() + 1) % ctx.size();
+                ctx.send(next, 1, vec![ctx.rank() as u8; 1 + ctx.rank() % 7]);
+                let (src, d) = ctx.recv(None, 1);
+                counter_add("bytes_in", d.len() as u64);
+                (
+                    src,
+                    span("reduce", now, || ctx.allreduce_sum(d.len() as u64)),
+                )
+            });
+            span("barrier", now, || ctx.barrier());
+            (src, total, ctx.now_ns(), tracer.finish())
         };
         for jitter in [0, 700] {
             let base = SimConfig::builder().seed(11).jitter_ns(jitter);
@@ -1326,12 +1119,18 @@ mod tests {
             assert_eq!(t.finish_ns, f.finish_ns);
             assert_eq!(t.stats, f.stats);
             assert_eq!(t.net, f.net);
+            for (rank, (_, _, _, tr)) in f.results.iter().enumerate() {
+                assert_eq!(tr.rank, rank);
+                let st = tr.structure();
+                assert_eq!(st.spans, [(0, "exchange"), (1, "reduce"), (0, "barrier")]);
+                assert_eq!(st, t.results[rank].3.structure());
+            }
         }
     }
 
     #[test]
     fn fiber_backend_handles_deep_recursion_within_stack() {
-        if !fiber::supported() {
+        if !FIBERS {
             return;
         }
         // Consume a good chunk of fiber stack to prove real frames live
@@ -1375,30 +1174,34 @@ mod tests {
         assert_eq!(out.results[1], vec![1, 2]);
     }
 
+    /// The failure message of a run on the given host.
+    fn failure(fibers: bool, size: usize, work: impl Fn(&SimCtx) + Send + Sync) -> String {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            SimCluster::run_inner(size, cfg(), fibers, None, None, work);
+        }));
+        let payload = result.expect_err("run must fail");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
     #[test]
     fn deadlock_is_reported_not_hung() {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            SimCluster::run(2, cfg(), |ctx| {
+        for fibers in [false, FIBERS] {
+            let msg = failure(fibers, 2, |ctx| {
                 if ctx.rank() == 0 {
                     ctx.recv(Some(1), 5); // never sent
                 }
             });
-        }));
-        let payload = result.expect_err("deadlock must panic");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("simulated deadlock"), "got: {msg}");
-        assert!(msg.contains("rank 0"), "got: {msg}");
+            assert!(msg.contains("simulated deadlock"), "got: {msg}");
+            assert!(msg.contains("rank 0"), "got: {msg}");
+        }
     }
 
     #[test]
     fn rank_panic_propagates_original_message() {
-        for fibers in [false, true] {
-            if fibers && !fiber::supported() {
-                continue;
-            }
+        for fibers in [false, FIBERS] {
             let result = catch_unwind(AssertUnwindSafe(|| {
                 SimCluster::run_inner(8, SimConfig::default(), fibers, None, None, |ctx| {
                     if ctx.rank() == 3 {
@@ -1444,6 +1247,30 @@ mod tests {
             }
         }
         fn delivered(&mut self, _: &Delivered) {}
+    }
+
+    /// A scheduler that unwinds mid-run (here: its strategy panics while
+    /// every rank is parked in `recv`) must not hang dropping the host.
+    #[test]
+    fn scheduler_panic_does_not_hang_parked_ranks() {
+        struct GiveUp;
+        impl DeliveryStrategy for GiveUp {
+            fn choose(&mut self, _: &[Candidate]) -> Choice {
+                panic!("strategy gave up");
+            }
+            fn delivered(&mut self, _: &Delivered) {}
+        }
+        for fibers in [false, FIBERS] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let mut strat = GiveUp;
+                SimCluster::run_inner(4, cfg(), fibers, Some(&mut strat), None, |ctx| {
+                    ctx.send((ctx.rank() + 1) % ctx.size(), 1, vec![0]);
+                    ctx.recv(None, 1);
+                });
+            }));
+            let payload = result.expect_err("the strategy's panic must propagate");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"strategy gave up"));
+        }
     }
 
     #[test]
@@ -1550,25 +1377,20 @@ mod tests {
 
     #[test]
     fn orphan_message_violates_quiescence() {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            SimCluster::run(2, cfg(), |ctx| {
+        for fibers in [false, FIBERS] {
+            let msg = failure(fibers, 2, |ctx| {
                 if ctx.rank() == 0 {
                     ctx.send(1, 5, vec![9; 3]); // never received
                 }
                 ctx.barrier();
                 ctx.barrier();
             });
-        }));
-        let payload = result.expect_err("orphan message must panic");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("quiescence violated"), "got: {msg}");
-        assert!(
-            msg.contains("(src=0, dst=1, tag=0x5, 3 bytes)"),
-            "got: {msg}"
-        );
+            assert!(msg.contains("quiescence violated"), "got: {msg}");
+            assert!(
+                msg.contains("(src=0, dst=1, tag=0x5, 3 bytes)"),
+                "got: {msg}"
+            );
+        }
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //!    every body; without it all entry points are empty `#[inline]`
 //!    functions. With the feature on but no [`Tracer`] installed, each
 //!    call is one thread-local lookup and a branch.
-//! 3. **No API plumbing** — both runtimes run each rank on its own OS
-//!    thread (the simulator's ranks are baton-passing coroutine threads),
-//!    so a thread-local recorder *is* per-rank state and the algorithms in
-//!    `forest`/`comm` need no extra parameters.
+//! 3. **No API plumbing** — a thread-local recorder *is* per-rank state,
+//!    so the algorithms in `forest`/`comm` need no extra parameters. The
+//!    threaded `Cluster` runs each rank on its own OS thread; the
+//!    simulator's fiber host (x86_64 Linux) runs every rank on one thread
+//!    and swaps the recorder at each switch (`swap_active`).
 //!
 //! A rank opts in by constructing a [`Tracer`] at the top of its closure
 //! and calling [`Tracer::finish`] at the end to harvest its [`RankTrace`].

@@ -387,13 +387,15 @@ pub fn counter_add(name: &'static str, v: u64) {
 /// when many ranks share one OS thread.
 ///
 /// The recorder state is thread-local, which identifies "thread" with
-/// "rank" on both the threaded cluster and the thread-per-rank simulator
-/// backend. The simulator's fiber backend breaks that identification:
-/// every rank runs on the scheduler's thread. At each fiber switch the
-/// scheduler calls [`swap_active`] to park the outgoing rank's recording
-/// in a `SavedTrace` and install the incoming rank's, so `Tracer::begin`
-/// / `finish` and all the free functions behave exactly as if each rank
-/// had its own thread.
+/// "rank" on the threaded cluster and on the simulator's thread host
+/// (every platform but x86_64 Linux). The simulator's fiber host, which
+/// x86_64 Linux runs, breaks that identification: every rank runs on the
+/// scheduler's thread. At each switch into a rank the scheduler calls
+/// [`swap_active`] to park its own recording in a `SavedTrace` and
+/// install the rank's, and swaps back when the rank yields, so
+/// `Tracer::begin` / `finish` and all the free functions behave exactly
+/// as if each rank had its own thread. (The scheduler swaps on both
+/// hosts; on the thread host the rank's slot simply stays empty.)
 ///
 /// Opaque and `Default` (an empty slot); zero-sized when the `record`
 /// feature is off.
