@@ -222,12 +222,13 @@ fn tables(rows: &[BenchRecord]) -> Vec<Table> {
         ],
     );
     t.push(
-        "New-kernel subtree balance end to end: fresh vs reused scratch (µs)",
+        "New-kernel subtree balance end to end: fresh vs reused scratch, struct wrapper vs keys (µs)",
         "kernel",
         &[
             Col::new("input", "input_len", plain),
             Col::new("fresh", "balance_fresh_s", US),
             Col::new("scratch", "balance_scratch_s", US),
+            Col::new("keys", "balance_keys_s", US),
         ],
     );
     // One `kernel_par` row fills two table rows, one per kernel.

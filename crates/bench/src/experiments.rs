@@ -16,14 +16,15 @@ use crate::report::BenchRecord;
 use forestbal_comm::{reverse_naive, reverse_notify, reverse_ranges, Cluster, Comm, CommStats};
 use forestbal_core::oracle::{is_balanced_tree, oracle_balanced_pair};
 use forestbal_core::{
-    balance_subtree_new_with_stats_scratch, balance_subtree_old_ext_scratch, find_seeds,
-    is_balanced_pair, reconstruct_from_seeds, BalanceScratch, BalanceStats, Condition,
+    balance_subtree_new_keys, balance_subtree_new_with_stats_scratch,
+    balance_subtree_old_ext_scratch, find_seeds, is_balanced_pair, reconstruct_from_seeds,
+    BalanceScratch, BalanceStats, Condition,
 };
 use forestbal_forest::{BalanceReport, BalanceTimings, BalanceVariant, Forest, ReversalScheme};
 use forestbal_mesh::{fractal_forest, ice_sheet_forest, IceSheetParams};
 use forestbal_octant::{
     complete_subtree, key, linearize, morton, pack_batch, sort_keys_with, sort_octants_with,
-    MortonIndex, Octant, OctantTable, PackedOctant, SortScratch,
+    unpack_batch, MortonIndex, Octant, OctantTable, PackedOctant, SortScratch,
 };
 use forestbal_service::{clustered_batch, ForestService, Request, RequestClass, ServiceConfig};
 use forestbal_sim::{
@@ -630,7 +631,9 @@ fn timed_min(reps: usize, mut f: impl FnMut()) -> f64 {
 /// (and its presorted early-out), build and query of the pre-sized
 /// open-addressing [`OctantTable`] (queries are half hits, half misses),
 /// Morton indices through the struct vs through the key, and the new
-/// kernel end to end with a fresh vs a reused [`BalanceScratch`]. Every
+/// kernel end to end with a fresh vs a reused [`BalanceScratch`] (both
+/// through the struct wrapper) and as the key kernel on the packed input
+/// (`balance_keys_s`). Every
 /// pair is checked equal in the same run, so a row is also a correctness
 /// witness.
 pub fn kernel_experiment(targets: &[usize]) -> Vec<BenchRecord> {
@@ -748,17 +751,33 @@ pub fn kernel_experiment(targets: &[usize]) -> Vec<BenchRecord> {
                     &mut BalanceScratch::new(),
                 );
             });
+            // The struct wrapper and the key kernel on the packed input
+            // itself (as the forest runs it, no pack or unpack around the
+            // call) share one scratch and alternate, so a slow phase of the
+            // host hits both columns alike.
             let mut scratch = BalanceScratch::<3>::new();
+            let root_key = PackedOctant::new(&root);
             let mut scratch_out = (Vec::new(), BalanceStats::default());
-            let balance_scratch_seconds = timed_min(bal_reps, || {
-                scratch_out = balance_subtree_new_with_stats_scratch(
-                    &root,
-                    black_box(&input),
-                    cond,
-                    &mut scratch,
-                );
-            });
+            let mut keys_out = (Vec::new(), BalanceStats::default());
+            let (mut balance_scratch_seconds, mut balance_keys_seconds) = (f64::MAX, f64::MAX);
+            for _ in 0..bal_reps {
+                balance_scratch_seconds = balance_scratch_seconds.min(timed(1, || {
+                    scratch_out = balance_subtree_new_with_stats_scratch(
+                        &root,
+                        black_box(&input),
+                        cond,
+                        &mut scratch,
+                    );
+                }));
+                balance_keys_seconds = balance_keys_seconds.min(timed(1, || {
+                    keys_out =
+                        balance_subtree_new_keys(root_key, black_box(&keys), cond, &mut scratch);
+                }));
+            }
             assert_eq!(scratch_out, fresh_out, "scratch path diverged");
+            let mut unpacked = Vec::new();
+            unpack_batch(&keys_out.0, &mut unpacked);
+            assert_eq!((unpacked, keys_out.1), scratch_out, "key kernel diverged");
 
             BenchRecord::new("kernel")
                 .u("threads", threads)
@@ -780,6 +799,7 @@ pub fn kernel_experiment(targets: &[usize]) -> Vec<BenchRecord> {
                 .f("index_packed_ns", index_packed_ns)
                 .f("balance_fresh_s", balance_fresh_seconds)
                 .f("balance_scratch_s", balance_scratch_seconds)
+                .f("balance_keys_s", balance_keys_seconds)
         })
         .collect()
 }

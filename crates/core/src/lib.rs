@@ -7,7 +7,9 @@
 //!   coarse neighborhoods `N(o)` and insulation layers `I(o)`.
 //! * §III — [`preclude`]: octant preclusion, `Reduce`, and completion of
 //!   reduced octrees; [`subtree`]: the *old* (Figure 6) and *new*
-//!   (Figure 7) subtree balance algorithms.
+//!   (Figure 7) subtree balance algorithms. All of §III runs on packed
+//!   Morton keys (`forestbal_octant::PackedOctant`); the struct-typed
+//!   entry points are pack/unpack wrappers.
 //! * §IV  — [`lambda`]: the closed-form λ(δ̄) balance-distance functions of
 //!   Table II (with `Carry3`), giving O(1) balance decisions between
 //!   arbitrary octants; [`seeds`]: seed-octant construction and
@@ -64,6 +66,6 @@ pub use preclude::{complete_reduced, precludes, reduce, remove_precluded};
 pub use scratch::{BalanceScratch, ScratchStats};
 pub use seeds::{find_seeds, reconstruct_from_seeds, reconstruct_from_seeds_scratch};
 pub use subtree::{
-    balance_subtree_new, balance_subtree_new_with_stats_scratch, balance_subtree_old,
-    balance_subtree_old_ext_scratch, BalanceStats,
+    balance_subtree_new, balance_subtree_new_keys, balance_subtree_new_with_stats_scratch,
+    balance_subtree_old, balance_subtree_old_ext_scratch, balance_subtree_old_keys, BalanceStats,
 };

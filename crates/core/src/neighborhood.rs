@@ -15,23 +15,28 @@
 //! forest (parallel balance).
 
 use crate::condition::Condition;
-use forestbal_octant::{codim, directions, OctBuf, Octant};
+use forestbal_octant::key::KEY_LEVEL_BITS;
+use forestbal_octant::{direction_digits, directions, OctBuf, Octant, PackedOctant};
 
-/// The coarse neighborhood `N(o)` under balance condition `cond`:
-/// same-size-as-`parent(o)` neighbors of `parent(o)` across boundary
-/// objects of codimension `<= k`, in direction-enumeration order.
+/// The coarse neighborhood `N(o)` under balance condition `cond`, on
+/// packed keys: same-size-as-`parent(o)` neighbors of `parent(o)` across
+/// boundary objects of codimension `<= k`, in direction-enumeration order.
+/// The parent's shifted axis fields are computed once; each member is
+/// then one OR per axis.
 ///
-/// Requires `o.level >= 1`; members may lie outside the root cube.
-pub fn coarse_neighborhood<const D: usize>(o: &Octant<D>, cond: Condition) -> OctBuf<D> {
-    debug_assert!(o.level >= 1, "the root has no coarse neighborhood");
+/// Requires `o.level() >= 1`; members may lie outside the root cube.
+pub fn coarse_neighborhood<const D: usize>(
+    o: PackedOctant<D>,
+    cond: Condition,
+) -> impl Iterator<Item = PackedOctant<D>> {
+    debug_assert!(o.level() >= 1, "the root has no coarse neighborhood");
     let p = o.parent();
-    let mut out = OctBuf::new();
-    for dir in directions::<D>() {
-        if cond.constrains(codim(&dir)) {
-            out.push(p.neighbor(&dir));
-        }
-    }
-    out
+    let fields = p.axis_fields();
+    let level = p.level() as u128;
+    direction_digits::<D>(cond.k()).map(move |dir| {
+        let idx = (0..D).fold(0, |idx, j| idx | fields[j][dir[j] as usize]);
+        PackedOctant(idx << KEY_LEVEL_BITS | level)
+    })
 }
 
 /// The insulation layer `I(o)`: the `3^D - 1` same-size neighbors of `o`
@@ -48,32 +53,37 @@ pub fn insulation_layer<const D: usize>(o: &Octant<D>) -> OctBuf<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use forestbal_octant::codim;
+
+    /// `N(o)` decoded, in enumeration order.
+    fn coarse_octants<const D: usize>(o: &Octant<D>, cond: Condition) -> Vec<Octant<D>> {
+        coarse_neighborhood(PackedOctant::new(o), cond)
+            .map(PackedOctant::octant)
+            .collect()
+    }
 
     #[test]
     fn coarse_neighborhood_sizes_2d() {
         // Figure 5a/5b: 1-balance has 4 members, 2-balance has 8.
         let o = Octant::<2>::root().child(0).child(3);
-        assert_eq!(coarse_neighborhood(&o, Condition::FACE).len(), 4);
-        assert_eq!(coarse_neighborhood(&o, Condition::full(2)).len(), 8);
+        assert_eq!(coarse_octants(&o, Condition::FACE).len(), 4);
+        assert_eq!(coarse_octants(&o, Condition::full(2)).len(), 8);
     }
 
     #[test]
     fn coarse_neighborhood_sizes_3d() {
         // Figure 5c-e: 6 / 18 / 26 members for k = 1, 2, 3.
         let o = Octant::<3>::root().child(0).child(7);
-        assert_eq!(coarse_neighborhood(&o, Condition::FACE).len(), 6);
-        assert_eq!(
-            coarse_neighborhood(&o, Condition::new(2, 3).unwrap()).len(),
-            18
-        );
-        assert_eq!(coarse_neighborhood(&o, Condition::full(3)).len(), 26);
+        assert_eq!(coarse_octants(&o, Condition::FACE).len(), 6);
+        assert_eq!(coarse_octants(&o, Condition::new(2, 3).unwrap()).len(), 18);
+        assert_eq!(coarse_octants(&o, Condition::full(3)).len(), 26);
     }
 
     #[test]
     fn coarse_neighborhood_geometry() {
         let o = Octant::<2>::root().child(0).child(0);
         let p = o.parent();
-        for n in &coarse_neighborhood(&o, Condition::full(2)) {
+        for n in &coarse_octants(&o, Condition::full(2)) {
             assert_eq!(n.level, p.level, "members are parent-sized");
             assert_ne!(*n, p);
             // Each member touches the parent (coordinates differ by
@@ -86,9 +96,29 @@ mod tests {
         // Same neighborhood for every member of the family.
         let sib = o.sibling(3);
         assert_eq!(
-            coarse_neighborhood(&o, Condition::full(2)).as_slice(),
-            coarse_neighborhood(&sib, Condition::full(2)).as_slice()
+            coarse_octants(&o, Condition::full(2)),
+            coarse_octants(&sib, Condition::full(2))
         );
+    }
+
+    #[test]
+    fn coarse_neighborhood_is_the_parents_constrained_neighbors() {
+        // The key members are the struct neighbors of the parent across
+        // every constrained direction, in enumeration order, in and out
+        // of the root.
+        for o in [
+            Octant::<3>::root().child(0).child(7).child(1),
+            Octant::<3>::root().child(7).child(7),
+        ] {
+            for k in 1..=3 {
+                let cond = Condition::new(k, 3).unwrap();
+                let want: Vec<_> = directions::<3>()
+                    .filter(|d| cond.constrains(codim(d)))
+                    .map(|d| o.parent().neighbor(&d))
+                    .collect();
+                assert_eq!(coarse_octants(&o, cond), want);
+            }
+        }
     }
 
     #[test]

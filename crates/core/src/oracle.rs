@@ -134,10 +134,6 @@ pub fn oracle_balanced_pair<const D: usize>(
 
 /// The maximum level (finest) among leaves of the sorted linear tree `t`
 /// that overlap octant `q`. Panics if none overlaps.
-pub fn min_size_leaf_level<const D: usize>(t: &[Octant<D>], q: &Octant<D>) -> u8 {
-    min_level_overlapping(t, q)
-}
-
 fn min_level_overlapping<const D: usize>(t: &[Octant<D>], q: &Octant<D>) -> u8 {
     // Leaves overlapping q form a contiguous Morton run: either one leaf
     // contains q, or several leaves lie inside q.

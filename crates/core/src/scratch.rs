@@ -3,9 +3,9 @@
 //! The parallel phase-1 and phase-4 loops in `forestbal-forest` call a
 //! subtree balance once per local tree (and once per query in the splice
 //! path). Each call needs a work queue, one or two membership tables, and
-//! sort buffers — allocations that are identical in shape from call to
-//! call. [`BalanceScratch`] owns all of them so a rank allocates once per
-//! balance pass instead of once per subtree.
+//! sort buffers, all of packed Morton keys — allocations identical in
+//! shape from call to call. [`BalanceScratch`] owns all of them so a rank
+//! allocates once per balance pass instead of once per subtree.
 //!
 //! Lifetime rules: a scratch may be reused across any sequence of kernel
 //! invocations, of either kernel, with any roots and conditions — every
@@ -15,14 +15,15 @@
 //! counters only accumulate; harvest them with [`BalanceScratch::stats`]
 //! at the end of a pass and feed them to `forestbal-trace`.
 
-use forestbal_octant::{linearize_with, sort_octants_with, Octant, OctantTable, SortScratch};
+use forestbal_octant::{linearize_keys_with, sort_keys_with, OctantTable, SortScratch};
 use std::collections::VecDeque;
 
 /// Reusable arena of kernel working memory. See the module docs for the
 /// lifetime rules.
 pub struct BalanceScratch<const D: usize> {
-    /// Pending octants whose constraints still propagate (both kernels).
-    pub(crate) work: VecDeque<Octant<D>>,
+    /// Keys of pending octants whose constraints still propagate (both
+    /// kernels).
+    pub(crate) work: VecDeque<u128>,
     /// `snew` in the old kernel, `rnew` in the new kernel.
     pub(crate) table_a: OctantTable<D>,
     /// `rprec` in the new kernel; unused by the old kernel.
@@ -30,9 +31,7 @@ pub struct BalanceScratch<const D: usize> {
     /// Radix-sort key buffers.
     pub(crate) sort: SortScratch,
     /// Assembly buffer for the pre-sort union (`all` / `rfinal`).
-    pub(crate) buf: Vec<Octant<D>>,
-    /// Secondary buffer (the new kernel's interior filter).
-    pub(crate) aux: Vec<Octant<D>>,
+    pub(crate) buf: Vec<u128>,
     /// Per-worker child arenas for parallel phases (see
     /// [`BalanceScratch::for_each_task`]); persist across calls so the
     /// steady state stays allocation-free at any thread count.
@@ -98,7 +97,6 @@ impl<const D: usize> BalanceScratch<D> {
             table_b: OctantTable::new(),
             sort: SortScratch::new(),
             buf: Vec::new(),
-            aux: Vec::new(),
             workers: Vec::new(),
             absorbed: ScratchStats::default(),
         }
@@ -139,14 +137,14 @@ impl<const D: usize> BalanceScratch<D> {
         }
     }
 
-    /// Sort a vector through the scratch's radix buffers.
-    pub fn sort(&mut self, v: &mut [Octant<D>]) {
-        sort_octants_with(v, &mut self.sort);
+    /// Sort a key vector through the scratch's radix buffers.
+    pub fn sort(&mut self, v: &mut Vec<u128>) {
+        sort_keys_with::<D>(v, &mut self.sort);
     }
 
-    /// Linearize a vector through the scratch's radix buffers.
-    pub fn linearize(&mut self, v: &mut Vec<Octant<D>>) {
-        linearize_with(v, &mut self.sort);
+    /// Linearize a key vector through the scratch's radix buffers.
+    pub fn linearize(&mut self, v: &mut Vec<u128>) {
+        linearize_keys_with::<D>(v, &mut self.sort);
     }
 
     /// Snapshot the cumulative instrumentation counters, including deltas

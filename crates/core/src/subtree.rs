@@ -16,17 +16,24 @@
 //!   each, and completes the reduced result — roughly 3x fewer hash
 //!   queries and a `2^d`-smaller final sort.
 //!
-//! Both functions report [`BalanceStats`] so benchmarks can reproduce the
-//! paper's operation-count comparisons.
+//! Each algorithm exists once, on packed Morton keys
+//! ([`balance_subtree_old_keys`], [`balance_subtree_new_keys`]): input,
+//! work queue, tables, sort and output are `u128` keys, the arithmetic is
+//! [`PackedOctant`]'s, and `Complete` emits keys straight into the output.
+//! The forest runs them on its stored key arrays. The struct-typed entry
+//! points pack, call the key kernel, and unpack.
+//!
+//! Both report [`BalanceStats`] so benchmarks can reproduce the paper's
+//! operation-count comparisons.
 
 use crate::condition::Condition;
 use crate::neighborhood::coarse_neighborhood;
 use crate::preclude::{canonical, complete_reduced, precludes, reduce, remove_precluded};
 use crate::scratch::BalanceScratch;
 use forestbal_octant::{
-    complete_subtree, is_linear, linearize_with, sort_octants_with, Octant, OctantTable,
+    complete_subtree_keys, is_linear_keys, linearize_keys_with, pack_batch, sort_keys_with,
+    unpack_batch, Octant, PackedOctant, MAX_LEVEL,
 };
-use std::collections::VecDeque;
 
 /// Operation counters for one subtree balance invocation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -42,6 +49,18 @@ pub struct BalanceStats {
     pub output_len: usize,
 }
 
+fn packed<const D: usize>(octs: &[Octant<D>]) -> Vec<u128> {
+    let mut keys = Vec::with_capacity(octs.len());
+    pack_batch(octs, &mut keys);
+    keys
+}
+
+fn unpacked<const D: usize>(keys: &[u128]) -> Vec<Octant<D>> {
+    let mut octs = Vec::with_capacity(keys.len());
+    unpack_batch(keys, &mut octs);
+    octs
+}
+
 /// Old subtree balance (Figure 6). See the module docs.
 pub fn balance_subtree_old<const D: usize>(
     root: &Octant<D>,
@@ -51,9 +70,23 @@ pub fn balance_subtree_old<const D: usize>(
     balance_subtree_old_ext_scratch(root, input, &[], cond, &mut BalanceScratch::new()).0
 }
 
-/// Old subtree balance with additional *exterior* constraint octants and
-/// caller-provided working memory (for loops that balance many subtrees
-/// in sequence), also returning operation counts.
+/// [`balance_subtree_old_keys`] on struct octants.
+pub fn balance_subtree_old_ext_scratch<const D: usize>(
+    root: &Octant<D>,
+    input: &[Octant<D>],
+    exterior: &[Octant<D>],
+    cond: Condition,
+    scratch: &mut BalanceScratch<D>,
+) -> (Vec<Octant<D>>, BalanceStats) {
+    let root = PackedOctant::new(root);
+    let (out, stats) =
+        balance_subtree_old_keys(root, &packed(input), &packed(exterior), cond, scratch);
+    (unpacked(&out), stats)
+}
+
+/// Old subtree balance on packed keys, with additional *exterior*
+/// constraint octants and caller-provided working memory (for loops that
+/// balance many subtrees in sequence), also returning operation counts.
 ///
 /// Exterior octants lie outside `root` (e.g. response octants from a
 /// neighboring tree or partition). They are not leaves of the result, but
@@ -62,27 +95,28 @@ pub fn balance_subtree_old<const D: usize>(
 /// constraints into the subtree; members falling inside `root` are
 /// inserted. This is the distance-dependent mechanism §IV replaces with
 /// seed octants.
-pub fn balance_subtree_old_ext_scratch<const D: usize>(
-    root: &Octant<D>,
-    input: &[Octant<D>],
-    exterior: &[Octant<D>],
+pub fn balance_subtree_old_keys<const D: usize>(
+    root: PackedOctant<D>,
+    input: &[u128],
+    exterior: &[u128],
     cond: Condition,
     scratch: &mut BalanceScratch<D>,
-) -> (Vec<Octant<D>>, BalanceStats) {
-    debug_assert!(is_linear(input));
-    debug_assert!(input.iter().all(|o| root.contains(o)));
+) -> (Vec<u128>, BalanceStats) {
+    debug_assert!(is_linear_keys::<D>(input));
+    debug_assert!(input.iter().all(|&k| root.contains(PackedOctant(k))));
     debug_assert!(exterior
         .iter()
-        .all(|o| !root.contains(o) && !o.contains(root)));
+        .all(|&k| !root.contains(PackedOctant(k)) && !PackedOctant(k).contains(root)));
     let mut stats = BalanceStats::default();
 
     // Auxiliary octants may live outside the root, but only within its
     // insulation envelope: anything farther cannot constrain the subtree.
-    let ins_lo: [_; D] = std::array::from_fn(|i| root.coords[i] - root.len());
-    let within_insulation = |s: &Octant<D>| {
-        (0..D).all(|i| {
-            s.coords[i] >= ins_lo[i] && s.coords[i] + s.len() <= ins_lo[i] + 3 * root.len()
-        })
+    // A finer octant lies in the envelope iff, per axis, its bit-plane
+    // above the root's alignment is one of the root's shifted fields.
+    let envelope = root.axis_fields();
+    let above_root = !((1u128 << (D as u32 * (MAX_LEVEL - root.level()) as u32)) - 1);
+    let within_insulation = |s: PackedOctant<D>| {
+        (0..D).all(|j| envelope[j].contains(&(s.axis_field(j, 0) & above_root)))
     };
 
     // The auxiliary set is proportional to the input for the balanced-ish
@@ -92,34 +126,33 @@ pub fn balance_subtree_old_ext_scratch<const D: usize>(
     snew.reset_for(4 * (input.len() + exterior.len()) + 32);
     let work = &mut scratch.work;
     work.clear();
-    work.extend(input.iter().chain(exterior.iter()).copied());
+    work.extend(input.iter().chain(exterior));
     while let Some(o) = work.pop_front() {
-        if o.level <= root.level {
+        let o = PackedOctant::<D>(o);
+        if o.level() <= root.level() {
             continue;
         }
-        let try_add = |s: Octant<D>,
-                       snew: &mut OctantTable<D>,
-                       work: &mut VecDeque<Octant<D>>,
-                       stats: &mut BalanceStats| {
-            if s.level <= root.level || !within_insulation(&s) {
+        let mut try_add = |s: PackedOctant<D>| {
+            if s.level() <= root.level() || !within_insulation(s) {
                 return;
             }
             stats.hash_queries += 1;
-            if snew.contains(&s) {
+            if snew.contains_key(s.0) {
                 return;
             }
             stats.binary_searches += 1;
-            if input.binary_search(&s).is_ok() {
+            if input.binary_search(&s.0).is_ok() {
                 return;
             }
-            snew.insert(&s);
-            work.push_back(s);
+            snew.insert_key(s.0);
+            work.push_back(s.0);
         };
-        for i in 0..Octant::<D>::NUM_CHILDREN {
-            try_add(o.sibling(i), snew, work, &mut stats);
+        let p = o.parent();
+        for i in 0..PackedOctant::<D>::NUM_CHILDREN {
+            try_add(p.child(i));
         }
-        for n in &coarse_neighborhood(&o, cond) {
-            try_add(*n, snew, work, &mut stats);
+        for n in coarse_neighborhood(o, cond) {
+            try_add(n);
         }
     }
 
@@ -127,13 +160,14 @@ pub fn balance_subtree_old_ext_scratch<const D: usize>(
     all.clear();
     all.reserve(input.len() + snew.len());
     all.extend_from_slice(input);
-    all.extend(snew.iter().filter(|s| root.contains(s)));
+    all.extend(snew.keys().filter(|&s| root.contains(PackedOctant(s))));
     stats.sorted_len = all.len();
-    linearize_with(all, &mut scratch.sort);
+    linearize_keys_with::<D>(all, &mut scratch.sort);
     // The family insertions make the result complete for complete inputs;
     // for incomplete inputs (seed reconstruction) fill remaining gaps in
     // the coarsest way.
-    let out = complete_subtree(root, all);
+    let mut out = Vec::with_capacity(all.len() * 2 + 1);
+    complete_subtree_keys(root, all, &mut out);
     stats.output_len = out.len();
     (out, stats)
 }
@@ -147,26 +181,36 @@ pub fn balance_subtree_new<const D: usize>(
     balance_subtree_new_with_stats_scratch(root, input, cond, &mut BalanceScratch::new()).0
 }
 
-/// [`balance_subtree_new`] with caller-provided working memory (for loops
-/// that balance many subtrees in sequence), also returning operation
-/// counts.
+/// [`balance_subtree_new_keys`] on struct octants.
 pub fn balance_subtree_new_with_stats_scratch<const D: usize>(
     root: &Octant<D>,
     input: &[Octant<D>],
     cond: Condition,
     scratch: &mut BalanceScratch<D>,
 ) -> (Vec<Octant<D>>, BalanceStats) {
-    debug_assert!(is_linear(input));
-    debug_assert!(input.iter().all(|o| root.contains(o)));
+    let (out, stats) =
+        balance_subtree_new_keys(PackedOctant::new(root), &packed(input), cond, scratch);
+    (unpacked(&out), stats)
+}
+
+/// New subtree balance on packed keys, with caller-provided working memory
+/// (for loops that balance many subtrees in sequence), also returning
+/// operation counts. Also the seed reconstruction of §IV.
+pub fn balance_subtree_new_keys<const D: usize>(
+    root: PackedOctant<D>,
+    input: &[u128],
+    cond: Condition,
+    scratch: &mut BalanceScratch<D>,
+) -> (Vec<u128>, BalanceStats) {
+    debug_assert!(is_linear_keys::<D>(input));
+    debug_assert!(input.iter().all(|&k| root.contains(PackedOctant(k))));
     let mut stats = BalanceStats::default();
 
     // An input octant at the root's own level can only be the root itself
-    // (the input is linear and inside the root); it pins nothing, and its
-    // canonical 0-sibling would lie outside the subtree.
-    let interior = &mut scratch.aux;
-    interior.clear();
-    interior.extend(input.iter().copied().filter(|o| o.level > root.level));
-    let r = reduce(interior);
+    // (the input is linear and inside the root, so then it is alone); it
+    // pins nothing, and its canonical 0-sibling would lie outside the
+    // subtree.
+    let r = reduce::<D>(if input == [root.0] { &[] } else { input });
     // Representatives stand for whole families: both tables stay well
     // under the input length, so this pre-sizing never regrows in steady
     // state (`ScratchStats::table_grows` tracks violations).
@@ -176,62 +220,65 @@ pub fn balance_subtree_new_with_stats_scratch<const D: usize>(
     rprec.reset_for(input.len() + 16);
     let work = &mut scratch.work;
     work.clear();
-    work.extend(r.iter().copied());
+    work.extend(&r);
 
     while let Some(o) = work.pop_front() {
-        if o.level <= root.level + 1 {
+        let o = PackedOctant::<D>(o);
+        if o.level() <= root.level() + 1 {
             // Coarse-neighborhood members would be at or above root size.
             continue;
         }
-        for s0 in &coarse_neighborhood(&o, cond) {
-            if s0.level <= root.level || !root.contains(s0) {
+        for s0 in coarse_neighborhood(o, cond) {
+            // Members are one level coarser than `o`, so below the root's.
+            if !root.contains(s0) {
                 continue;
             }
             let s = canonical(s0); // 0-sibling, equivalent under preclusion
             stats.hash_queries += 1;
-            if rnew.contains(&s) {
+            if rnew.contains_key(s.0) {
                 continue;
             }
             // Single equivalent binary search in the reduced input: find
             // the greatest representative <= s; it is the only candidate
             // for either preclusion direction or equality.
             stats.binary_searches += 1;
-            let pos = r.partition_point(|t| t <= &s);
+            let pos = r.partition_point(|&t| t <= s.0);
             if pos > 0 {
-                let t = r[pos - 1];
+                let t = PackedOctant::<D>(r[pos - 1]);
                 if t == s {
                     continue; // already represented in the input
                 }
-                if precludes(&t, &s) {
+                if precludes(t, s) {
                     // The input family region contains the new finer
                     // family: the input representative is now redundant.
-                    rprec.insert(&t);
-                } else if precludes(&s, &t) {
+                    rprec.insert_key(t.0);
+                } else if precludes(s, t) {
                     // The new octant's family region contains finer input
                     // structure: the new octant is redundant, but its
                     // neighborhood constraints still propagate.
-                    rprec.insert(&s);
+                    rprec.insert_key(s.0);
                 }
             }
-            if precludes(&s, &o) {
-                rprec.insert(&s); // Figure 7 line 9: s ≺ o
+            if precludes(s, o) {
+                rprec.insert_key(s.0); // Figure 7 line 9: s ≺ o
             }
-            rnew.insert(&s);
-            work.push_back(s);
+            rnew.insert_key(s.0);
+            work.push_back(s.0);
         }
     }
 
     let rfinal = &mut scratch.buf;
     rfinal.clear();
     rfinal.reserve(r.len() + rnew.len());
-    rfinal.extend(r.iter().filter(|t| !rprec.contains(t)));
-    rfinal.extend(rnew.iter().filter(|t| !rprec.contains(t)));
+    rfinal.extend(r.iter().filter(|&&t| !rprec.contains_key(t)));
+    rfinal.extend(rnew.keys().filter(|&t| !rprec.contains_key(t)));
     stats.sorted_len = rfinal.len();
-    sort_octants_with(rfinal, &mut scratch.sort);
+    sort_keys_with::<D>(rfinal, &mut scratch.sort);
     // Robust sweep: drop any remaining nested family regions (preclusion
     // chains that insertion-time tagging does not see).
-    remove_precluded(rfinal);
-    let out = complete_reduced(root, rfinal);
+    remove_precluded::<D>(rfinal);
+    let mut out = Vec::with_capacity(rfinal.len() * 2 + 1);
+    complete_reduced(root, rfinal, &mut out);
     stats.output_len = out.len();
     (out, stats)
 }

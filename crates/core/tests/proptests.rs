@@ -3,12 +3,97 @@
 
 use forestbal_core::oracle::{is_balanced_tree, oracle_balanced_pair, ripple_balance};
 use forestbal_core::{
-    balance_subtree_new, balance_subtree_new_with_stats_scratch, balance_subtree_old,
-    balance_subtree_old_ext_scratch, complete_reduced, find_seeds, is_balanced_pair,
-    reconstruct_from_seeds, reduce, BalanceScratch, Condition,
+    balance_subtree_new, balance_subtree_new_keys, balance_subtree_new_with_stats_scratch,
+    balance_subtree_old, balance_subtree_old_ext_scratch, balance_subtree_old_keys,
+    complete_reduced, find_seeds, is_balanced_pair, reconstruct_from_seeds, reduce, BalanceScratch,
+    Condition,
 };
-use forestbal_octant::{is_complete, linearize, Octant};
+use forestbal_octant::{is_complete, key, linearize, Octant, PackedOctant};
 use proptest::prelude::*;
+
+fn keys<const D: usize>(octs: &[Octant<D>]) -> Vec<u128> {
+    octs.iter().map(key::pack).collect()
+}
+
+fn octants<const D: usize>(keys: &[u128]) -> Vec<Octant<D>> {
+    keys.iter().map(|&k| key::unpack(k)).collect()
+}
+
+/// The octant reached from `root` along a child-id path.
+fn descend<const D: usize>(root: Octant<D>, path: &[usize]) -> Octant<D> {
+    path.iter().fold(root, |o, &id| o.child(id))
+}
+
+/// The linearized octants reached from `root` along the paths.
+fn descend_all<const D: usize>(root: Octant<D>, paths: &[Vec<usize>]) -> Vec<Octant<D>> {
+    let mut v: Vec<_> = paths.iter().map(|p| descend(root, p)).collect();
+    linearize(&mut v);
+    v
+}
+
+/// The key kernels on one input: new ≡ pack(oracle), old ≡ new, and each
+/// struct wrapper ≡ unpack(its key kernel) with equal `BalanceStats`.
+fn check_key_kernels<const D: usize>(
+    root: &Octant<D>,
+    input: &[Octant<D>],
+    cond: Condition,
+) -> Result<(), String> {
+    let want = keys(&ripple_balance(root, input, cond));
+    let (proot, input_keys) = (PackedOctant::new(root), keys(input));
+    let scratch = &mut BalanceScratch::new();
+    let (new, new_stats) = balance_subtree_new_keys(proot, &input_keys, cond, scratch);
+    prop_assert_eq!(&new, &want, "new key kernel vs oracle");
+    let (old, old_stats) = balance_subtree_old_keys(proot, &input_keys, &[], cond, scratch);
+    prop_assert_eq!(&old, &new, "old vs new key kernel");
+    prop_assert_eq!(
+        balance_subtree_new_with_stats_scratch(root, input, cond, scratch),
+        (octants(&new), new_stats)
+    );
+    prop_assert_eq!(
+        balance_subtree_old_ext_scratch(root, input, &[], cond, scratch),
+        (octants(&old), old_stats)
+    );
+    Ok(())
+}
+
+/// The old key kernel with exterior constraints on `sub` ≡ the global
+/// oracle of interior ∪ exterior clipped to `sub` (or `[sub]` where a
+/// coarser global leaf covers it), and its struct wrapper ≡ unpack(key
+/// kernel) with equal `BalanceStats`. Exterior octants that overlap `sub`
+/// are dropped.
+fn check_old_exterior<const D: usize>(
+    sub: &Octant<D>,
+    interior: &[Octant<D>],
+    exterior: &[Octant<D>],
+    cond: Condition,
+) -> Result<(), String> {
+    let exterior: Vec<_> = exterior
+        .iter()
+        .copied()
+        .filter(|e| !e.overlaps(sub))
+        .collect();
+    let mut all = [interior, &exterior].concat();
+    linearize(&mut all);
+    let global = ripple_balance(&Octant::root(), &all, cond);
+    let mut want: Vec<_> = global.into_iter().filter(|l| sub.contains(l)).collect();
+    if want.is_empty() {
+        want.push(*sub);
+    }
+    let scratch = &mut BalanceScratch::new();
+    let (got, stats) = balance_subtree_old_keys(
+        PackedOctant::new(sub),
+        &keys(interior),
+        &keys(&exterior),
+        cond,
+        scratch,
+    );
+    prop_assert_eq!(&got, &keys(&want), "old key kernel vs global oracle");
+    prop_assert_eq!(
+        balance_subtree_old_ext_scratch(sub, interior, &exterior, cond, scratch),
+        (want, stats)
+    );
+    Ok(())
+}
 
 /// A random octant: a child-id path of bounded depth from the root.
 fn arb_octant<const D: usize>(min_depth: u8, max_depth: u8) -> impl Strategy<Value = Octant<D>> {
@@ -104,20 +189,92 @@ proptest! {
         // For COMPLETE trees, completion of the reduction is the identity.
         let root = Octant::<2>::root();
         let complete = forestbal_octant::complete_subtree(&root, &input);
-        let red = reduce(&complete);
+        let red = reduce::<2>(&keys(&complete));
         prop_assert!(red.len() * 4 <= complete.len().max(4),
             "|R| = {} vs |S| = {}", red.len(), complete.len());
-        let back = complete_reduced(&root, &red);
-        prop_assert_eq!(back, complete);
+        let mut back = vec![];
+        complete_reduced(PackedOctant::new(&root), &red, &mut back);
+        prop_assert_eq!(octants(&back), complete);
     }
 
     #[test]
     fn reduce_complete_roundtrip_3d(input in arb_input::<3>(4, 6)) {
         let root = Octant::<3>::root();
         let complete = forestbal_octant::complete_subtree(&root, &input);
-        let red = reduce(&complete);
-        let back = complete_reduced(&root, &red);
-        prop_assert_eq!(back, complete);
+        let red = reduce::<3>(&keys(&complete));
+        let mut back = vec![];
+        complete_reduced(PackedOctant::new(&root), &red, &mut back);
+        prop_assert_eq!(octants(&back), complete);
+    }
+
+    // ---- key kernels: oracle, old ≡ new, struct wrappers ---------------
+
+    #[test]
+    fn key_kernels_match_oracle_under_sub_roots_2d(
+        root_path in prop::collection::vec(0usize..4, 0..4),
+        input_paths in prop::collection::vec(prop::collection::vec(0usize..4, 0..6), 0..8),
+        cond in arb_cond(2),
+    ) {
+        let root = descend(Octant::<2>::root(), &root_path);
+        check_key_kernels(&root, &descend_all(root, &input_paths), cond)?;
+    }
+
+    #[test]
+    fn key_kernels_match_oracle_under_sub_roots_3d(
+        root_path in prop::collection::vec(0usize..8, 0..3),
+        input_paths in prop::collection::vec(prop::collection::vec(0usize..8, 0..4), 0..6),
+        cond in arb_cond(3),
+    ) {
+        let root = descend(Octant::<3>::root(), &root_path);
+        check_key_kernels(&root, &descend_all(root, &input_paths), cond)?;
+    }
+
+    #[test]
+    fn key_kernels_rebuild_seed_sets_2d(
+        o in arb_octant::<2>(3, 8),
+        r in arb_octant::<2>(1, 4),
+        cond in arb_cond(2),
+    ) {
+        prop_assume!(!o.overlaps(&r) && r.level < o.level);
+        if let Some(seeds) = find_seeds(&o, &r, cond) {
+            check_key_kernels(&r, &seeds, cond)?;
+        }
+    }
+
+    #[test]
+    fn key_kernels_rebuild_seed_sets_3d(
+        o in arb_octant::<3>(3, 5),
+        r in arb_octant::<3>(1, 3),
+        cond in arb_cond(3),
+    ) {
+        prop_assume!(!o.overlaps(&r) && r.level < o.level);
+        if let Some(seeds) = find_seeds(&o, &r, cond) {
+            check_key_kernels(&r, &seeds, cond)?;
+        }
+    }
+
+    #[test]
+    fn old_key_kernel_exterior_matches_global_oracle_2d(
+        sub_path in prop::collection::vec(0usize..4, 1..3),
+        int_paths in prop::collection::vec(prop::collection::vec(0usize..4, 0..4), 0..4),
+        ext_paths in prop::collection::vec(prop::collection::vec(0usize..4, 1..7), 1..5),
+        cond in arb_cond(2),
+    ) {
+        let sub = descend(Octant::<2>::root(), &sub_path);
+        let exterior = descend_all(Octant::root(), &ext_paths);
+        check_old_exterior(&sub, &descend_all(sub, &int_paths), &exterior, cond)?;
+    }
+
+    #[test]
+    fn old_key_kernel_exterior_matches_global_oracle_3d(
+        sub_path in prop::collection::vec(0usize..8, 1..3),
+        int_paths in prop::collection::vec(prop::collection::vec(0usize..8, 0..3), 0..3),
+        ext_paths in prop::collection::vec(prop::collection::vec(0usize..8, 1..5), 1..4),
+        cond in arb_cond(3),
+    ) {
+        let sub = descend(Octant::<3>::root(), &sub_path);
+        let exterior = descend_all(Octant::root(), &ext_paths);
+        check_old_exterior(&sub, &descend_all(sub, &int_paths), &exterior, cond)?;
     }
 
     // ---- §IV: λ-based O(1) balance decisions ---------------------------

@@ -22,23 +22,27 @@
 //!    octant is reconstructed independently from its merged seeds and
 //!    spliced into the leaf array — no full-partition work.
 //!
-//! Storage is packed keys end to end ([`crate::store`]); the struct-based
-//! subtree kernels of `forestbal_core` run on batch-decoded arrays at the
-//! phase boundaries, and the wire carries fixed-width packed keys
-//! (queries as `(u32 eid, u32 tree, key)` records, responses as
-//! `(u32 eid, u32 count, count × key)` groups — see [`crate::codec`]).
+//! Storage is packed keys end to end ([`crate::store`]). The subtree
+//! kernels of `forestbal_core` run on the stored key arrays themselves:
+//! phase 1 balances each tree's keys and clips the output back, phase 4
+//! reconstructs and splices keys (New) or merges key arrays (Old). Query
+//! octants, responses and candidate leaves stay keys; only the λ/seed
+//! decision of phase 3 and cross-tree frame changes decode. The wire
+//! carries fixed-width packed keys (queries as `(u32 eid, u32 tree, key)`
+//! records, responses as `(u32 eid, u32 count, count × key)` groups — see
+//! [`crate::codec`]).
 
 use crate::codec;
 use crate::connectivity::{translate, TreeId};
 use crate::forest::Forest;
 use forestbal_comm::{ranges_expansion, reverse_naive, reverse_notify, reverse_ranges, Comm};
 use forestbal_core::{
-    balance_subtree_new_with_stats_scratch, balance_subtree_old_ext_scratch, find_seeds,
-    reconstruct_from_seeds_scratch, BalanceScratch, BalanceStats, Condition,
+    balance_subtree_new_keys, balance_subtree_old_keys, find_seeds, BalanceScratch, BalanceStats,
+    Condition,
 };
 use forestbal_octant::{
-    directions, is_linear, is_linear_keys, key, linearize, pack_batch, sort_octants, unpack_batch,
-    Coord, Octant, PackedOctant,
+    directions, is_linear_keys, key, linearize_keys_with, merge_sorted, sort_keys_with, Coord,
+    PackedOctant, SortScratch,
 };
 use forestbal_trace as trace;
 use std::collections::BTreeMap;
@@ -146,12 +150,20 @@ struct QueryEntry<const D: usize> {
     off: [Coord; D],
 }
 
-/// Phase-4 work item: a qid's merged seed set paired with its
-/// reconstruction result (tree, packed query key, packed replacements).
-type ReconTask<const D: usize> = (Vec<Octant<D>>, Option<(TreeId, u128, Vec<u128>)>);
+/// Phase-4 work item: a qid's merged seed keys paired with its
+/// reconstruction result (tree, query key, replacement keys).
+type ReconTask = (Vec<u128>, Option<(TreeId, u128, Vec<u128>)>);
 
-/// Phase-1 body for one tree: decode, subtree-balance, clip, re-encode in
-/// place. Each tree is independent (constraints never cross tree
+/// The root of one tree's local subtree balance: the nearest common
+/// ancestor of the first and last leaf of its non-empty key array.
+fn local_root<const D: usize>(v: &[u128]) -> PackedOctant<D> {
+    PackedOctant(v[0]).nearest_common_ancestor(PackedOctant(v[v.len() - 1]))
+}
+
+/// Phase-1 body for one tree: the subtree kernel runs directly on the
+/// tree's stored key array, rooted at its [`local_root`], and the owned run
+/// of the output replaces the array ([`clip_to_owned`]). Nothing is
+/// decoded. Each tree is independent (constraints never cross tree
 /// boundaries in phase 1 — that is exactly what phases 2–4 exist for), so
 /// the parallel path runs this per tree with per-worker scratch and the
 /// result is bit-identical to the serial loop.
@@ -161,35 +173,40 @@ fn phase1_tree<const D: usize>(
     variant: BalanceVariant,
     scratch: &mut BalanceScratch<D>,
 ) -> BalanceStats {
-    let mut decoded = Vec::with_capacity(v.len());
-    unpack_batch(v, &mut decoded);
-    let sub = decoded[0].nearest_common_ancestor(&decoded[decoded.len() - 1]);
+    let sub = local_root::<D>(v);
     let (balanced, bs) = match variant {
-        BalanceVariant::Old => balance_subtree_old_ext_scratch(&sub, &decoded, &[], cond, scratch),
-        BalanceVariant::New => {
-            balance_subtree_new_with_stats_scratch(&sub, &decoded, cond, scratch)
-        }
+        BalanceVariant::Old => balance_subtree_old_keys(sub, v, &[], cond, scratch),
+        BalanceVariant::New => balance_subtree_new_keys(sub, v, cond, scratch),
     };
-    clip_and_pack(&balanced, v);
+    clip_to_owned::<D>(&balanced, v);
     bs
 }
 
-/// Replace the non-empty leaf array `v` by the packed keys of the octants
-/// of `balanced` (a subtree kernel's in-root, linear output) that lie
-/// inside the unit-cell range `v` spans. First and last cell indices both
-/// grow along a linear array, so the survivors are one contiguous run:
-/// two binary searches find it, and only the run is packed.
-fn clip_and_pack<const D: usize>(balanced: &[Octant<D>], v: &mut Vec<u128>) {
-    debug_assert!(is_linear(balanced));
+/// Replace the non-empty leaf array `v` by the keys of `balanced` (a
+/// subtree kernel's in-root, linear output) that lie inside the unit-cell
+/// range `v` spans. First and last cell indices both grow along a linear
+/// array, so the survivors are one contiguous run: two binary searches
+/// find it, and the run is copied.
+fn clip_to_owned<const D: usize>(balanced: &[u128], v: &mut Vec<u128>) {
+    debug_assert!(is_linear_keys::<D>(balanced));
     let (lo, hi) = (
         PackedOctant::<D>(v[0]).index(),
         PackedOctant::<D>(v[v.len() - 1]).last_index(),
     );
-    let start = balanced.partition_point(|o| o.index() < lo);
-    let end = balanced.partition_point(|o| o.last_index() <= hi);
+    let start = balanced.partition_point(|&k| PackedOctant::<D>(k).index() < lo);
+    let end = balanced.partition_point(|&k| PackedOctant::<D>(k).last_index() <= hi);
     v.clear();
-    pack_batch(&balanced[start..end], v);
-    debug_assert!(is_linear_keys::<D>(v));
+    v.extend_from_slice(&balanced[start..end]);
+}
+
+/// Key `k` moved into another tree's frame by `off`. Keys carry no frame,
+/// so a cross-tree move goes through the coordinates.
+fn translate_key<const D: usize>(k: u128, off: &[Coord; D]) -> u128 {
+    if *off == [0; D] {
+        k
+    } else {
+        key::pack(&translate(&key::unpack::<D>(k), off))
+    }
 }
 
 impl<const D: usize> Forest<D> {
@@ -296,8 +313,8 @@ impl<const D: usize> Forest<D> {
         let t0 = t1;
         trace::span_begin("query_response", || t0);
         let me = ctx.rank();
-        // Flat list of queried local octants.
-        let mut queries: Vec<(TreeId, Octant<D>)> = Vec::new();
+        // Flat list of queried local octants (tree, key).
+        let mut queries: Vec<(TreeId, u128)> = Vec::new();
         // All entries, indexed by eid; `per_rank[d]` lists eids for rank d.
         let mut entries: Vec<QueryEntry<D>> = Vec::new();
         let mut per_rank: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
@@ -320,7 +337,7 @@ impl<const D: usize> Forest<D> {
                     }
                     seen.push(dest);
                     let qid = *qid.get_or_insert_with(|| {
-                        queries.push((t, key::unpack::<D>(k)));
+                        queries.push((t, k));
                         (queries.len() - 1) as u32
                     });
                     let eid = entries.len() as u32;
@@ -340,7 +357,7 @@ impl<const D: usize> Forest<D> {
                 let (_, r) = queries[e.qid as usize];
                 codec::put_u32(&mut buf, eid);
                 codec::put_u32(&mut buf, e.tree);
-                codec::put_key::<D>(&mut buf, key::pack(&translate(&r, &e.off)));
+                codec::put_key::<D>(&mut buf, translate_key(r, &e.off));
             }
             buf
         };
@@ -407,9 +424,9 @@ impl<const D: usize> Forest<D> {
             .get(&me)
             .map(|eids| self.answer_queries(&encode_entries(eids), cond, variant));
 
-        // Collect responses: per qid, the constraint octants in home frame.
-        let mut per_qid: Vec<Vec<Octant<D>>> = vec![Vec::new(); queries.len()];
-        let absorb = |data: &[u8], per_qid: &mut Vec<Vec<Octant<D>>>| {
+        // Collect responses: per qid, the constraint keys in home frame.
+        let mut per_qid: Vec<Vec<u128>> = vec![Vec::new(); queries.len()];
+        let absorb = |data: &[u8], per_qid: &mut Vec<Vec<u128>>| {
             let mut pos = 0;
             let mut octants = 0u64;
             while pos < data.len() {
@@ -418,9 +435,11 @@ impl<const D: usize> Forest<D> {
                 octants += count as u64;
                 let e = &entries[eid];
                 let back: [Coord; D] = std::array::from_fn(|i| -e.off[i]);
-                for _ in 0..count {
-                    let o = key::unpack::<D>(codec::get_key::<D>(data, &mut pos));
-                    per_qid[e.qid as usize].push(translate(&o, &back));
+                let got = &mut per_qid[e.qid as usize];
+                let base = got.len();
+                codec::get_keys::<D>(data, &mut pos, count, got);
+                for k in &mut got[base..] {
+                    *k = translate_key(*k, &back);
                 }
             }
             trace::counter_add("balance.response_octants_recv", octants);
@@ -482,10 +501,11 @@ impl<const D: usize> Forest<D> {
     /// Phase 3 responder: for each encoded query entry, find the local
     /// leaves inside the query octant's insulation layer that might cause
     /// it to split, and encode the response (raw octants or seeds). The
-    /// insulation scan runs on the packed key array; only leaves that
-    /// survive the level precheck are decoded.
+    /// insulation scan and the response stay on packed keys; only leaves
+    /// that survive the level precheck are decoded, for `find_seeds`.
     fn answer_queries(&self, data: &[u8], cond: Condition, variant: BalanceVariant) -> Vec<u8> {
         let mut reply = Vec::new();
+        let mut sort = SortScratch::new();
         let mut pos = 0;
         while pos < data.len() {
             let eid = codec::get_u32(data, &mut pos);
@@ -493,7 +513,7 @@ impl<const D: usize> Forest<D> {
             let rk = PackedOctant::<D>(codec::get_key::<D>(data, &mut pos));
             let r = rk.octant();
 
-            let mut out: Vec<Octant<D>> = Vec::new();
+            let mut out: Vec<u128> = Vec::new();
             if let Some(v) = self.local.get(tree) {
                 for dir in directions::<D>() {
                     let n = rk.neighbor(&dir);
@@ -511,25 +531,24 @@ impl<const D: usize> Forest<D> {
                         if p.level() < r.level + 2 {
                             continue; // too coarse to split r
                         }
-                        let o = key::unpack::<D>(k);
                         match variant {
-                            BalanceVariant::Old => out.push(o),
+                            BalanceVariant::Old => out.push(k),
                             BalanceVariant::New => {
-                                if let Some(seeds) = find_seeds(&o, &r, cond) {
-                                    out.extend(seeds);
+                                if let Some(seeds) = find_seeds(&p.octant(), &r, cond) {
+                                    out.extend(seeds.iter().map(key::pack));
                                 }
                             }
                         }
                     }
                 }
             }
-            sort_octants(&mut out);
+            sort_keys_with::<D>(&mut out, &mut sort);
             out.dedup();
             if variant == BalanceVariant::New {
                 // Overlapping seeds from different source octants resolve
                 // to the finest (already sorted: the fast path skips the
                 // sort and only runs the ancestor sweep).
-                linearize(&mut out);
+                linearize_keys_with::<D>(&mut out, &mut sort);
             }
             trace::counter_add("balance.queries_answered", 1);
             trace::counter_add("balance.response_octants", out.len() as u64);
@@ -544,21 +563,19 @@ impl<const D: usize> Forest<D> {
             );
             codec::put_u32(&mut reply, eid);
             codec::put_u32(&mut reply, out.len() as u32);
-            for o in &out {
-                codec::put_key::<D>(&mut reply, key::pack(o));
-            }
+            codec::put_keys::<D>(&mut reply, &out);
         }
         reply
     }
 
     /// New-variant rebalance: reconstruct each queried octant from its
-    /// merged seeds and splice the result into the leaf array. No
-    /// full-partition work, no auxiliary octants. The splice itself runs
-    /// on packed keys: replaced leaves are found by exact key match.
+    /// merged seed keys with the new key kernel and splice the result into
+    /// the leaf array. No full-partition work, no auxiliary octants, no
+    /// decode: replaced leaves are found by exact key match.
     fn rebalance_new(
         &mut self,
-        queries: &[(TreeId, Octant<D>)],
-        per_qid: Vec<Vec<Octant<D>>>,
+        queries: &[(TreeId, u128)],
+        per_qid: Vec<Vec<u128>>,
         cond: Condition,
         scratch: &mut BalanceScratch<D>,
     ) {
@@ -567,18 +584,17 @@ impl<const D: usize> Forest<D> {
         // Replacements are collected per qid and merged below in qid order
         // — the same insertion order as the serial loop, so the splice map
         // is bit-identical for any thread count.
-        let mut tasks: Vec<ReconTask<D>> = per_qid.into_iter().map(|s| (s, None)).collect();
+        let mut tasks: Vec<ReconTask> = per_qid.into_iter().map(|s| (s, None)).collect();
         scratch.for_each_task(&mut tasks, |qid, (seeds, out), ws| {
             if seeds.is_empty() {
                 return;
             }
             let (t, r) = queries[qid];
             ws.linearize(seeds);
-            let s = reconstruct_from_seeds_scratch(&r, seeds, cond, ws);
+            // T_k ∩ r from the merged seeds (§IV).
+            let (s, _) = balance_subtree_new_keys(PackedOctant(r), seeds, cond, ws);
             if s.len() > 1 {
-                let mut packed = Vec::with_capacity(s.len());
-                pack_batch(&s, &mut packed);
-                *out = Some((t, key::pack(&r), packed));
+                *out = Some((t, r, s));
             }
         });
         // tree -> (query key -> packed replacement leaves)
@@ -592,43 +608,40 @@ impl<const D: usize> Forest<D> {
     }
 
     /// Old-variant rebalance: per tree, re-run the full subtree balance
-    /// over the partition with all received octants as constraints,
-    /// constructing auxiliary octants toward remote sources.
+    /// over the partition's key array merged with every received key as a
+    /// constraint, constructing auxiliary octants toward remote sources.
     fn rebalance_old(
         &mut self,
-        queries: &[(TreeId, Octant<D>)],
-        per_qid: Vec<Vec<Octant<D>>>,
+        queries: &[(TreeId, u128)],
+        per_qid: Vec<Vec<u128>>,
         cond: Condition,
         scratch: &mut BalanceScratch<D>,
     ) {
-        let mut per_tree: BTreeMap<TreeId, Vec<Octant<D>>> = BTreeMap::new();
-        for (qid, octs) in per_qid.into_iter().enumerate() {
+        let mut per_tree: BTreeMap<TreeId, Vec<u128>> = BTreeMap::new();
+        for (qid, got) in per_qid.into_iter().enumerate() {
             let (t, _) = queries[qid];
-            per_tree.entry(t).or_default().extend(octs);
+            per_tree.entry(t).or_default().extend(got);
         }
         for (t, mut received) in per_tree {
             scratch.sort(&mut received);
             received.dedup();
+            // Only trees with local leaves are queried, and the store
+            // holds no empty arrays.
             let v = self
                 .local
                 .get_mut(t)
                 .expect("response for tree without leaves");
-            if v.is_empty() {
-                continue;
-            }
-            let mut decoded: Vec<Octant<D>> = Vec::with_capacity(v.len());
-            unpack_batch(v, &mut decoded);
-            let sub = decoded[0].nearest_common_ancestor(&decoded[decoded.len() - 1]);
-            let (interior_extra, exterior): (Vec<_>, Vec<_>) =
-                received.into_iter().partition(|o| sub.contains(o));
-            let mut interior = forestbal_octant::merge_sorted(&decoded, &interior_extra);
+            let sub = local_root::<D>(v);
+            let (interior_extra, exterior): (Vec<u128>, Vec<u128>) = received
+                .into_iter()
+                .partition(|&k| sub.contains(PackedOctant(k)));
+            let mut interior = merge_sorted(v, &interior_extra);
             // Received octants are leaves of other partitions: disjoint
             // from ours, but deduplicate defensively.
             interior.dedup();
-            debug_assert!(is_linear(&interior));
-            let (balanced, _) =
-                balance_subtree_old_ext_scratch(&sub, &interior, &exterior, cond, scratch);
-            clip_and_pack(&balanced, v);
+            debug_assert!(is_linear_keys::<D>(&interior));
+            let (balanced, _) = balance_subtree_old_keys(sub, &interior, &exterior, cond, scratch);
+            clip_to_owned::<D>(&balanced, v);
         }
     }
 }

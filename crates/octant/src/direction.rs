@@ -16,39 +16,40 @@ pub fn codim<const D: usize>(dir: &Direction<D>) -> u8 {
     dir.iter().map(|&d| (d != 0) as u8).sum()
 }
 
+/// Every direction code `0..3^D` (`D <= 4`) in enumeration order, as
+/// (`dir[j] + 1` per axis, codimension); the middle code is the zero
+/// direction, of codimension 0.
+const fn code_table<const D: usize>() -> [([u8; D], u8); 81] {
+    let mut table = [([0; D], 0); 81];
+    let mut code = 0;
+    while code < 81 {
+        let (mut c, mut j) = (code, 0);
+        while j < D {
+            table[code].0[j] = (c % 3) as u8;
+            table[code].1 += (c % 3 != 1) as u8;
+            c /= 3;
+            j += 1;
+        }
+        code += 1;
+    }
+    table
+}
+
+/// The nonzero directions of codimension `<= k` in enumeration order, each
+/// as its per-axis digits `dir[j] + 1` (the index into
+/// `PackedOctant::axis_fields`). They are read from a table built at
+/// compile time, so a caller pays no per-call setup.
+pub fn direction_digits<const D: usize>(k: u8) -> impl Iterator<Item = [u8; D]> {
+    let table: &[([u8; D], u8); 81] = const { &code_table::<D>() };
+    table[..3usize.pow(D as u32)]
+        .iter()
+        .filter(move |&&(_, c)| (1..=k).contains(&c))
+        .map(|&(digits, _)| digits)
+}
+
 /// All `3^D - 1` nonzero directions, in a fixed deterministic order.
 pub fn directions<const D: usize>() -> impl Iterator<Item = Direction<D>> {
-    let total = 3usize.pow(D as u32);
-    (0..total).filter_map(move |mut code| {
-        let mut dir = [0i8; D];
-        let mut nonzero = false;
-        for d in dir.iter_mut() {
-            *d = (code % 3) as i8 - 1;
-            nonzero |= *d != 0;
-            code /= 3;
-        }
-        nonzero.then_some(dir)
-    })
-}
-
-/// All nonzero directions whose codimension is `<= k` — the directions
-/// constrained by the `k`-balance condition.
-pub fn directions_up_to_codim<const D: usize>(k: u8) -> impl Iterator<Item = Direction<D>> {
-    directions::<D>().filter(move |d| codim(d) <= k)
-}
-
-/// Number of boundary objects of exactly codimension `c` on a `D`-cube:
-/// `2^c * binom(D, c)`. (Faces: `2D`; 3D edges: 12; corners: `2^D`.)
-pub fn count_at_codim(d: u32, c: u32) -> u32 {
-    debug_assert!(c >= 1 && c <= d);
-    let binom = |n: u32, k: u32| -> u32 {
-        let mut r = 1;
-        for i in 0..k {
-            r = r * (n - i) / (i + 1);
-        }
-        r
-    };
-    (1 << c) * binom(d, c)
+    direction_digits::<D>(D as u8).map(|digits| digits.map(|x| x as i8 - 1))
 }
 
 #[cfg(test)]
@@ -67,8 +68,6 @@ mod tests {
         let corners = directions::<2>().filter(|d| codim(d) == 2).count();
         assert_eq!(faces, 4);
         assert_eq!(corners, 4);
-        assert_eq!(count_at_codim(2, 1), 4);
-        assert_eq!(count_at_codim(2, 2), 4);
     }
 
     #[test]
@@ -79,18 +78,39 @@ mod tests {
         assert_eq!(faces, 6);
         assert_eq!(edges, 12);
         assert_eq!(corners, 8);
-        assert_eq!(count_at_codim(3, 1), 6);
-        assert_eq!(count_at_codim(3, 2), 12);
-        assert_eq!(count_at_codim(3, 3), 8);
     }
 
     #[test]
     fn balance_condition_filters() {
-        assert_eq!(directions_up_to_codim::<3>(1).count(), 6);
-        assert_eq!(directions_up_to_codim::<3>(2).count(), 18);
-        assert_eq!(directions_up_to_codim::<3>(3).count(), 26);
-        assert_eq!(directions_up_to_codim::<2>(1).count(), 4);
-        assert_eq!(directions_up_to_codim::<2>(2).count(), 8);
+        assert_eq!(direction_digits::<3>(1).count(), 6);
+        assert_eq!(direction_digits::<3>(2).count(), 18);
+        assert_eq!(direction_digits::<3>(3).count(), 26);
+        assert_eq!(direction_digits::<2>(1).count(), 4);
+        assert_eq!(direction_digits::<2>(2).count(), 8);
+    }
+
+    #[test]
+    fn enumeration_order_is_fixed() {
+        // Axis 0 varies fastest; every caller's visiting order (and the
+        // forest's deterministic outputs) rests on this order.
+        let want = [
+            [-1, -1],
+            [0, -1],
+            [1, -1],
+            [-1, 0],
+            [1, 0],
+            [-1, 1],
+            [0, 1],
+            [1, 1],
+        ];
+        assert_eq!(directions::<2>().collect::<Vec<_>>(), want);
+        for k in 1..=3 {
+            let digits: Vec<Direction<3>> = direction_digits::<3>(k)
+                .map(|d| d.map(|x| x as i8 - 1))
+                .collect();
+            let filtered: Vec<_> = directions::<3>().filter(|d| codim(d) <= k).collect();
+            assert_eq!(digits, filtered);
+        }
     }
 
     #[test]

@@ -129,13 +129,6 @@ pub fn pack<const D: usize>(o: &Octant<D>) -> u128 {
     interleaved << KEY_LEVEL_BITS | o.level as u128
 }
 
-/// Pack into a `u64` — only valid for `D <= 2` (59 bits used in 2D).
-#[inline]
-pub fn pack64<const D: usize>(o: &Octant<D>) -> u64 {
-    debug_assert!(D <= 2, "u64 keys only hold D <= 2");
-    pack::<D>(o) as u64
-}
-
 /// Invert [`pack`].
 #[inline]
 pub fn unpack<const D: usize>(key: u128) -> Octant<D> {
@@ -156,12 +149,6 @@ pub fn unpack<const D: usize>(key: u128) -> Octant<D> {
         }
     };
     Octant { coords, level }
-}
-
-/// Invert [`pack64`].
-#[inline]
-pub fn unpack64<const D: usize>(key: u64) -> Octant<D> {
-    unpack::<D>(key as u128)
 }
 
 #[cfg(test)]
@@ -203,7 +190,7 @@ mod tests {
     fn roundtrip_exhaustive_2d() {
         for o in all_octants(Oct2::root(), 3) {
             assert_eq!(unpack::<2>(pack(&o)), o);
-            assert_eq!(unpack64::<2>(pack64(&o)), o);
+            assert_eq!(unpack::<2>(pack(&o) as u64 as u128), o);
         }
     }
 
@@ -305,7 +292,7 @@ mod tests {
         let octs = all_octants(Oct2::root(), 3);
         for a in &octs {
             for b in &octs {
-                assert_eq!(pack64(a).cmp(&pack64(b)), morton::cmp(a, b));
+                assert_eq!((pack(a) as u64).cmp(&(pack(b) as u64)), morton::cmp(a, b));
             }
         }
     }

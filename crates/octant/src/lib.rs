@@ -62,16 +62,14 @@ pub mod sort;
 pub mod table;
 
 pub use coords::{Coord, MAX_LEVEL, ROOT_LEN};
-pub use direction::{codim, directions, directions_up_to_codim, Direction};
+pub use direction::{codim, direction_digits, directions, Direction};
 pub use key::{packable, packable_all};
 pub use linear::{
-    complete_region, complete_subtree, is_complete, is_linear, is_linear_keys, is_sorted_strict,
-    linearize, linearize_with, merge_sorted,
+    complete_region_keys, complete_subtree, complete_subtree_keys, is_complete, is_linear,
+    is_linear_keys, linearize, linearize_keys_with, merge_sorted,
 };
 pub use morton::MortonIndex;
 pub use octant::{OctBuf, Octant};
 pub use packed::{pack_batch, simd_active, unpack_batch, PackedOctant};
-pub use sort::{
-    sort_keys_with, sort_octants, sort_octants_with, SortScratch, PAR_MIN_LEN, RADIX_MIN_LEN,
-};
+pub use sort::{sort_keys_with, sort_octants_with, SortScratch, PAR_MIN_LEN, RADIX_MIN_LEN};
 pub use table::OctantTable;

@@ -3,6 +3,7 @@
 use crate::coords::{len_at, size_log2_at, Coord, MAX_LEVEL, ROOT_LEN};
 use crate::direction::Direction;
 use crate::morton;
+use crate::packed::PackedOctant;
 
 /// A `D`-dimensional octant: an axis-aligned cube whose side length is
 /// `2^(MAX_LEVEL - level)` and whose corner coordinates are multiples of the
@@ -137,18 +138,6 @@ impl<const D: usize> Octant<D> {
         self.parent().child(i)
     }
 
-    /// The family of `self`: all `2^D` siblings including `self`, in
-    /// child-id (Morton) order.
-    #[inline]
-    pub fn family(&self) -> OctBuf<D> {
-        let p = self.parent();
-        let mut buf = OctBuf::new();
-        for i in 0..Self::NUM_CHILDREN {
-            buf.push(p.child(i));
-        }
-        buf
-    }
-
     /// Is `self` a (strict or equal) ancestor of `other`?
     #[inline]
     pub fn contains(&self, other: &Self) -> bool {
@@ -204,21 +193,12 @@ impl<const D: usize> Octant<D> {
         }
     }
 
-    /// The nearest common ancestor of two in-root octants.
+    /// The nearest common ancestor of two in-root octants (computed on
+    /// their packed keys).
     pub fn nearest_common_ancestor(&self, other: &Self) -> Self {
-        debug_assert!(self.is_inside_root() && other.is_inside_root());
-        let mut xall: u32 = 0;
-        for i in 0..D {
-            xall |= (self.coords[i] ^ other.coords[i]) as u32;
-        }
-        let agree_level = if xall == 0 {
-            MAX_LEVEL
-        } else {
-            let h = 31 - xall.leading_zeros() as u8; // highest differing bit
-            MAX_LEVEL - (h + 1)
-        };
-        let level = agree_level.min(self.level).min(other.level);
-        self.ancestor(level)
+        PackedOctant::new(self)
+            .nearest_common_ancestor(PackedOctant::new(other))
+            .octant()
     }
 
     /// Morton index of the first unit cell covered by this octant.
@@ -380,20 +360,6 @@ mod tests {
             o = o.parent();
         }
         assert_eq!(o, Oct2::root());
-    }
-
-    #[test]
-    fn family_is_all_children_of_parent() {
-        let o = Oct2::root().child(2).child(1);
-        let fam = o.family();
-        assert_eq!(fam.len(), 4);
-        assert!(fam.as_slice().contains(&o));
-        for (i, f) in fam.into_iter().enumerate() {
-            assert_eq!(f.child_id(), i);
-            assert_eq!(f.parent(), o.parent());
-        }
-        // Family is sorted in Morton order.
-        assert!(fam.as_slice().windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

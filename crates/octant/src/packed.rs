@@ -241,37 +241,56 @@ impl<const D: usize> PackedOctant<D> {
         self.index() + (self.cell_count() - 1)
     }
 
+    /// The nearest common ancestor of two in-root octants: the indices
+    /// agree above their highest differing bit-level, and the ancestor is
+    /// aligned just above it.
+    #[inline]
+    pub fn nearest_common_ancestor(self, other: Self) -> Self {
+        debug_assert!(self.is_inside_root() && other.is_inside_root());
+        let differing = 128 - (self.idx() ^ other.idx()).leading_zeros();
+        let agree = L - differing.div_ceil(D as u32);
+        self.ancestor((agree as u8).min(self.level()).min(other.level()))
+    }
+
+    /// Axis `j`'s bit-plane of the index, moved by `d ∈ {-1, 0, 1}`
+    /// octant lengths: a dilated add/subtract. The result must stay inside
+    /// the 27-bit field (debug-checked); it may leave the packable window.
+    #[inline]
+    pub fn axis_field(self, j: usize, d: i8) -> u128 {
+        let m = axis_plane(D) << j;
+        let f = self.idx() & m;
+        let step = 1u128 << ((L - self.level() as u32) * D as u32 + j as u32);
+        let moved = match d {
+            // Dilated add: fill foreign bits with ones so the carry ripples
+            // across them to the next bit of this axis.
+            1 => ((f | !m).wrapping_add(step)) & m,
+            // Dilated subtract: foreign bits are zero, so the borrow
+            // ripples across them symmetrically.
+            -1 => f.wrapping_sub(step) & m,
+            _ => return f,
+        };
+        debug_assert!((moved > f) == (d > 0), "neighbor left the key field");
+        moved
+    }
+
+    /// Per axis, the index bit-planes of the same-size neighbors one
+    /// length below, at, and one length above `self` (`[j][d + 1]`). OR-ing
+    /// one field per axis with the level gives any neighbor's key, so a
+    /// caller visiting many directions pays the `3·D` dilated adds once.
+    #[inline]
+    pub fn axis_fields(self) -> [[u128; 3]; D] {
+        std::array::from_fn(|j| [-1, 0, 1].map(|d| self.axis_field(j, d)))
+    }
+
     /// The same-size neighbor across direction `dir`, by per-axis dilated
     /// add/subtract on the interleaved index. The result may lie outside
-    /// the root cube (but must stay inside the packable window — debug
-    /// checked, same contract as [`Octant::neighbor`]).
+    /// the root cube (but must stay inside the 27-bit coordinate field —
+    /// debug checked; only packable-window results order like
+    /// [`Octant::neighbor`]).
     #[inline]
     pub fn neighbor(self, dir: &Direction<D>) -> Self {
-        let l = self.level() as u32;
-        let mut idx = self.idx();
-        let plane0 = axis_plane(D);
-        for (j, &d) in dir.iter().enumerate() {
-            if d == 0 {
-                continue;
-            }
-            let m = plane0 << j;
-            let step = 1u128 << ((L - l) * D as u32 + j as u32);
-            let axis = if d > 0 {
-                // Dilated add: fill foreign bits with ones so the carry
-                // ripples across them to the next bit of this axis.
-                ((idx & m) | !m).wrapping_add(step) & m
-            } else {
-                // Dilated subtract: foreign bits are zero, so the borrow
-                // ripples across them symmetrically.
-                (idx & m).wrapping_sub(step) & m
-            };
-            debug_assert!(
-                axis & !((1u128 << (KEY_COORD_BITS as usize * D)) - 1) == 0,
-                "neighbor left the packable window"
-            );
-            idx = (idx & !m) | axis;
-        }
-        PackedOctant(idx << KEY_LEVEL_BITS | l as u128)
+        let idx = (0..D).fold(0, |idx, j| idx | self.axis_field(j, dir[j]));
+        PackedOctant(idx << KEY_LEVEL_BITS | self.level() as u128)
     }
 }
 

@@ -1,6 +1,6 @@
 //! LSD radix sort of octants through their packed Morton keys.
 //!
-//! [`sort_octants`] packs each octant into a single integer key (see
+//! [`sort_octants_with`] packs each octant into a single integer key (see
 //! [`crate::key`]), radix-sorts the keys least-significant-digit first with
 //! 8-bit digits, and unpacks in place. Because key order equals
 //! [`crate::morton::cmp`], the result is exactly what
@@ -9,7 +9,7 @@
 //!
 //! Two fast paths keep the common cases cheap: an already-sorted input
 //! returns after one linear scan, and trivial digit positions (all keys
-//! sharing a byte, which is the norm — 2D keys use 59 of 64 bits and real
+//! sharing a byte, which is the norm — 2D keys use 59 of 128 bits and real
 //! coordinate distributions cluster high bytes) are skipped entirely using
 //! histograms gathered in a single pass over the keys.
 //!
@@ -39,6 +39,7 @@
 
 use crate::key::{self, key_bits};
 use crate::octant::Octant;
+use crate::packed::pack_batch;
 use forestbal_par::Pool;
 
 /// Reusable buffers for [`sort_octants_with`]. One scratch serves any
@@ -47,10 +48,8 @@ use forestbal_par::Pool;
 /// `forestbal-trace` kernel counters.
 #[derive(Clone, Default)]
 pub struct SortScratch {
-    k64: Vec<u64>,
-    t64: Vec<u64>,
-    k128: Vec<u128>,
-    t128: Vec<u128>,
+    keys: Vec<u128>,
+    tmp: Vec<u128>,
     /// Radix passes actually executed (trivial single-byte passes excluded).
     pub radix_passes: u64,
     /// Sorts satisfied by the already-sorted early-out.
@@ -87,18 +86,12 @@ pub const PAR_MIN_LEN: usize = 1 << 15;
 const PAR_MIN_CHUNK: usize = 1 << 13;
 
 /// Sort octants into Morton order (ancestors first), equivalent to
-/// `a.sort_unstable()`. Allocates its own scratch; prefer
-/// [`sort_octants_with`] on hot paths.
-pub fn sort_octants<const D: usize>(a: &mut [Octant<D>]) {
-    sort_octants_with(a, &mut SortScratch::new());
-}
-
-/// [`sort_octants`] with caller-provided scratch buffers.
+/// `a.sort_unstable()`, through the caller's scratch buffers.
 pub fn sort_octants_with<const D: usize>(a: &mut [Octant<D>], s: &mut SortScratch) {
     if a.len() < 2 {
         return;
     }
-    if is_sorted(a) {
+    if a.windows(2).all(|w| w[0] <= w[1]) {
         s.presorted_hits += 1;
         return;
     }
@@ -108,14 +101,11 @@ pub fn sort_octants_with<const D: usize>(a: &mut [Octant<D>], s: &mut SortScratc
         return;
     }
     s.radix_sorts += 1;
-    if D <= 2 {
-        pack_keys(a, &mut s.k64, key::pack64::<D>);
-        s.radix_passes += radix_lsd(&mut s.k64, &mut s.t64, key_bits::<D>());
-        unpack_keys(a, &s.k64, key::unpack64::<D>);
-    } else {
-        pack_keys(a, &mut s.k128, key::pack::<D>);
-        s.radix_passes += radix_lsd(&mut s.k128, &mut s.t128, key_bits::<D>());
-        unpack_keys(a, &s.k128, key::unpack::<D>);
+    s.keys.clear();
+    pack_batch(a, &mut s.keys);
+    s.radix_passes += radix_lsd(&mut s.keys, &mut s.tmp, key_bits::<D>());
+    for (o, &k) in a.iter_mut().zip(&s.keys) {
+        *o = key::unpack(k);
     }
 }
 
@@ -138,59 +128,20 @@ pub fn sort_keys_with<const D: usize>(keys: &mut Vec<u128>, s: &mut SortScratch)
         return;
     }
     s.radix_sorts += 1;
-    s.radix_passes += radix_lsd(keys, &mut s.t128, key_bits::<D>());
+    s.radix_passes += radix_lsd(keys, &mut s.tmp, key_bits::<D>());
 }
 
+/// Digit `i` (8 bits) of a key.
 #[inline]
-fn is_sorted<const D: usize>(a: &[Octant<D>]) -> bool {
-    a.windows(2).all(|w| w[0] <= w[1])
-}
-
-#[inline]
-fn pack_keys<const D: usize, K>(
-    a: &[Octant<D>],
-    keys: &mut Vec<K>,
-    pack: impl Fn(&Octant<D>) -> K,
-) {
-    keys.clear();
-    keys.extend(a.iter().map(pack));
-}
-
-#[inline]
-fn unpack_keys<const D: usize, K: Copy>(
-    a: &mut [Octant<D>],
-    keys: &[K],
-    unpack: impl Fn(K) -> Octant<D>,
-) {
-    for (o, &k) in a.iter_mut().zip(keys) {
-        *o = unpack(k);
-    }
-}
-
-/// An unsigned integer usable as a radix-sort key.
-trait RadixKey: Copy + Default + Send + Sync {
-    fn byte(self, i: u32) -> usize;
-}
-
-impl RadixKey for u64 {
-    #[inline]
-    fn byte(self, i: u32) -> usize {
-        (self >> (8 * i)) as u8 as usize
-    }
-}
-
-impl RadixKey for u128 {
-    #[inline]
-    fn byte(self, i: u32) -> usize {
-        (self >> (8 * i)) as u8 as usize
-    }
+fn byte(k: u128, i: u32) -> usize {
+    (k >> (8 * i)) as u8 as usize
 }
 
 /// LSD radix sort of `keys` using `tmp` as the ping-pong buffer, visiting
 /// only the low `bits` bits. Dispatches to the parallel scatter at
 /// [`PAR_MIN_LEN`]; both paths produce bit-identical output and pass
 /// counts. Returns the number of scatter passes executed.
-fn radix_lsd<K: RadixKey>(keys: &mut Vec<K>, tmp: &mut Vec<K>, bits: u32) -> u64 {
+fn radix_lsd(keys: &mut Vec<u128>, tmp: &mut Vec<u128>, bits: u32) -> u64 {
     if keys.len() >= PAR_MIN_LEN {
         let pool = forestbal_par::current();
         if pool.threads() > 1 {
@@ -203,7 +154,7 @@ fn radix_lsd<K: RadixKey>(keys: &mut Vec<K>, tmp: &mut Vec<K>, bits: u32) -> u64
 /// Serial LSD radix sort — the specification the parallel path must match
 /// bit-for-bit. Histograms for every digit position are gathered in one
 /// pass, and positions where all keys share one byte value are skipped.
-fn radix_lsd_serial<K: RadixKey>(keys: &mut Vec<K>, tmp: &mut Vec<K>, bits: u32) -> u64 {
+fn radix_lsd_serial(keys: &mut Vec<u128>, tmp: &mut Vec<u128>, bits: u32) -> u64 {
     let n = keys.len();
     debug_assert!(n < u32::MAX as usize);
     let num_digits = bits.div_ceil(8) as usize;
@@ -211,11 +162,11 @@ fn radix_lsd_serial<K: RadixKey>(keys: &mut Vec<K>, tmp: &mut Vec<K>, bits: u32)
     let mut hist = [[0u32; 256]; 16];
     for &k in keys.iter() {
         for (b, h) in hist.iter_mut().enumerate().take(num_digits) {
-            h[k.byte(b as u32)] += 1;
+            h[byte(k, b as u32)] += 1;
         }
     }
     tmp.clear();
-    tmp.resize(n, K::default());
+    tmp.resize(n, 0);
     let mut passes = 0u64;
     // `keys` always holds the current data; after each scatter the buffers
     // swap so the loop body never cares which allocation it started in.
@@ -231,7 +182,7 @@ fn radix_lsd_serial<K: RadixKey>(keys: &mut Vec<K>, tmp: &mut Vec<K>, bits: u32)
             *c = start;
         }
         for &k in keys.iter() {
-            let d = k.byte(b as u32);
+            let d = byte(k, b as u32);
             tmp[h[d] as usize] = k;
             h[d] += 1;
         }
@@ -244,12 +195,12 @@ fn radix_lsd_serial<K: RadixKey>(keys: &mut Vec<K>, tmp: &mut Vec<K>, bits: u32)
 /// Raw destination slice for the parallel scatter. Chunks write disjoint
 /// index ranges (see the module docs for the offset construction), so
 /// concurrent writes never alias.
-struct ScatterDst<K>(*mut K);
+struct ScatterDst(*mut u128);
 // SAFETY: access is partitioned by precomputed disjoint offset ranges.
-unsafe impl<K: Send> Sync for ScatterDst<K> {}
-impl<K> ScatterDst<K> {
+unsafe impl Sync for ScatterDst {}
+impl ScatterDst {
     #[inline]
-    fn write(&self, i: usize, v: K) {
+    fn write(&self, i: usize, v: u128) {
         // SAFETY: `i` lies in this chunk's precomputed disjoint range, which
         // is in bounds of the `tmp` allocation (resized to n before use).
         unsafe { self.0.add(i).write(v) }
@@ -260,7 +211,7 @@ impl<K> ScatterDst<K> {
 /// scatter offsets, disjoint chunk writes. Bit-identical to
 /// [`radix_lsd_serial`] for any chunk count — the differential proptests
 /// pin this across thread counts {1, 2, 3, 8}.
-fn radix_lsd_par<K: RadixKey>(keys: &mut Vec<K>, tmp: &mut Vec<K>, bits: u32, pool: &Pool) -> u64 {
+fn radix_lsd_par(keys: &mut Vec<u128>, tmp: &mut Vec<u128>, bits: u32, pool: &Pool) -> u64 {
     let n = keys.len();
     debug_assert!(n < u32::MAX as usize);
     let num_digits = bits.div_ceil(8) as usize;
@@ -273,13 +224,13 @@ fn radix_lsd_par<K: RadixKey>(keys: &mut Vec<K>, tmp: &mut Vec<K>, bits: u32, po
     // One parallel scan gathers every digit position's histogram per chunk,
     // mirroring the serial one-scan gather.
     let first_hists: Vec<Box<[[u32; 256]]>> = {
-        let src: &[K] = keys;
+        let src: &[u128] = keys;
         let ranges = &ranges;
         pool.map(chunks, |c, _| {
             let mut h = vec![[0u32; 256]; num_digits].into_boxed_slice();
             for &k in &src[ranges[c].clone()] {
                 for (b, hb) in h.iter_mut().enumerate() {
-                    hb[k.byte(b as u32)] += 1;
+                    hb[byte(k, b as u32)] += 1;
                 }
             }
             h
@@ -296,7 +247,7 @@ fn radix_lsd_par<K: RadixKey>(keys: &mut Vec<K>, tmp: &mut Vec<K>, bits: u32, po
         }
     }
     tmp.clear();
-    tmp.resize(n, K::default());
+    tmp.resize(n, 0);
     let mut passes = 0u64;
     for b in 0..num_digits {
         if totals[b].iter().any(|&c| c as usize == n) {
@@ -308,12 +259,12 @@ fn radix_lsd_par<K: RadixKey>(keys: &mut Vec<K>, tmp: &mut Vec<K>, bits: u32, po
         let counts: Vec<[u32; 256]> = if passes == 0 {
             first_hists.iter().map(|h| h[b]).collect()
         } else {
-            let src: &[K] = keys;
+            let src: &[u128] = keys;
             let ranges = &ranges;
             pool.map(chunks, |c, _| {
                 let mut h = [0u32; 256];
                 for &k in &src[ranges[c].clone()] {
-                    h[k.byte(b as u32)] += 1;
+                    h[byte(k, b as u32)] += 1;
                 }
                 h
             })
@@ -332,12 +283,12 @@ fn radix_lsd_par<K: RadixKey>(keys: &mut Vec<K>, tmp: &mut Vec<K>, bits: u32, po
             digit_base += totals[b][d];
         }
         {
-            let src: &[K] = keys;
+            let src: &[u128] = keys;
             let ranges = &ranges;
             let dst = ScatterDst(tmp.as_mut_ptr());
             pool.for_each_mut(&mut starts, |c, row, _| {
                 for &k in &src[ranges[c].clone()] {
-                    let d = k.byte(b as u32);
+                    let d = byte(k, b as u32);
                     dst.write(row[d] as usize, k);
                     row[d] += 1;
                 }
@@ -383,7 +334,7 @@ mod tests {
             let mut a = soup::<3>(500, seed, 10);
             let mut b = a.clone();
             a.sort_unstable();
-            sort_octants(&mut b);
+            sort_octants_with(&mut b, &mut SortScratch::new());
             assert_eq!(a, b);
         }
     }
@@ -393,7 +344,7 @@ mod tests {
         let mut a = soup::<2>(777, 42, 14);
         let mut b = a.clone();
         a.sort_unstable();
-        sort_octants(&mut b);
+        sort_octants_with(&mut b, &mut SortScratch::new());
         assert_eq!(a, b);
     }
 
@@ -420,7 +371,7 @@ mod tests {
         }
         let mut b = a.clone();
         a.sort_unstable();
-        sort_octants(&mut b);
+        sort_octants_with(&mut b, &mut SortScratch::new());
         assert_eq!(a, b);
     }
 
@@ -439,10 +390,10 @@ mod tests {
     #[test]
     fn small_and_empty_inputs() {
         let mut v: Vec<Oct3> = vec![];
-        sort_octants(&mut v);
+        sort_octants_with(&mut v, &mut SortScratch::new());
         let r = Oct3::root();
         let mut v = vec![r.child(3), r.child(1)];
-        sort_octants(&mut v);
+        sort_octants_with(&mut v, &mut SortScratch::new());
         assert_eq!(v, vec![r.child(1), r.child(3)]);
     }
 

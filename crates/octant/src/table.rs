@@ -1,4 +1,4 @@
-//! Flat open-addressing octant membership table over packed integer keys.
+//! Flat open-addressing octant membership table over packed Morton keys.
 //!
 //! [`OctantTable`] is the membership set of the balance kernels (in
 //! place of a `HashSet<Octant<D>>`, which the tests keep as their
@@ -8,12 +8,10 @@
 //! of integers in a cache-friendly flat array, with no buckets and no
 //! per-entry allocation.
 //!
-//! Unlike the sort path's Morton codec ([`crate::key`]), the table's key
-//! places the biased coordinates *side by side* rather than interleaved:
-//! a membership table never compares keys for order, so it can skip the
-//! bit-spread entirely and encode an octant with a handful of shifts.
-//! The layout shares the sort codec's bias and field widths and is
-//! injective over the same domain ([`crate::key::packable`]).
+//! The stored and hashed value is the Morton key itself ([`crate::key`]),
+//! the representation the kernels already hold, so [`OctantTable::insert_key`]
+//! and [`OctantTable::contains_key`] encode nothing. The struct
+//! [`OctantTable::insert`] / [`OctantTable::contains`] pack first.
 //!
 //! Pre-size with [`OctantTable::with_capacity_for`] (or
 //! [`OctantTable::reset_for`], which also reuses the allocation across
@@ -35,41 +33,13 @@
 
 use std::cell::Cell;
 
-use crate::key::{packable, KEY_BIAS, KEY_COORD_BITS, KEY_LEVEL_BITS};
+use crate::key;
 use crate::octant::Octant;
 
 /// Fill value for unwritten key slots. Occupancy is tracked by the tag
 /// array alone; this sentinel (never a valid key: packed keys use at most
-/// 113 bits, so `u128::MAX` cannot be produced by [`encode`]) only keeps
-/// uninitialized slots visibly invalid in a debugger.
+/// 113 bits) only keeps uninitialized slots visibly invalid in a debugger.
 const EMPTY: u128 = u128::MAX;
-
-/// Injective octant→integer encoding for membership: biased coordinates
-/// side by side above the level bits. No Morton interleave — the table
-/// never orders keys, and skipping the bit-spread makes every `contains`
-/// and `insert` a few shifts instead of the full codec.
-#[inline]
-fn encode<const D: usize>(o: &Octant<D>) -> u128 {
-    debug_assert!(packable(o), "unencodable octant {o:?}");
-    let mut key = o.level as u128;
-    for (i, &c) in o.coords.iter().enumerate() {
-        let biased = (c + KEY_BIAS) as u128;
-        key |= biased << (KEY_LEVEL_BITS + i as u32 * KEY_COORD_BITS);
-    }
-    key
-}
-
-/// Inverse of [`encode`], for iteration and draining.
-#[inline]
-fn decode<const D: usize>(key: u128) -> Octant<D> {
-    let level = (key & ((1 << KEY_LEVEL_BITS) - 1)) as u8;
-    let coords = std::array::from_fn(|i| {
-        let shift = KEY_LEVEL_BITS + i as u32 * KEY_COORD_BITS;
-        let biased = (key >> shift) & ((1 << KEY_COORD_BITS) - 1);
-        biased as i32 - KEY_BIAS
-    });
-    Octant { coords, level }
-}
 
 /// Maximum load factor of 1/2: capacity is at least twice the expected
 /// insertion count, keeping linear-probe chains short.
@@ -222,13 +192,25 @@ impl<const D: usize> OctantTable<D> {
     /// Is the octant present?
     #[inline]
     pub fn contains(&self, o: &Octant<D>) -> bool {
-        self.tags[self.probe(encode(o))] != 0
+        self.contains_key(key::pack(o))
     }
 
     /// Insert an octant; returns `true` if it was not already present.
     #[inline]
     pub fn insert(&mut self, o: &Octant<D>) -> bool {
-        let key = encode(o);
+        self.insert_key(key::pack(o))
+    }
+
+    /// Is the octant with this packed key present?
+    #[inline]
+    pub fn contains_key(&self, key: u128) -> bool {
+        self.tags[self.probe(key)] != 0
+    }
+
+    /// Insert the octant with this packed key; returns `true` if it was
+    /// not already present.
+    #[inline]
+    pub fn insert_key(&mut self, key: u128) -> bool {
         let i = self.probe(key);
         if self.tags[i] != 0 {
             return false;
@@ -257,26 +239,14 @@ impl<const D: usize> OctantTable<D> {
         }
     }
 
-    /// Iterate the stored octants in slot (arbitrary) order.
-    pub fn iter(&self) -> impl Iterator<Item = Octant<D>> + '_ {
+    /// Iterate the packed keys of the stored octants in slot (arbitrary)
+    /// order.
+    pub fn keys(&self) -> impl Iterator<Item = u128> + '_ {
         self.tags
             .iter()
             .zip(&self.slots)
             .filter(|(&t, _)| t != 0)
-            .map(|(_, &k)| decode::<D>(k))
-    }
-
-    /// Append all stored octants to `out` (arbitrary order) and clear the
-    /// table, keeping its allocation.
-    pub fn drain_into(&mut self, out: &mut Vec<Octant<D>>) {
-        out.reserve(self.len);
-        for (t, k) in self.tags.iter_mut().zip(&self.slots) {
-            if *t != 0 {
-                out.push(decode::<D>(*k));
-                *t = 0;
-            }
-        }
-        self.len = 0;
+            .map(|(_, &k)| k)
     }
 }
 
@@ -340,8 +310,8 @@ mod tests {
             let miss = o.first_descendant((o.level + 1).min(crate::coords::MAX_LEVEL));
             assert_eq!(t.contains(&miss), h.contains(&miss));
         }
-        let mut from_t: Vec<_> = t.iter().collect();
-        let mut from_h: Vec<_> = h.iter().copied().collect();
+        let mut from_t: Vec<_> = t.keys().collect();
+        let mut from_h: Vec<_> = h.iter().map(key::pack).collect();
         from_t.sort_unstable();
         from_h.sort_unstable();
         assert_eq!(from_t, from_h);
@@ -395,22 +365,24 @@ mod tests {
     }
 
     #[test]
-    fn drain_into_empties_table() {
+    fn key_and_struct_entry_points_agree() {
         let octs = soup::<2>(300, 3);
         let mut t = OctantTable::<2>::with_capacity_for(octs.len());
         let mut uniq = HashSet::<Octant<2>>::new();
-        for o in &octs {
-            t.insert(o);
-            uniq.insert(*o);
+        for (i, o) in octs.iter().enumerate() {
+            let fresh = if i % 2 == 0 {
+                t.insert(o)
+            } else {
+                t.insert_key(key::pack(o))
+            };
+            assert_eq!(fresh, uniq.insert(*o));
         }
-        let mut out = vec![];
-        t.drain_into(&mut out);
-        assert_eq!(out.len(), uniq.len());
-        assert!(t.is_empty());
-        out.sort_unstable();
-        let mut expect: Vec<_> = uniq.iter().copied().collect();
-        expect.sort_unstable();
-        assert_eq!(out, expect);
+        for o in &octs {
+            assert!(t.contains(o) && t.contains_key(key::pack(o)));
+            let n = o.neighbor(&[1, 0]);
+            assert_eq!(t.contains_key(key::pack(&n)), uniq.contains(&n));
+        }
+        assert_eq!(t.keys().count(), uniq.len());
     }
 
     #[test]
