@@ -666,9 +666,15 @@ pub fn kernel_experiment(targets: &[usize]) -> Vec<BenchRecord> {
             assert_eq!(buf, struct_sorted, "radix sort diverged from sort_unstable");
             let radix_passes =
                 (sort.radix_passes - passes_before) / (sort.radix_sorts - sorts_before).max(1);
+            let (hits, passes) = (sort.presorted_hits, sort.radix_passes);
             let sort_presorted_seconds = timed(reps, || {
                 sort_octants_with(black_box(&mut buf), &mut sort);
             });
+            assert_eq!(
+                (sort.presorted_hits - hits, sort.radix_passes),
+                (reps as u64, passes),
+                "every timed presorted call must take the early-out"
+            );
 
             // --- membership: build and query of the open-addressing table ---
             // Queries are half hits (the leaves themselves) and half
@@ -1340,8 +1346,9 @@ mod tests {
 
     #[test]
     fn kernel_rows_are_self_checking() {
-        // The driver asserts radix == sort_unstable, table membership and
-        // scratch == fresh internally; here we check the counters land.
+        // `kernel_experiment` asserts radix == sort_unstable, table
+        // membership, scratch == fresh and that every timed presorted sort
+        // took the early-out; here we check the counters land.
         // The target sits above `RADIX_MIN_LEN` so the shuffled sort
         // takes the radix path, not the small-input comparison fallback.
         let rows = kernel_experiment(&[2000]);
@@ -1353,7 +1360,6 @@ mod tests {
         );
         assert_eq!(r.u64("table_grows"), 0, "pre-sized table must not regrow");
         assert!(r.f64("table_probes_per_op") >= 1.0);
-        assert!(r.f64("sort_presorted_s") <= r.f64("sort_radix_s"));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! prints them as `BENCH` lines and as tables projected from the same
 //! rows.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

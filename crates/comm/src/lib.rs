@@ -37,6 +37,7 @@
 //! assert!(out.total_stats().messages_sent > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

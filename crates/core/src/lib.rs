@@ -48,6 +48,7 @@
 //! assert!(mesh.binary_search(&o).is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod condition;

@@ -104,13 +104,14 @@ impl<const D: usize> BalanceScratch<D> {
 
     /// Run `f(index, task, arena)` once per element of `tasks` on the
     /// current `forestbal-par` pool: the one dispatch of the parallel
-    /// balance phases. Each pool worker gets its own child arena (kept
-    /// across calls, grown or shrunk to the pool width); a width-1 pool
-    /// or a single task runs on this arena itself. Afterwards every
-    /// worker's counter growth is folded into this scratch's totals in
-    /// worker-index order, per the determinism contract of
-    /// `forestbal-par` (the totals are sums, hence schedule-invariant),
-    /// so [`BalanceScratch::stats`] reads the same at every pool width.
+    /// balance phases. The child arenas (kept across calls, grown or
+    /// shrunk to the pool width) are lent to `Pool::for_each_mut`, one per
+    /// worker; a width-1 pool or a single task runs on this arena itself.
+    /// Afterwards every worker's counter growth is folded into this
+    /// scratch's totals in worker-index order, per the determinism
+    /// contract of `forestbal-par` (the totals are sums, hence
+    /// schedule-invariant), so [`BalanceScratch::stats`] reads the same at
+    /// every pool width.
     pub fn for_each_task<T: Send>(
         &mut self,
         tasks: &mut [T],
@@ -123,15 +124,11 @@ impl<const D: usize> BalanceScratch<D> {
             }
             return;
         }
-        let mut workers = std::mem::take(&mut self.workers);
-        workers.truncate(pool.threads());
-        workers.resize_with(pool.threads(), BalanceScratch::new);
-        let bases: Vec<ScratchStats> = workers.iter().map(BalanceScratch::stats).collect();
-        let mut stash = workers.into_iter();
-        let arena =
-            forestbal_par::PerWorker::new(&pool, |_| stash.next().expect("one arena per worker"));
-        pool.for_each_mut(tasks, |i, task, w| arena.with(w, |ws| f(i, task, ws)));
-        self.workers = arena.drain().collect();
+        self.workers.truncate(pool.threads());
+        self.workers
+            .resize_with(pool.threads(), BalanceScratch::new);
+        let bases: Vec<ScratchStats> = self.workers.iter().map(BalanceScratch::stats).collect();
+        pool.for_each_mut(tasks, &mut self.workers, f);
         for (w, base) in self.workers.iter().zip(&bases) {
             self.absorbed.accumulate(&w.stats().delta_since(base));
         }

@@ -23,6 +23,7 @@
 
 use crate::connectivity::TreeId;
 use forestbal_octant::Octant;
+use std::ops::Range;
 
 /// Bytes per octant on the wire: one packed key, 8 bytes for `D <= 2`
 /// (59-bit keys) and 16 bytes for larger `D` (86-bit keys in 3D).
@@ -97,24 +98,10 @@ fn read_keys<const D: usize>(src: &[u8], dst: &mut [u128]) {
 pub fn put_keys<const D: usize>(buf: &mut Vec<u8>, keys: &[u128]) {
     let ks = key_size::<D>();
     let base = buf.len();
-    if keys.len() >= PAR_KEYS_MIN {
-        let pool = forestbal_par::current();
-        if pool.threads() > 1 {
-            buf.resize(base + keys.len() * ks, 0);
-            let out = forestbal_par::DisjointSlice::new(&mut buf[base..]);
-            let ranges = pool.chunk_ranges(keys.len(), PAR_KEYS_CHUNK);
-            pool.run(ranges.len(), |c, _| {
-                let r = ranges[c].clone();
-                // SAFETY: byte ranges of non-overlapping key ranges are
-                // non-overlapping; each task index runs exactly once.
-                let dst = unsafe { out.range_mut(r.start * ks..r.end * ks) };
-                write_keys::<D>(&keys[r], dst);
-            });
-            return;
-        }
-    }
     buf.resize(base + keys.len() * ks, 0);
-    write_keys::<D>(keys, &mut buf[base..]);
+    chunked(keys.len(), &mut buf[base..], ks, |r, dst| {
+        write_keys::<D>(&keys[r], dst)
+    });
 }
 
 /// Read `count` packed keys at `pos` into `out`, advancing `pos`. The
@@ -125,24 +112,41 @@ pub fn get_keys<const D: usize>(buf: &[u8], pos: &mut usize, count: usize, out: 
     let src = &buf[*pos..*pos + count * ks];
     let base = out.len();
     out.resize(base + count, 0);
-    let dst = &mut out[base..];
     *pos += count * ks;
+    chunked(count, &mut out[base..], 1, |r, dst| {
+        read_keys::<D>(&src[r.start * ks..r.end * ks], dst)
+    });
+}
+
+/// Run `f(key range, output piece)` over `count` keys whose output holds
+/// `per_key` elements per key: whole, or, from `PAR_KEYS_MIN` keys on a
+/// pool wider than 1, on pieces split at the pool's `chunk_ranges`
+/// boundaries.
+fn chunked<T: Send>(
+    count: usize,
+    out: &mut [T],
+    per_key: usize,
+    f: impl Fn(Range<usize>, &mut [T]) + Sync,
+) {
     if count >= PAR_KEYS_MIN {
         let pool = forestbal_par::current();
         if pool.threads() > 1 {
-            let shared = forestbal_par::DisjointSlice::new(dst);
-            let ranges = pool.chunk_ranges(count, PAR_KEYS_CHUNK);
-            pool.run(ranges.len(), |c, _| {
-                let r = ranges[c].clone();
-                // SAFETY: non-overlapping key ranges; one task per index.
-                read_keys::<D>(&src[r.start * ks..r.end * ks], unsafe {
-                    shared.range_mut(r)
-                });
+            let mut rest = out;
+            let mut parts: Vec<_> = pool
+                .chunk_ranges(count, PAR_KEYS_CHUNK)
+                .into_iter()
+                .map(|r| {
+                    let piece = rest.split_off_mut(..r.len() * per_key);
+                    (r, piece.expect("ranges tile the output"))
+                })
+                .collect();
+            pool.for_each_mut(&mut parts, &mut vec![(); pool.threads()], |_, (r, o), _| {
+                f(r.clone(), o)
             });
             return;
         }
     }
-    read_keys::<D>(src, dst);
+    f(0..count, out);
 }
 
 /// Append a `u32`.

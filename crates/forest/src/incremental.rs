@@ -263,12 +263,10 @@ impl<const D: usize> Forest<D> {
             .map(|(t, v)| (t, v, TreeEdits::default()))
             .collect();
         let pool = forestbal_par::current();
-        let arena = forestbal_par::PerWorker::new(&pool, |_| SortScratch::new());
-        pool.for_each_mut(&mut tasks, |_, (t, v, res), w| {
+        let mut sorts = vec![SortScratch::new(); pool.threads()];
+        pool.for_each_mut(&mut tasks, &mut sorts, |_, (t, v, res), sort| {
             let (refi, coar) = (edits(&refines, *t), edits(&coarsens, *t));
-            arena.with(w, |sort| {
-                *res = merge_tree_edits::<D>(v, refi, coar, max_level, sort);
-            });
+            *res = merge_tree_edits::<D>(v, refi, coar, max_level, sort);
         });
         for (t, _, res) in tasks {
             dirty.refined += res.refined;

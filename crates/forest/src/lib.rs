@@ -12,6 +12,7 @@
 //! [`serial`] provides a single-address-space forest balance used as the
 //! ground truth in tests.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod balance;

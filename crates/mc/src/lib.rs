@@ -46,6 +46,7 @@
 //! assert!(report.states_visited > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checker;

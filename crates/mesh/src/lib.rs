@@ -13,6 +13,7 @@
 //!   reproduces.
 //! * [`random`] — seeded random refinement for fuzzing and benchmarks.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fractal;

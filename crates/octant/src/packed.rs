@@ -342,22 +342,7 @@ fn unpack_into<const D: usize>(src: &[u128], dst: &mut [Octant<D>]) {
 pub fn pack_batch<const D: usize>(src: &[Octant<D>], dst: &mut Vec<u128>) {
     let base = dst.len();
     dst.resize(base + src.len(), 0);
-    let out = &mut dst[base..];
-    if src.len() >= PAR_BATCH_MIN {
-        let pool = forestbal_par::current();
-        if pool.threads() > 1 {
-            let ranges = pool.chunk_ranges(src.len(), PAR_BATCH_CHUNK);
-            let shared = forestbal_par::DisjointSlice::new(out);
-            pool.run(ranges.len(), |c, _| {
-                let r = ranges[c].clone();
-                // SAFETY: `chunk_ranges` yields non-overlapping ranges and
-                // each task index runs exactly once.
-                pack_into(&src[r.clone()], unsafe { shared.range_mut(r) });
-            });
-            return;
-        }
-    }
-    pack_into(src, out);
+    chunked(src, &mut dst[base..], pack_into::<D>);
 }
 
 /// Decode a batch of keys into octants, appending to `dst`. The inverse of
@@ -371,22 +356,32 @@ pub fn unpack_batch<const D: usize>(src: &[u128], dst: &mut Vec<Octant<D>>) {
             level: 0,
         },
     );
-    let out = &mut dst[base..];
+    chunked(src, &mut dst[base..], unpack_into::<D>);
+}
+
+/// Run a slice core `f` over `src` and the equally long `out`: whole, or,
+/// from `PAR_BATCH_MIN` items on a pool wider than 1, on pieces split at
+/// the pool's `chunk_ranges` boundaries.
+fn chunked<A: Sync, B: Send>(src: &[A], out: &mut [B], f: impl Fn(&[A], &mut [B]) + Sync) {
     if src.len() >= PAR_BATCH_MIN {
         let pool = forestbal_par::current();
         if pool.threads() > 1 {
-            let ranges = pool.chunk_ranges(src.len(), PAR_BATCH_CHUNK);
-            let shared = forestbal_par::DisjointSlice::new(out);
-            pool.run(ranges.len(), |c, _| {
-                let r = ranges[c].clone();
-                // SAFETY: `chunk_ranges` yields non-overlapping ranges and
-                // each task index runs exactly once.
-                unpack_into(&src[r.clone()], unsafe { shared.range_mut(r) });
+            let mut rest = out;
+            let mut parts: Vec<_> = pool
+                .chunk_ranges(src.len(), PAR_BATCH_CHUNK)
+                .into_iter()
+                .map(|r| {
+                    let piece = rest.split_off_mut(..r.len());
+                    (&src[r], piece.expect("ranges tile the output"))
+                })
+                .collect();
+            pool.for_each_mut(&mut parts, &mut vec![(); pool.threads()], |_, (s, o), _| {
+                f(s, o)
             });
             return;
         }
     }
-    unpack_into(src, out);
+    f(src, out);
 }
 
 /// Which accelerated kernels are active at runtime, for BENCH reporting:

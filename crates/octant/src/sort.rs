@@ -23,16 +23,17 @@
 //! At [`PAR_MIN_LEN`] keys and above, the scatter passes run across the
 //! [`forestbal_par`] pool under its determinism contract: the key array is
 //! split into contiguous chunks (pure arithmetic, load-independent), each
-//! worker histograms and scatters its own chunk, and every chunk's scatter
-//! destination is *precomputed* as
+//! worker histograms and scatters its own chunk, and the destination buffer
+//! is cut into one window per (digit, chunk), laid out digit-major, so the
+//! window of chunk `c` and digit `d` starts at
 //!
 //! ```text
 //! offset(chunk c, digit d) = Σ_{d' < d} total[d']  +  Σ_{c' < c} count[c'][d]
 //! ```
 //!
 //! — exactly the position serial stable LSD would assign, for any chunk
-//! count. Chunks write disjoint ranges, no ordering between workers can
-//! leak into the output, and the trivial-pass decision uses the summed
+//! count. Each chunk fills only its own windows, no ordering between workers
+//! can leak into the output, and the trivial-pass decision uses the summed
 //! totals (permutation-invariant), so the executed pass set matches serial
 //! too. Output and `SortScratch` counters are therefore bit-identical for
 //! every thread count, including 1.
@@ -192,25 +193,10 @@ fn radix_lsd_serial(keys: &mut Vec<u128>, tmp: &mut Vec<u128>, bits: u32) -> u64
     passes
 }
 
-/// Raw destination slice for the parallel scatter. Chunks write disjoint
-/// index ranges (see the module docs for the offset construction), so
-/// concurrent writes never alias.
-struct ScatterDst(*mut u128);
-// SAFETY: access is partitioned by precomputed disjoint offset ranges.
-unsafe impl Sync for ScatterDst {}
-impl ScatterDst {
-    #[inline]
-    fn write(&self, i: usize, v: u128) {
-        // SAFETY: `i` lies in this chunk's precomputed disjoint range, which
-        // is in bounds of the `tmp` allocation (resized to n before use).
-        unsafe { self.0.add(i).write(v) }
-    }
-}
-
-/// Parallel LSD radix sort: per-chunk histograms, precomputed stable
-/// scatter offsets, disjoint chunk writes. Bit-identical to
-/// [`radix_lsd_serial`] for any chunk count — the differential proptests
-/// pin this across thread counts {1, 2, 3, 8}.
+/// Parallel LSD radix sort: per-chunk histograms, one destination window
+/// per (digit, chunk), each chunk writing only its own windows.
+/// Bit-identical to [`radix_lsd_serial`] for any chunk count — the
+/// differential proptests pin this across thread counts {1, 2, 3, 8}.
 fn radix_lsd_par(keys: &mut Vec<u128>, tmp: &mut Vec<u128>, bits: u32, pool: &Pool) -> u64 {
     let n = keys.len();
     debug_assert!(n < u32::MAX as usize);
@@ -269,28 +255,26 @@ fn radix_lsd_par(keys: &mut Vec<u128>, tmp: &mut Vec<u128>, bits: u32, pool: &Po
                 h
             })
         };
-        // starts[c][d] = (exclusive prefix of totals over digits) +
-        // (exclusive prefix of counts over earlier chunks) — the exact
-        // position serial stable scatter would use.
-        let mut starts = vec![[0u32; 256]; chunks];
-        let mut digit_base = 0u32;
-        for d in 0..256 {
-            let mut run = digit_base;
-            for c in 0..chunks {
-                starts[c][d] = run;
-                run += counts[c][d];
-            }
-            digit_base += totals[b][d];
-        }
+        // Cut `tmp` into one window per (digit, chunk), digit-major: the
+        // window of (d, c) starts where serial stable scatter puts chunk
+        // c's first key with digit d.
         {
+            let mut windows: Vec<[std::slice::IterMut<u128>; 256]> = (0..chunks)
+                .map(|_| std::array::from_fn(|_| Default::default()))
+                .collect();
+            let mut rest: &mut [u128] = tmp;
+            for d in 0..256 {
+                for (c, count) in counts.iter().enumerate() {
+                    let window = rest.split_off_mut(..count[d] as usize);
+                    windows[c][d] = window.expect("the counts sum to n").iter_mut();
+                }
+            }
             let src: &[u128] = keys;
             let ranges = &ranges;
-            let dst = ScatterDst(tmp.as_mut_ptr());
-            pool.for_each_mut(&mut starts, |c, row, _| {
+            pool.for_each_mut(&mut windows, &mut vec![(); pool.threads()], |c, win, _| {
                 for &k in &src[ranges[c].clone()] {
-                    let d = byte(k, b as u32);
-                    dst.write(row[d] as usize, k);
-                    row[d] += 1;
+                    let slot = win[byte(k, b as u32)].next();
+                    *slot.expect("window sized by this chunk's digit count") = k;
                 }
             });
         }

@@ -1,30 +1,31 @@
-//! `forestbal-par` — a zero-dependency, std-only fork-join thread pool with a
-//! hard determinism contract.
+//! `forestbal-par` — a zero-dependency, std-only fork-join pool with a hard
+//! determinism contract.
 //!
 //! # Why a first-party pool
 //!
-//! The workspace builds offline with std only (no rayon, no crossbeam), and the
-//! distributed runtimes already own threads: the threaded `Cluster` runs every
-//! rank as an OS thread, and tests routinely oversubscribe ranks × workers on
-//! small machines. The pool therefore has to be small enough to reason about
-//! exhaustively, safe to share between rank threads, and impossible to
-//! deadlock under oversubscription. It is ~400 lines of `Mutex`/`Condvar` code
-//! with three invariants:
+//! The workspace builds offline with std only (no rayon, no crossbeam), and
+//! the distributed runtimes already own threads: the threaded `Cluster` runs
+//! every rank as an OS thread, and tests routinely oversubscribe ranks ×
+//! workers on small machines. So a [`Pool`] is only a width, and every
+//! dispatch is one `std::thread::scope`. Three rules follow:
 //!
-//! 1. **One batch at a time.** A dispatch takes the job slot, publishes its
-//!    tasks, participates as worker 0, and releases the slot only after every
-//!    task has finished. Concurrent dispatchers (e.g. several `Cluster` ranks
-//!    sharing one pool) queue on the slot; each batch still makes progress
-//!    because its dispatcher always executes tasks itself.
-//! 2. **The dispatcher participates.** Even with zero workers (threads = 1) or
-//!    with every worker stuck on another rank's batch, the dispatching thread
-//!    drains the task queue, so a dispatch can never block on thread
-//!    availability — this is what makes rank × worker oversubscription
-//!    deadlock-free by construction.
-//! 3. **Nested dispatch runs inline.** A task that itself calls into the pool
-//!    (a parallel kernel calling another parallel kernel) executes serially on
-//!    the calling thread, keeping its ambient worker id. No re-entrancy, no
-//!    lock recursion.
+//! 1. **One fork-join per batch.** At width `W > 1` a dispatch spawns up to
+//!    `W - 1` scoped threads. They and the calling thread (worker 0) claim
+//!    tasks from one shared cursor, and all of them are joined before the
+//!    dispatch returns. Tasks borrow the caller's data; nothing outlives the
+//!    batch, so concurrent dispatchers (several `Cluster` ranks sharing one
+//!    pool) never wait on each other.
+//! 2. **The caller drains the cursor.** If the OS refuses a thread, the
+//!    batch continues on the threads it already has, down to the caller
+//!    alone. Rank × worker oversubscription can never fail or deadlock a
+//!    dispatch.
+//! 3. **Serial cases run inline.** Width 1, a single task, and a dispatch
+//!    from inside a task (a parallel kernel calling another) run on the
+//!    calling thread with its ambient worker id: no spawn, no lock.
+//!
+//! A panicking task makes the batch skip its remaining tasks; once every
+//! thread has joined, the dispatch re-raises the panic with its original
+//! payload.
 //!
 //! # The determinism contract
 //!
@@ -36,10 +37,11 @@
 //! * Task indices are a pure function of the input (`chunk_ranges` splits by
 //!   arithmetic, never by load).
 //! * Tasks may communicate only through their own task-indexed output slot
-//!   ([`Pool::map`]) or their own element ([`Pool::for_each_mut`]); worker ids
-//!   choose *scratch buffers* ([`PerWorker`]), never *results*.
-//! * Merges iterate task-index order or worker-index order
-//!   ([`PerWorker::iter_mut`]) — never completion order.
+//!   ([`Pool::map`]) or their own element ([`Pool::for_each_mut`]); worker
+//!   ids, and the scratch elements [`Pool::for_each_mut`] lends one per
+//!   worker, choose *scratch buffers*, never *results*.
+//! * Merges iterate task-index order or worker-index order (the caller's
+//!   scratch slice) — never completion order.
 //!
 //! Which worker runs which task is scheduling noise (tasks self-schedule off a
 //! shared cursor); anything derived from it must be either scratch or merged in
@@ -56,87 +58,24 @@
 //! [`Pool::install`], which overrides [`current`] on the calling thread only —
 //! exactly right for `Cluster` rank closures.
 
+#![forbid(unsafe_code)]
+
 use std::any::Any;
-use std::cell::{Cell, RefCell, UnsafeCell};
+use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
-
-/// Configuration for a [`Pool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParConfig {
-    /// Total workers, *including* the dispatching thread. `1` means fully
-    /// serial (no threads are spawned).
-    pub threads: usize,
-}
-
-impl ParConfig {
-    /// Read `FORESTBAL_THREADS`, falling back to `available_parallelism`.
-    ///
-    /// Invalid or zero values fall back too — the pool never panics on
-    /// environment garbage.
-    pub fn from_env() -> ParConfig {
-        let threads = std::env::var("FORESTBAL_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        ParConfig {
-            threads: threads.min(MAX_THREADS),
-        }
-    }
-}
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread;
 
 /// Hard cap on pool width; protects against `FORESTBAL_THREADS=999999`.
 pub const MAX_THREADS: usize = 256;
 
 type Payload = Box<dyn Any + Send + 'static>;
 
-/// The erased task function: `f(task_index, worker_index)`.
-///
-/// Lifetime-erased view of the caller's closure; validity is guaranteed
-/// because the dispatcher blocks until `finished == tasks` before returning.
-type RawFn = *const (dyn Fn(usize, usize) + Sync);
-
-/// The currently running batch. Lives in the job slot under the state mutex.
-struct Job {
-    f: RawFn,
-    tasks: usize,
-    /// Next unclaimed task index — the self-scheduling cursor.
-    next: usize,
-    /// Tasks that have finished executing (or were skipped after a panic).
-    finished: usize,
-    /// First panic payload; remaining tasks are claimed but skipped.
-    panic: Option<Payload>,
-}
-
-// SAFETY: `Job` moves between threads only under the state mutex, and the
-// erased `f` is only ever called while the dispatcher keeps the original
-// closure alive.
-unsafe impl Send for Job {}
-
-struct PoolState {
-    job: Option<Job>,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<PoolState>,
-    /// Workers wait here for claimable tasks.
-    work_cv: Condvar,
-    /// The active dispatcher waits here for its batch to finish.
-    done_cv: Condvar,
-    /// Queued dispatchers wait here for the job slot to free up.
-    idle_cv: Condvar,
-}
-
-/// A fork-join pool of `threads - 1` persistent workers plus the dispatcher.
+/// A fork-join pool of `threads` workers, the dispatching thread included.
+/// It holds no threads between dispatches.
 pub struct Pool {
-    shared: Arc<Shared>,
     threads: usize,
-    workers: Vec<JoinHandle<()>>,
 }
 
 thread_local! {
@@ -150,53 +89,41 @@ thread_local! {
 
 static GLOBAL: OnceLock<Arc<Pool>> = OnceLock::new();
 
+/// Read `FORESTBAL_THREADS`, falling back to `available_parallelism`.
+/// Invalid or zero values fall back too — the pool never panics on
+/// environment garbage.
+fn threads_from_env() -> usize {
+    std::env::var("FORESTBAL_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Pin the global pool to `threads` workers. Returns `false` if the global
 /// pool was already created (first use wins); call this before any kernel
 /// touches the pool — e.g. at the top of `main`.
 pub fn set_global_threads(threads: usize) -> bool {
-    GLOBAL
-        .set(Arc::new(Pool::new(threads.clamp(1, MAX_THREADS))))
-        .is_ok()
+    GLOBAL.set(Arc::new(Pool::new(threads))).is_ok()
 }
 
 /// The pool the current thread should use: the innermost [`Pool::install`]
 /// override, else the process-global pool (created on first use from
-/// [`ParConfig::from_env`]).
+/// `FORESTBAL_THREADS`).
 pub fn current() -> Arc<Pool> {
     CURRENT.with(|c| c.borrow().clone()).unwrap_or_else(|| {
         GLOBAL
-            .get_or_init(|| Arc::new(Pool::new(ParConfig::from_env().threads)))
+            .get_or_init(|| Arc::new(Pool::new(threads_from_env())))
             .clone()
     })
 }
 
 impl Pool {
-    /// Build a pool with `threads` total workers (including the dispatcher).
-    /// `threads = 1` spawns nothing and runs every dispatch inline.
+    /// A pool of `threads` total workers (including the dispatcher), clamped
+    /// to `1..=MAX_THREADS`. `threads = 1` runs every dispatch inline.
     pub fn new(threads: usize) -> Pool {
-        let threads = threads.clamp(1, MAX_THREADS);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(PoolState {
-                job: None,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
-        });
-        let workers = (1..threads)
-            .map(|id| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("forestbal-par-{id}"))
-                    .spawn(move || worker_loop(&shared, id))
-                    .expect("spawn pool worker")
-            })
-            .collect();
         Pool {
-            shared,
-            threads,
-            workers,
+            threads: threads.clamp(1, MAX_THREADS),
         }
     }
 
@@ -241,361 +168,127 @@ impl Pool {
     /// Run `tasks` invocations of `f(task, worker)` across the pool and block
     /// until all have finished. Tasks self-schedule (dynamic load balance);
     /// worker ids are in `0..threads` and unique within the batch, with the
-    /// dispatcher as worker 0. Panics in any task are re-raised here after
-    /// the batch drains.
+    /// dispatcher as worker 0. A task panic is re-raised here after the
+    /// batch has joined.
     pub fn run(&self, tasks: usize, f: impl Fn(usize, usize) + Sync) {
-        self.run_dyn(tasks, &f);
-    }
-
-    fn run_dyn(&self, tasks: usize, f: &(dyn Fn(usize, usize) + Sync)) {
-        if tasks == 0 {
-            return;
-        }
-        // Serial paths: width-1 pools, single tasks, and nested dispatch all
-        // run inline on the calling thread with its ambient worker id, so
-        // per-worker scratch stays consistent.
-        if self.threads == 1 || tasks == 1 || IN_TASK.get() {
-            let worker = WORKER_ID.get();
-            for t in 0..tasks {
-                f(t, worker);
-            }
-            return;
-        }
-        // SAFETY: we erase the closure's lifetime to park it in the shared
-        // job slot. The dispatcher (this frame) does not return until
-        // `finished == tasks`, so no task can outlive the borrow.
-        let erased: RawFn = unsafe {
-            std::mem::transmute::<
-                *const (dyn Fn(usize, usize) + Sync),
-                *const (dyn Fn(usize, usize) + Sync + 'static),
-            >(f as *const _)
-        };
-        let mut st = self.shared.state.lock().unwrap();
-        while st.job.is_some() {
-            st = self.shared.idle_cv.wait(st).unwrap();
-        }
-        st.job = Some(Job {
-            f: erased,
-            tasks,
-            next: 0,
-            finished: 0,
-            panic: None,
-        });
-        self.shared.work_cv.notify_all();
-        // Participate as worker 0.
-        st = run_share(&self.shared, st, 0);
-        while st.job.as_ref().is_some_and(|j| j.finished < j.tasks) {
-            st = self.shared.done_cv.wait(st).unwrap();
-        }
-        let job = st.job.take().expect("dispatcher owns the job slot");
-        self.shared.idle_cv.notify_all();
-        drop(st);
-        if let Some(p) = job.panic {
-            resume_unwind(p);
-        }
+        self.dispatch(
+            &mut vec![(); tasks],
+            &mut vec![(); self.threads],
+            &|t, _, w, _| f(t, w),
+        );
     }
 
     /// Run `f(task, worker)` for each task and collect the `tasks` results in
     /// **task-index order** — the ordered merge half of the determinism
     /// contract.
     pub fn map<R: Send>(&self, tasks: usize, f: impl Fn(usize, usize) -> R + Sync) -> Vec<R> {
-        struct Slots<R>(Box<[UnsafeCell<Option<R>>]>);
-        // SAFETY: slot `t` is written exactly once, by task `t`.
-        unsafe impl<R: Send> Sync for Slots<R> {}
-        impl<R> Slots<R> {
-            // Method (not field) access so closures capture the whole `Sync`
-            // wrapper, not the raw `UnsafeCell` field.
-            fn slot(&self, t: usize) -> *mut Option<R> {
-                self.0[t].get()
-            }
-        }
-        let slots: Slots<R> = Slots((0..tasks).map(|_| UnsafeCell::new(None)).collect());
-        self.run_dyn(tasks, &|t, w| {
-            let r = f(t, w);
-            // SAFETY: each task index runs exactly once, so writes are
-            // unaliased; the dispatch barrier orders them before the reads.
-            unsafe { *slots.slot(t) = Some(r) };
+        let mut slots: Vec<Option<R>> = (0..tasks).map(|_| None).collect();
+        self.dispatch(&mut slots, &mut vec![(); self.threads], &|t, slot, w, _| {
+            *slot = Some(f(t, w));
         });
         slots
-            .0
-            .into_vec()
             .into_iter()
-            .map(|c| c.into_inner().expect("task completed"))
+            .map(|r| r.expect("every task ran"))
             .collect()
     }
 
-    /// Run `f(index, &mut item, worker)` over each element of `items`, one
-    /// task per element. Results land in the caller's slice — ordered merge
-    /// for free.
-    pub fn for_each_mut<T: Send>(&self, items: &mut [T], f: impl Fn(usize, &mut T, usize) + Sync) {
-        struct Ptr<T>(*mut T);
-        // SAFETY: element `t` is accessed exactly once, by task `t`.
-        unsafe impl<T: Send> Sync for Ptr<T> {}
-        impl<T> Ptr<T> {
-            fn at(&self, t: usize) -> *mut T {
-                // SAFETY: caller stays in bounds (t < len, asserted below).
-                unsafe { self.0.add(t) }
-            }
-        }
-        let base = Ptr(items.as_mut_ptr());
-        let len = items.len();
-        self.run_dyn(len, &|t, w| {
-            debug_assert!(t < len);
-            // SAFETY: distinct task indices touch distinct elements.
-            let item = unsafe { &mut *base.at(t) };
-            f(t, item, w);
-        });
-    }
-
-    /// Fork-join two closures; one runs on the dispatcher when workers are
-    /// busy, so this never blocks on thread availability.
-    pub fn join<RA: Send, RB: Send>(
+    /// Run `f(index, &mut item, &mut scratch)` over each element of `items`,
+    /// one task per element, on `min(threads, scratch.len(), items.len())`
+    /// workers. Worker `w` holds `scratch[w]` for the whole batch, so fold
+    /// anything it accumulates in slice order. Results land in the caller's
+    /// slice — ordered merge for free. Panics if `scratch` is empty while
+    /// `items` is not.
+    pub fn for_each_mut<T: Send, S: Send>(
         &self,
-        a: impl FnOnce() -> RA + Send,
-        b: impl FnOnce() -> RB + Send,
-    ) -> (RA, RB) {
-        struct Once<T>(UnsafeCell<Option<T>>);
-        // SAFETY: each cell is touched by exactly one task index (pool
-        // contract: every task index runs exactly once), and `T: Send` lets
-        // the value migrate to whichever thread claims the task.
-        unsafe impl<T: Send> Sync for Once<T> {}
-        impl<T> Once<T> {
-            fn new(v: Option<T>) -> Self {
-                Once(UnsafeCell::new(v))
-            }
-            fn ptr(&self) -> *mut Option<T> {
-                self.0.get()
-            }
-        }
-        let fa = Once::new(Some(a));
-        let fb = Once::new(Some(b));
-        let ra: Once<RA> = Once::new(None);
-        let rb: Once<RB> = Once::new(None);
-        self.run_dyn(2, &|t, _| {
-            // SAFETY: sole accessor per task index; see `Once`.
-            if t == 0 {
-                let f = unsafe { (*fa.ptr()).take() }.expect("join task 0 once");
-                unsafe { *ra.ptr() = Some(f()) };
-            } else {
-                let f = unsafe { (*fb.ptr()).take() }.expect("join task 1 once");
-                unsafe { *rb.ptr() = Some(f()) };
-            }
-        });
-        (
-            ra.0.into_inner().expect("join task 0 completed"),
-            rb.0.into_inner().expect("join task 1 completed"),
-        )
+        items: &mut [T],
+        scratch: &mut [S],
+        f: impl Fn(usize, &mut T, &mut S) + Sync,
+    ) {
+        self.dispatch(items, scratch, &|i, item, _, s| f(i, item, s));
     }
-}
 
-impl Drop for Pool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Persistent worker body: wait for claimable work, help drain it, repeat.
-fn worker_loop(shared: &Shared, worker: usize) {
-    let mut st = shared.state.lock().unwrap();
-    loop {
-        if st.shutdown {
+    /// The one fork-join: `f(index, &mut item, worker, &mut scratch[worker])`
+    /// for every item, on `min(threads, items, scratch)` workers claiming
+    /// items from one locked cursor. `f` is a trait object so that the
+    /// spawn and join code exists once per item and scratch type, not once
+    /// per call site.
+    fn dispatch<T: Send, S: Send>(
+        &self,
+        items: &mut [T],
+        scratch: &mut [S],
+        f: &(dyn Fn(usize, &mut T, usize, &mut S) + Sync),
+    ) {
+        if items.is_empty() {
             return;
         }
-        if st.job.as_ref().is_some_and(|j| j.next < j.tasks) {
-            st = run_share(shared, st, worker);
-        } else {
-            st = shared.work_cv.wait(st).unwrap();
+        assert!(
+            !scratch.is_empty(),
+            "a dispatch needs scratch for one worker"
+        );
+        let width = self.threads.min(items.len()).min(scratch.len());
+        if width == 1 || IN_TASK.get() {
+            let worker = WORKER_ID.get();
+            for (i, item) in items.iter_mut().enumerate() {
+                f(i, item, worker, &mut scratch[0]);
+            }
+            return;
         }
-    }
-}
-
-/// Claim and execute tasks from the current job until the cursor is
-/// exhausted. Called with the state lock held; returns with it held.
-fn run_share<'m>(
-    shared: &'m Shared,
-    mut st: std::sync::MutexGuard<'m, PoolState>,
-    worker: usize,
-) -> std::sync::MutexGuard<'m, PoolState> {
-    loop {
-        let Some(job) = st.job.as_mut() else {
-            return st;
+        // `None` once drained, or once a task has panicked: the remaining
+        // tasks are skipped.
+        let cursor = Mutex::new(Some(items.iter_mut().enumerate()));
+        let claim = || {
+            let mut guard = cursor.lock().expect("no task runs under the cursor lock");
+            guard.as_mut()?.next()
         };
-        if job.next >= job.tasks {
-            return st;
-        }
-        let t = job.next;
-        job.next += 1;
-        let f = job.f;
-        let poisoned = job.panic.is_some();
-        drop(st);
-        let result = if poisoned {
-            // A sibling task panicked: claim and skip, so `finished` still
-            // reaches `tasks` and the dispatcher can report the panic.
-            Ok(())
-        } else {
+        let work = |worker: usize, s: &mut S| -> Result<(), Payload> {
             let prev_in = IN_TASK.replace(true);
             let prev_id = WORKER_ID.replace(worker);
             let r = catch_unwind(AssertUnwindSafe(|| {
-                // SAFETY: see run_dyn — the dispatcher outlives the batch.
-                unsafe { (*f)(t, worker) }
+                while let Some((i, item)) = claim() {
+                    f(i, item, worker, s);
+                }
             }));
             WORKER_ID.set(prev_id);
             IN_TASK.set(prev_in);
+            if r.is_err() {
+                *cursor.lock().expect("no task runs under the cursor lock") = None;
+            }
             r
         };
-        st = shared.state.lock().unwrap();
-        let job = st.job.as_mut().expect("job outlives its tasks");
-        job.finished += 1;
-        if let Err(p) = result {
-            job.panic.get_or_insert(p);
-        }
-        if job.finished == job.tasks {
-            shared.done_cv.notify_all();
-        }
-    }
-}
-
-/// Shared raw view of a mutable slice for kernels whose tasks write
-/// provably disjoint index ranges (chunked scatters, partitioned codecs).
-///
-/// This is the one escape hatch the determinism contract allows for
-/// zero-copy parallel writes: the *caller* proves disjointness (ranges are
-/// computed by arithmetic before the dispatch), and the accessors are
-/// `unsafe` so every use site states that proof.
-pub struct DisjointSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _borrow: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: access is partitioned by caller-proven disjoint ranges; `T: Send`
-// lets elements be written from whichever thread owns the range.
-unsafe impl<T: Send> Sync for DisjointSlice<'_, T> {}
-
-impl<'a, T> DisjointSlice<'a, T> {
-    /// Wrap `slice`; the borrow is held for the wrapper's lifetime.
-    pub fn new(slice: &'a mut [T]) -> Self {
-        DisjointSlice {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _borrow: std::marker::PhantomData,
-        }
-    }
-
-    /// Length of the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Mutable view of `range`.
-    ///
-    /// # Safety
-    /// No two concurrent calls may pass overlapping ranges.
-    #[allow(clippy::mut_from_ref)] // &self is the point: disjoint ranges alias nothing
-    pub unsafe fn range_mut(&self, range: Range<usize>) -> &mut [T] {
-        assert!(range.start <= range.end && range.end <= self.len);
-        // SAFETY: bounds checked above; disjointness is the caller's proof.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
-    }
-
-    /// Write one element.
-    ///
-    /// # Safety
-    /// No two concurrent calls may pass the same index.
-    pub unsafe fn write(&self, i: usize, v: T) {
-        assert!(i < self.len);
-        // SAFETY: bounds checked above; uniqueness is the caller's proof.
-        unsafe { self.ptr.add(i).write(v) }
-    }
-}
-
-/// One scratch slot per pool worker, indexed by the `worker` argument that
-/// [`Pool::run`] hands each task.
-///
-/// Scratch is the *only* sanctioned use of worker ids: a task may mutate slot
-/// `worker` freely because worker ids are unique within a batch and batches
-/// never overlap. Anything accumulated here (trace counters, allocation
-/// high-water marks) must be merged through [`iter_mut`](Self::iter_mut) /
-/// [`drain`](Self::drain), which walk **worker-index order** so the merge is
-/// reproducible; determinism of the totals comes from them being sums over a
-/// schedule-invariant set of contributions.
-pub struct PerWorker<S> {
-    slots: Box<[UnsafeCell<S>]>,
-    busy: Box<[AtomicBool]>,
-}
-
-// SAFETY: access is partitioned by worker index (checked at runtime by the
-// `busy` flags), and `S: Send` lets slots migrate to whichever thread holds
-// the matching worker id this batch.
-unsafe impl<S: Send> Sync for PerWorker<S> {}
-
-impl<S> PerWorker<S> {
-    /// One slot per worker of `pool`, built with `init(worker_index)`.
-    pub fn new(pool: &Pool, mut init: impl FnMut(usize) -> S) -> Self {
-        let n = pool.threads();
-        PerWorker {
-            slots: (0..n).map(|w| UnsafeCell::new(init(w))).collect(),
-            busy: (0..n).map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-
-    /// Number of slots (== pool width at construction).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when the pool had width 0 — never, in practice.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Exclusive access to worker `w`'s slot for the duration of `f`.
-    ///
-    /// Panics if the slot is already borrowed — which can only happen if a
-    /// caller passes a worker id it does not own this batch.
-    pub fn with<R>(&self, w: usize, f: impl FnOnce(&mut S) -> R) -> R {
-        assert!(
-            !self.busy[w].swap(true, Ordering::Acquire),
-            "PerWorker slot {w} accessed concurrently — worker id misuse"
-        );
-        struct Unbusy<'a>(&'a AtomicBool);
-        impl Drop for Unbusy<'_> {
-            fn drop(&mut self) {
-                self.0.store(false, Ordering::Release);
+        let (mine, lent) = scratch[..width].split_first_mut().expect("width >= 2");
+        let result = thread::scope(|scope| {
+            let work = &work;
+            // Stop at the first thread the OS refuses; the caller drains
+            // whatever the missing workers would have claimed.
+            let handles: Vec<_> = lent
+                .iter_mut()
+                .enumerate()
+                .map_while(|(i, s)| {
+                    thread::Builder::new()
+                        .spawn_scoped(scope, move || work(i + 1, s))
+                        .ok()
+                })
+                .collect();
+            let mut result = work(0, mine);
+            // Joined explicitly so the first panic keeps its payload; a
+            // bare scope would replace it with its own message.
+            for h in handles {
+                result = result.and(h.join().unwrap_or_else(Err));
             }
+            result
+        });
+        if let Err(payload) = result {
+            resume_unwind(payload);
         }
-        let _unbusy = Unbusy(&self.busy[w]);
-        // SAFETY: the busy flag proves exclusivity; &self keeps the slot alive.
-        f(unsafe { &mut *self.slots[w].get() })
-    }
-
-    /// All slots in worker-index order — the deterministic merge walk.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut S> {
-        self.slots.iter_mut().map(|c| c.get_mut())
-    }
-
-    /// Consume into the slot values, worker-index order.
-    pub fn drain(self) -> impl Iterator<Item = S> {
-        self.slots.into_vec().into_iter().map(|c| c.into_inner())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::thread::ThreadId;
 
     #[test]
     fn map_returns_task_order() {
@@ -611,17 +304,8 @@ mod tests {
         for threads in [1, 2, 8] {
             let pool = Pool::new(threads);
             let mut v = vec![0usize; 101];
-            pool.for_each_mut(&mut v, |i, x, _| *x += i + 1);
+            pool.for_each_mut(&mut v, &mut [(); 8], |i, x, _| *x += i + 1);
             assert!(v.iter().enumerate().all(|(i, &x)| x == i + 1));
-        }
-    }
-
-    #[test]
-    fn join_runs_both_closures() {
-        for threads in [1, 2, 4] {
-            let pool = Pool::new(threads);
-            let (a, b) = pool.join(|| 2 + 2, || "ok".to_string());
-            assert_eq!((a, b.as_str()), (4, "ok"));
         }
     }
 
@@ -658,19 +342,78 @@ mod tests {
 
     #[test]
     fn panics_propagate_after_drain() {
-        let pool = Pool::new(3);
-        let ran = AtomicUsize::new(0);
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(16, |t, _| {
-                ran.fetch_add(1, Ordering::SeqCst);
+        fn message(r: thread::Result<()>) -> String {
+            let payload = r.expect_err("the task panic must reach the dispatcher");
+            payload
+                .downcast_ref::<&str>()
+                .expect("original &str payload")
+                .to_string()
+        }
+        for threads in [2, 3, 8] {
+            let pool = Pool::new(threads);
+            let task = |t: usize| {
                 if t == 5 {
                     panic!("task 5 exploded");
                 }
+            };
+            let run = catch_unwind(AssertUnwindSafe(|| pool.run(16, |t, _| task(t))));
+            let map = catch_unwind(AssertUnwindSafe(|| {
+                pool.map(16, |t, _| task(t));
+            }));
+            let each = catch_unwind(AssertUnwindSafe(|| {
+                pool.for_each_mut(&mut [0u8; 16], &mut [(); 8], |t, _, _| task(t));
+            }));
+            for r in [run, map, each] {
+                assert_eq!(message(r), "task 5 exploded", "threads={threads}");
+            }
+            // Pool is still usable after a panic.
+            assert_eq!(pool.map(3, |t, _| t), vec![0, 1, 2]);
+        }
+    }
+
+    #[test]
+    fn serial_cases_run_on_the_caller() {
+        let caller = thread::current().id();
+        let on_caller = |w: usize| {
+            assert_eq!(thread::current().id(), caller);
+            assert_eq!(w, 0);
+        };
+        // Width 1, a single task at any width, and one lent scratch element.
+        Pool::new(1).run(5, |_, w| on_caller(w));
+        Pool::new(1).map(5, |_, w| on_caller(w));
+        Pool::new(3).run(1, |_, w| on_caller(w));
+        Pool::new(8).map(1, |_, w| on_caller(w));
+        Pool::new(8).for_each_mut(&mut [0u8; 9], &mut [(); 1], |_, _, _| on_caller(0));
+        // Nested dispatch: on the task's thread, with the task's worker id.
+        let pool = Pool::new(3);
+        pool.run(6, |_, w| {
+            let task_thread = thread::current().id();
+            pool.run(4, |_, inner| {
+                assert_eq!(thread::current().id(), task_thread);
+                assert_eq!(inner, w);
             });
-        }));
-        assert!(r.is_err());
-        // Pool is still usable after a panic.
-        assert_eq!(pool.map(3, |t, _| t).len(), 3);
+        });
+    }
+
+    #[test]
+    fn for_each_mut_width_is_bounded_by_scratch() {
+        let caller = thread::current().id();
+        for threads in [2, 3, 8] {
+            let pool = Pool::new(threads);
+            for lent in [1, 2] {
+                let mut scratch: Vec<HashSet<ThreadId>> = vec![HashSet::new(); lent];
+                let seen = Mutex::new(HashSet::new());
+                pool.for_each_mut(&mut [0u8; 64], &mut scratch, |_, _, s| {
+                    s.insert(thread::current().id());
+                    seen.lock().unwrap().insert(thread::current().id());
+                    thread::sleep(std::time::Duration::from_micros(50));
+                });
+                assert!(seen.into_inner().unwrap().len() <= lent);
+                // Each element is lent to one thread for the whole batch.
+                assert!(scratch.iter().all(|s| s.len() <= 1));
+                assert!(scratch[0].iter().all(|&id| id == caller));
+            }
+        }
     }
 
     #[test]
@@ -717,27 +460,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn per_worker_slots_merge_in_order() {
-        let pool = Pool::new(4);
-        let mut scratch = PerWorker::new(&pool, |w| vec![w]);
-        pool.run(40, |t, w| scratch.with(w, |s| s.push(t)));
-        let firsts: Vec<usize> = scratch.iter_mut().map(|s| s[0]).collect();
-        assert_eq!(firsts, vec![0, 1, 2, 3]);
-        let total: usize = scratch.drain().flat_map(|s| s.into_iter().skip(1)).sum();
-        assert_eq!(total, (0..40).sum::<usize>());
-    }
-
-    #[test]
-    fn serial_pool_spawns_nothing() {
-        let pool = Pool::new(1);
-        assert_eq!(pool.workers.len(), 0);
-        let out = pool.map(5, |t, w| {
-            assert_eq!(w, 0);
-            t
-        });
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
     }
 }

@@ -26,6 +26,7 @@
 //!
 //! [`Forest`]: forestbal_forest::Forest
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod service;

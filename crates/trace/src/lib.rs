@@ -37,6 +37,7 @@
 //! identical [`RankTrace::structure`]s — a property the differential
 //! tests in `forestbal-sim` assert.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod export;
