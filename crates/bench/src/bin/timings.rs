@@ -484,18 +484,14 @@ const EXPS: &[Exp] = &[
             rows
         },
     },
-    // Cheap enough to run alone in the CI feature matrix, which compares
-    // the emitted forest checksums across `simd` / default /
-    // `--no-default-features` builds.
+    // Cheap enough to run alone in CI, which compares the emitted forest
+    // checksums across default and `--no-default-features` (trace
+    // elided) builds and across pool widths.
     Exp {
         name: "wire",
         groups: &["kernel", "all"],
         heading: "Packed wire format: bytes per octant and codec throughput",
-        run: |_| {
-            let (pack, packable) = forestbal_octant::simd_active();
-            println!("SIMD kernels active: bmi2 pack/unpack = {pack}, avx2 packable = {packable}");
-            wire_experiment()
-        },
+        run: |_| wire_experiment(),
     },
     Exp {
         name: "seeds",

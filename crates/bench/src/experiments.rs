@@ -937,7 +937,6 @@ fn wire_row<const D: usize>(
         let decode_seconds = timed(reps, || {
             black_box(Forest::<D>::deserialize_leaves(black_box(&bytes)));
         });
-        let (simd_pack, simd_packable) = forestbal_octant::simd_active();
         BenchRecord::new("kernel_wire")
             .u("threads", forestbal_par::current().threads() as u64)
             .u("dim", D as u64)
@@ -952,8 +951,6 @@ fn wire_row<const D: usize>(
             .f("encode_s", encode_seconds)
             .f("decode_s", decode_seconds)
             .u("forest_checksum", f.checksum(ctx))
-            .u("simd_pack", simd_pack as u64)
-            .u("simd_packable", simd_packable as u64)
     });
     out.results.into_iter().next().unwrap()
 }
@@ -966,9 +963,8 @@ fn wire_row<const D: usize>(
 /// source forest.
 ///
 /// `forest_checksum` is the checksum of the balanced mesh the row was
-/// measured on. It is independent of the `simd` feature by construction
-/// (the BMI2 batch codecs are bit-identical to the scalar fallback), so
-/// CI compares it across feature configurations.
+/// measured on. It does not depend on the `trace` feature or the pool
+/// width, so CI compares it across those configurations.
 pub fn wire_experiment() -> Vec<BenchRecord> {
     vec![
         // 2D: a 2x2 brick with an asymmetric corner refinement, so the

@@ -512,9 +512,6 @@ impl<const D: usize> Forest<D> {
     }
 }
 
-/// The current leaf of `tree` containing octant key `n`, viewed through
-/// the overlay: `(base key, current leaf key)`, or `None` when no
-/// current leaf contains `n`.
 /// Outcome of one tree's edit-merge scan ([`merge_tree_edits`]).
 #[derive(Default)]
 struct TreeEdits {
@@ -607,6 +604,9 @@ fn merge_tree_edits<const D: usize>(
     res
 }
 
+/// The current leaf of `tree` containing octant key `n`, viewed through
+/// the overlay: `(base key, current leaf key)`, or `None` when no
+/// current leaf contains `n`.
 fn container<const D: usize>(
     local: &crate::store::LeafStore<D>,
     overlay: &Overlay,

@@ -9,9 +9,8 @@
 //! [`crate::key::pack`] (27-bit biased coordinates) are built on the same
 //! ladders, so a unit-cell Morton index costs the same few nanoseconds
 //! whether it is taken from an [`crate::Octant`] or from a packed key.
-//!
-//! The `simd` feature's BMI2 batch codecs replace exactly these ladders
-//! with `pdep`/`pext`; the ladders are their specification.
+//! These ladders are the crate's only key codec: the batch codecs in
+//! [`crate::packed`] run them once per octant.
 
 /// Dilate the low 32 bits of `v` to even bit positions (stride 2).
 #[inline]

@@ -73,20 +73,6 @@ pub fn packable<const D: usize>(o: &Octant<D>) -> bool {
             .all(|&c| (-ROOT_LEN..2 * ROOT_LEN).contains(&c))
 }
 
-/// Are all octants packable? Equivalent to `a.iter().all(packable)`, but
-/// dispatches to the AVX2 kernel when the `simd` feature is enabled and the
-/// CPU supports it — this check guards the radix-sort and wire-codec fast
-/// paths, so it runs over every hot octant array.
-#[inline]
-pub fn packable_all<const D: usize>(a: &[Octant<D>]) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::simd::avx2_available() {
-        // SAFETY: avx2 support was just detected at runtime.
-        return unsafe { crate::simd::packable_all_avx2(a) };
-    }
-    a.iter().all(packable)
-}
-
 #[inline]
 fn bias(c: Coord) -> u64 {
     debug_assert!(
@@ -224,6 +210,28 @@ mod tests {
         };
         assert!(packable(&lo));
         assert_eq!(unpack::<2>(pack(&lo)), lo);
+        // Every axis of the window, at the finest level: the edge
+        // coordinates pack and round-trip, one step past them does not.
+        edges_on_every_axis::<2>();
+        edges_on_every_axis::<3>();
+    }
+
+    fn edges_on_every_axis<const D: usize>() {
+        for axis in 0..D {
+            let at = |c| {
+                let mut o = Octant::<D>::root().first_descendant(MAX_LEVEL);
+                o.coords[axis] = c;
+                o
+            };
+            for c in [-ROOT_LEN, 2 * ROOT_LEN - 1] {
+                let o = at(c);
+                assert!(packable(&o), "{o:?}");
+                assert_eq!(unpack::<D>(pack(&o)), o);
+            }
+            for c in [-ROOT_LEN - 1, 2 * ROOT_LEN] {
+                assert!(!packable(&at(c)), "D={D} axis {axis} coord {c}");
+            }
+        }
     }
 
     #[test]

@@ -47,6 +47,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod coords;
 mod dilate;
@@ -56,14 +57,12 @@ pub mod linear;
 pub mod morton;
 pub mod octant;
 pub mod packed;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub mod simd;
 pub mod sort;
 pub mod table;
 
 pub use coords::{Coord, MAX_LEVEL, ROOT_LEN};
 pub use direction::{codim, direction_digits, directions, Direction};
-pub use key::{packable, packable_all};
+pub use key::packable;
 pub use linear::{
     complete_region_keys, complete_subtree, complete_subtree_keys, is_complete, is_linear,
     is_linear_keys, linearize, linearize_keys_with, merge_sorted,

@@ -303,42 +303,27 @@ const PAR_BATCH_MIN: usize = 1 << 15;
 /// Minimum octants per parallel codec chunk.
 const PAR_BATCH_CHUNK: usize = 1 << 13;
 
-/// Slice core of [`pack_batch`]: encode `src[i]` into `dst[i]`, dispatching
-/// to the BMI2 `pdep` kernel when available. Bit-identical either way.
+/// Slice core of [`pack_batch`]: encode `src[i]` into `dst[i]`.
 #[inline]
 fn pack_into<const D: usize>(src: &[Octant<D>], dst: &mut [u128]) {
     debug_assert_eq!(src.len(), dst.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::simd::bmi2_available() && (D == 2 || D == 3) {
-        // SAFETY: bmi2 support was just detected at runtime.
-        unsafe { crate::simd::pack_slice_bmi2(src, dst) };
-        return;
-    }
     for (slot, o) in dst.iter_mut().zip(src) {
         *slot = key::pack(o);
     }
 }
 
-/// Slice core of [`unpack_batch`], with the same BMI2 (`pext`) dispatch.
+/// Slice core of [`unpack_batch`]: decode `src[i]` into `dst[i]`.
 #[inline]
 fn unpack_into<const D: usize>(src: &[u128], dst: &mut [Octant<D>]) {
     debug_assert_eq!(src.len(), dst.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::simd::bmi2_available() && (D == 2 || D == 3) {
-        // SAFETY: bmi2 support was just detected at runtime.
-        unsafe { crate::simd::unpack_slice_bmi2(src, dst) };
-        return;
-    }
     for (slot, &k) in dst.iter_mut().zip(src) {
         *slot = key::unpack(k);
     }
 }
 
-/// Pack a batch of octants into keys, appending to `dst`. Dispatches to the
-/// BMI2 `pdep` kernel when the `simd` feature is enabled and the CPU
-/// supports it, and chunks across the `forestbal-par` pool at
-/// `PAR_BATCH_MIN` octants — the two compose, and every path is
-/// bit-identical.
+/// Pack a batch of octants into keys, appending to `dst`. Chunks across the
+/// `forestbal-par` pool at `PAR_BATCH_MIN` octants; every chunking is
+/// bit-identical to the serial loop.
 pub fn pack_batch<const D: usize>(src: &[Octant<D>], dst: &mut Vec<u128>) {
     let base = dst.len();
     dst.resize(base + src.len(), 0);
@@ -346,7 +331,7 @@ pub fn pack_batch<const D: usize>(src: &[Octant<D>], dst: &mut Vec<u128>) {
 }
 
 /// Decode a batch of keys into octants, appending to `dst`. The inverse of
-/// [`pack_batch`], with the same BMI2 + pool dispatch.
+/// [`pack_batch`], with the same pool chunking.
 pub fn unpack_batch<const D: usize>(src: &[u128], dst: &mut Vec<Octant<D>>) {
     let base = dst.len();
     dst.resize(
@@ -384,18 +369,12 @@ fn chunked<A: Sync, B: Send>(src: &[A], out: &mut [B], f: impl Fn(&[A], &mut [B]
     f(src, out);
 }
 
-/// Which accelerated kernels are active at runtime, for BENCH reporting:
-/// `(bmi2_pack, avx2_packable)`. Both are `false` unless the crate was
-/// built with the `simd` feature on x86_64 and the CPU supports them.
+/// Which SIMD key-codec kernels are active, as `(bmi2_pack, avx2_packable)`.
+/// The key codec is the scalar dilate/contract ladders only, so this is
+/// always `(false, false)`. It keeps its signature because the repo
+/// benchmark (`benchmark/src/main.rs`) prints it in its run headers.
 pub fn simd_active() -> (bool, bool) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        (crate::simd::bmi2_available(), crate::simd::avx2_available())
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        (false, false)
-    }
+    (false, false)
 }
 
 #[cfg(test)]

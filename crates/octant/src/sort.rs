@@ -96,7 +96,7 @@ pub fn sort_octants_with<const D: usize>(a: &mut [Octant<D>], s: &mut SortScratc
         s.presorted_hits += 1;
         return;
     }
-    if a.len() < RADIX_MIN_LEN || !key::packable_all(a) {
+    if a.len() < RADIX_MIN_LEN || !a.iter().all(key::packable) {
         s.comparison_fallbacks += 1;
         a.sort_unstable();
         return;
@@ -361,14 +361,19 @@ mod tests {
 
     #[test]
     fn unpackable_falls_back() {
-        let mut a = soup::<3>(200, 3, 6);
-        a[0].coords[0] = -2 * ROOT_LEN; // outside the packable window
-        let mut b = a.clone();
-        let mut s = SortScratch::new();
-        sort_octants_with(&mut a, &mut s);
-        assert_eq!(s.comparison_fallbacks, 1);
-        b.sort_unstable();
-        assert_eq!(a, b);
+        // Long enough for the radix path, so only the packable check can
+        // send it to the comparison sort, wherever the bad octant sits.
+        let n = 2 * RADIX_MIN_LEN;
+        for at in [0, n / 2, n - 1] {
+            let mut a = soup::<3>(n, 3, 6);
+            a[at].coords[at % 3] = -2 * ROOT_LEN; // outside the packable window
+            let mut b = a.clone();
+            let mut s = SortScratch::new();
+            sort_octants_with(&mut a, &mut s);
+            assert_eq!((s.comparison_fallbacks, s.radix_sorts), (1, 0), "at {at}");
+            b.sort_unstable();
+            assert_eq!(a, b, "at {at}");
+        }
     }
 
     #[test]

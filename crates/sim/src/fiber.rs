@@ -34,6 +34,10 @@
 //! The module only compiles on x86_64 Linux; every other platform hosts
 //! ranks on threads.
 
+// Raw stacks, `mmap`/`mprotect` and the hand-written context switch have
+// no safe form; each block carries its own `// Safety:` argument.
+#![allow(unsafe_code)]
+
 use crate::host::{map_budget, Host};
 use std::arch::global_asm;
 use std::cell::Cell;

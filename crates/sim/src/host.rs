@@ -97,6 +97,7 @@ struct Body(Box<dyn FnOnce()>);
 // lock, which orders the body's accesses to those cells after the
 // scheduler's last and before its next: they are never used at once.
 // A body that never starts is dropped on the scheduler's thread.
+#[allow(unsafe_code)]
 unsafe impl Send for Body {}
 
 impl Body {

@@ -11,9 +11,8 @@
 //!   pluggable [`NetworkModel`]: the default [`NetworkSpec::Flat`]
 //!   charges `α + β·bytes` per message and `⌈log₂P⌉·α + β·(total
 //!   payload)` per collective (the classic tree/recursive-doubling
-//!   model); [`NetworkSpec::Hierarchical`] distinguishes node-local from
-//!   remote traffic, and [`NetworkSpec::FatTree`] adds per-link
-//!   shared-bandwidth contention,
+//!   model); [`NetworkSpec::FatTree`] distinguishes node-local from
+//!   remote traffic and adds per-link shared-bandwidth contention,
 //! - ties are resolved deterministically by `(virtual time, rank id,
 //!   sequence number)`, so a seeded run is bit-identical every time,
 //! - seeded per-message delay jitter ([`SimConfig::jitter_ns`]) injects
@@ -52,6 +51,10 @@
 //! [`Comm::now_ns`]: forestbal_comm::Comm::now_ns
 
 #![warn(missing_docs)]
+// Each site opts in with `#[allow(unsafe_code)]` beside its `// Safety:`
+// argument: the fiber host module, the rank context's mailbox access, the
+// rank-body lifetime erasure and the thread host's `Send` wrapper.
+#![deny(unsafe_code)]
 
 mod config;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -63,8 +66,7 @@ pub mod strategy;
 
 pub use config::{SimConfig, SimConfigBuilder};
 pub use net::{
-    FatTree, FatTreeParams, FlatAlphaBeta, Hierarchical, HierarchicalParams, NetModel, NetStats,
-    NetworkModel, NetworkSpec,
+    FatTree, FatTreeParams, FlatAlphaBeta, NetModel, NetStats, NetworkModel, NetworkSpec,
 };
 pub use runtime::{SimCluster, SimCtx, SimRunOutput};
 pub use strategy::{Candidate, Choice, Delivered, DeliveryStrategy, MsgMeta, Op};

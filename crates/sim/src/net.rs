@@ -1,5 +1,5 @@
 //! Pluggable network cost models: the [`NetworkModel`] trait and its
-//! three first-party implementations.
+//! two first-party implementations.
 //!
 //! The simulator used to hard-code a flat `α + β·bytes` charge for every
 //! message and `⌈log₂P⌉·α + β·total` for every collective. Real machines
@@ -14,14 +14,10 @@
 //!   fractional-nanosecond accumulation (no per-message `f64` rounding
 //!   drift). The default; reproduces the previous hard-coded virtual
 //!   times bit-identically for integral `ns_per_byte`.
-//! * [`Hierarchical`] — node-local vs. remote costs: ranks are grouped
-//!   into nodes of `ranks_per_node`, intra-node and inter-node messages
-//!   pay distinct `α`/`β`, and collectives decompose their
-//!   `⌈log₂P⌉`-level tree into intra-node then inter-node levels. With
-//!   equal intra/inter parameters it degenerates to [`FlatAlphaBeta`]
-//!   bit-identically (shared carry accumulator, exact level split).
 //! * [`FatTree`] — a two-tier fat tree (node ⇄ edge switch ⇄ core) with
-//!   **per-link shared-bandwidth contention**: every transfer occupies
+//!   node-local vs. remote costs (ranks are grouped into nodes of
+//!   `ranks_per_node`; same-node messages pay the shared-memory `α`/`β`)
+//!   and **per-link shared-bandwidth contention**: every transfer occupies
 //!   each link on its route for `bytes · β_link`, and a transfer finding
 //!   a link busy queues behind it (the dslab-network shared-throughput
 //!   idea in deterministic, event-free form: `k` simultaneous transfers
@@ -45,8 +41,8 @@
 pub struct NetStats {
     /// Point-to-point messages costed.
     pub p2p_messages: u64,
-    /// Messages between two ranks of the same node (hierarchical and
-    /// fat-tree models; flat counts everything here).
+    /// Messages between two ranks of the same node (fat-tree model; flat
+    /// counts everything here).
     pub intra_node_messages: u64,
     /// Messages that crossed a node boundary within one pod.
     pub inter_node_messages: u64,
@@ -170,106 +166,6 @@ impl NetworkModel for FlatAlphaBeta {
         start_ns
             + tree_depth(size) as u64 * self.latency_ns
             + self.carry.transfer_ns(total_bytes, self.rate_ps)
-    }
-
-    fn net_stats(&self) -> NetStats {
-        self.stats
-    }
-}
-
-/// Parameters of the [`Hierarchical`] node-local/remote model.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HierarchicalParams {
-    /// Ranks per node; ranks `[n·K, (n+1)·K)` share node `n`.
-    pub ranks_per_node: usize,
-    /// Latency of an intra-node (shared-memory) message.
-    pub intra_latency_ns: u64,
-    /// Per-byte cost within a node.
-    pub intra_ns_per_byte: f64,
-    /// Latency of an inter-node message.
-    pub inter_latency_ns: u64,
-    /// Per-byte cost between nodes.
-    pub inter_ns_per_byte: f64,
-}
-
-impl Default for HierarchicalParams {
-    /// A 12-core node (the paper's Cray XT5 has 12 ranks/node) with
-    /// 10 GB/s shared memory at 200 ns, and the flat model's 1 GB/s at
-    /// 1 µs between nodes.
-    fn default() -> Self {
-        HierarchicalParams {
-            ranks_per_node: 12,
-            intra_latency_ns: 200,
-            intra_ns_per_byte: 0.1,
-            inter_latency_ns: 1_000,
-            inter_ns_per_byte: 1.0,
-        }
-    }
-}
-
-/// Two-level node-local vs. remote cost model (no link contention).
-///
-/// Collectives split their `⌈log₂P⌉` tree levels into
-/// `⌈log₂(nodes)⌉` inter-node levels (clamped to the total) and the rest
-/// intra-node, so reductions price hops by where they happen. The byte
-/// carry accumulator is shared between the two classes, which makes the
-/// degenerate case (intra = inter parameters) bit-identical to
-/// [`FlatAlphaBeta`] — a property pinned by proptest.
-#[derive(Clone, Copy, Debug)]
-pub struct Hierarchical {
-    k: usize,
-    intra_latency_ns: u64,
-    intra_rate_ps: u64,
-    inter_latency_ns: u64,
-    inter_rate_ps: u64,
-    carry: PsCarry,
-    stats: NetStats,
-}
-
-impl Hierarchical {
-    /// A hierarchical model with the given parameters.
-    pub fn new(p: HierarchicalParams) -> Hierarchical {
-        assert!(p.ranks_per_node >= 1, "a node holds at least one rank");
-        Hierarchical {
-            k: p.ranks_per_node,
-            intra_latency_ns: p.intra_latency_ns,
-            intra_rate_ps: ps_per_byte(p.intra_ns_per_byte),
-            inter_latency_ns: p.inter_latency_ns,
-            inter_rate_ps: ps_per_byte(p.inter_ns_per_byte),
-            carry: PsCarry::default(),
-            stats: NetStats::default(),
-        }
-    }
-}
-
-impl NetworkModel for Hierarchical {
-    fn message_arrival_ns(&mut self, src: usize, dst: usize, bytes: usize, send_ns: u64) -> u64 {
-        self.stats.p2p_messages += 1;
-        let (alpha, rate) = if src / self.k == dst / self.k {
-            self.stats.intra_node_messages += 1;
-            (self.intra_latency_ns, self.intra_rate_ps)
-        } else {
-            self.stats.inter_node_messages += 1;
-            (self.inter_latency_ns, self.inter_rate_ps)
-        };
-        send_ns + alpha + self.carry.transfer_ns(bytes, rate)
-    }
-
-    fn collective_done_ns(&mut self, size: usize, total_bytes: usize, start_ns: u64) -> u64 {
-        self.stats.collectives += 1;
-        let total_depth = tree_depth(size) as u64;
-        let nodes = size.div_ceil(self.k);
-        let inter_depth = (tree_depth(nodes) as u64).min(total_depth);
-        let intra_depth = total_depth - inter_depth;
-        let rate = if inter_depth > 0 {
-            self.inter_rate_ps
-        } else {
-            self.intra_rate_ps
-        };
-        start_ns
-            + intra_depth * self.intra_latency_ns
-            + inter_depth * self.inter_latency_ns
-            + self.carry.transfer_ns(total_bytes, rate)
     }
 
     fn net_stats(&self) -> NetStats {
@@ -457,8 +353,6 @@ pub enum NetworkSpec {
     /// [`FlatAlphaBeta`] using the config's `latency_ns`/`ns_per_byte`.
     #[default]
     Flat,
-    /// [`Hierarchical`] with the given parameters.
-    Hierarchical(HierarchicalParams),
     /// [`FatTree`] with the given parameters.
     FatTree(FatTreeParams),
 }
@@ -470,7 +364,6 @@ impl NetworkSpec {
     pub fn build(&self, latency_ns: u64, ns_per_byte: f64) -> NetModel {
         match *self {
             NetworkSpec::Flat => NetModel::Flat(FlatAlphaBeta::new(latency_ns, ns_per_byte)),
-            NetworkSpec::Hierarchical(p) => NetModel::Hierarchical(Hierarchical::new(p)),
             NetworkSpec::FatTree(p) => NetModel::FatTree(FatTree::new(p)),
         }
     }
@@ -482,8 +375,6 @@ impl NetworkSpec {
 pub enum NetModel {
     /// Flat α + β·bytes.
     Flat(FlatAlphaBeta),
-    /// Node-local vs. remote.
-    Hierarchical(Hierarchical),
     /// Contended fat tree.
     FatTree(FatTree),
 }
@@ -492,7 +383,6 @@ impl NetworkModel for NetModel {
     fn message_arrival_ns(&mut self, src: usize, dst: usize, bytes: usize, send_ns: u64) -> u64 {
         match self {
             NetModel::Flat(m) => m.message_arrival_ns(src, dst, bytes, send_ns),
-            NetModel::Hierarchical(m) => m.message_arrival_ns(src, dst, bytes, send_ns),
             NetModel::FatTree(m) => m.message_arrival_ns(src, dst, bytes, send_ns),
         }
     }
@@ -500,7 +390,6 @@ impl NetworkModel for NetModel {
     fn collective_done_ns(&mut self, size: usize, total_bytes: usize, start_ns: u64) -> u64 {
         match self {
             NetModel::Flat(m) => m.collective_done_ns(size, total_bytes, start_ns),
-            NetModel::Hierarchical(m) => m.collective_done_ns(size, total_bytes, start_ns),
             NetModel::FatTree(m) => m.collective_done_ns(size, total_bytes, start_ns),
         }
     }
@@ -508,7 +397,6 @@ impl NetworkModel for NetModel {
     fn net_stats(&self) -> NetStats {
         match self {
             NetModel::Flat(m) => m.net_stats(),
-            NetModel::Hierarchical(m) => m.net_stats(),
             NetModel::FatTree(m) => m.net_stats(),
         }
     }
@@ -536,44 +424,6 @@ mod tests {
         let mut m = FlatAlphaBeta::new(0, 0.25);
         let total: u64 = (0..4000).map(|_| m.message_arrival_ns(0, 1, 1, 0)).sum();
         assert_eq!(total, 1_000);
-    }
-
-    #[test]
-    fn hierarchical_distinguishes_node_boundaries() {
-        let mut m = Hierarchical::new(HierarchicalParams {
-            ranks_per_node: 4,
-            intra_latency_ns: 100,
-            intra_ns_per_byte: 0.0,
-            inter_latency_ns: 1_000,
-            inter_ns_per_byte: 0.0,
-        });
-        assert_eq!(m.message_arrival_ns(0, 3, 0, 0), 100); // same node
-        assert_eq!(m.message_arrival_ns(3, 4, 0, 0), 1_000); // neighbors, different node
-        assert_eq!(m.net_stats().intra_node_messages, 1);
-        assert_eq!(m.net_stats().inter_node_messages, 1);
-    }
-
-    #[test]
-    fn hierarchical_collective_depth_is_exact() {
-        // Level split must sum to ⌈log₂P⌉ for every (P, K), so the
-        // degenerate case stays bit-identical to flat.
-        for p in 1..200usize {
-            for k in [1usize, 2, 3, 4, 7, 12, 64] {
-                let mut h = Hierarchical::new(HierarchicalParams {
-                    ranks_per_node: k,
-                    intra_latency_ns: 1_000,
-                    intra_ns_per_byte: 1.0,
-                    inter_latency_ns: 1_000,
-                    inter_ns_per_byte: 1.0,
-                });
-                let mut f = FlatAlphaBeta::new(1_000, 1.0);
-                assert_eq!(
-                    h.collective_done_ns(p, 123, 7),
-                    f.collective_done_ns(p, 123, 7),
-                    "P={p} K={k}"
-                );
-            }
-        }
     }
 
     #[test]

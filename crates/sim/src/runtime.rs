@@ -28,7 +28,7 @@
 //! - `send` is asynchronous and free for the sender; the message's
 //!   *arrival* time comes from the configured [`NetworkModel`]
 //!   (`α + β·bytes` under the default flat model, plus topology and
-//!   link-contention effects under the hierarchical/fat-tree models),
+//!   link-contention effects under the fat-tree model),
 //!   then jitter and the FIFO floor apply,
 //! - `recv` completes at `max(arrival time, receiver's clock)`,
 //! - `allgather` completes for every participant at the model's
@@ -662,6 +662,7 @@ impl SimCtx {
     /// Park until the scheduler hands back a resume, yielding the outbox.
     /// An empty mailbox on wake-up (a host dropped mid-run) unwinds like
     /// `Shutdown`.
+    #[allow(unsafe_code)]
     fn block(&self, kind: BlockKind) -> Resume {
         // Safety: see the field docs; this rank holds control, so the
         // scheduler is not touching the mailbox.
@@ -883,6 +884,7 @@ impl SimCluster {
             // Safety: the body borrows only `f`, `results` and
             // `mailboxes`, all declared before the host, which runs or
             // drops every body by the time it is dropped itself.
+            #[allow(unsafe_code)]
             let body: Box<dyn FnOnce()> = unsafe { std::mem::transmute(body) };
             host.spawn(rank, body);
         }
@@ -958,7 +960,7 @@ impl SimCluster {
 mod tests {
     use super::*;
     use crate::host::FIBERS;
-    use crate::net::{FatTreeParams, HierarchicalParams, NetworkSpec};
+    use crate::net::{FatTreeParams, NetworkSpec};
     use crate::strategy::Choice;
     use forestbal_trace::{counter_add, span, Tracer};
 
@@ -1440,41 +1442,5 @@ mod tests {
             fat.makespan_ns(),
             flat.makespan_ns()
         );
-    }
-
-    #[test]
-    fn hierarchical_model_prices_node_boundaries() {
-        let params = HierarchicalParams {
-            ranks_per_node: 4,
-            intra_latency_ns: 100,
-            intra_ns_per_byte: 0.0,
-            inter_latency_ns: 10_000,
-            inter_ns_per_byte: 0.0,
-        };
-        let out = SimCluster::run(
-            8,
-            SimConfig::builder()
-                .network(NetworkSpec::Hierarchical(params))
-                .build(),
-            |ctx| {
-                // Rank 0 pings its node-mate (1) and a remote rank (4).
-                match ctx.rank() {
-                    0 => {
-                        ctx.send(1, 1, vec![0]);
-                        ctx.send(4, 1, vec![0]);
-                        0
-                    }
-                    1 | 4 => {
-                        ctx.recv(Some(0), 1);
-                        ctx.now_ns()
-                    }
-                    _ => 0,
-                }
-            },
-        );
-        assert_eq!(out.results[1], 100, "intra-node latency");
-        assert_eq!(out.results[4], 10_000, "inter-node latency");
-        assert_eq!(out.net.intra_node_messages, 1);
-        assert_eq!(out.net.inter_node_messages, 1);
     }
 }

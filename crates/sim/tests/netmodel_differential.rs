@@ -8,18 +8,12 @@
 //! pre-refactor formulas (per-call `f64` rounding and all) as a custom
 //! model plugged in through `run_with_model`, and whole runs are compared
 //! against the built-in default.
-//!
-//! Also pinned here: the hierarchical model with equal intra/inter
-//! parameters degenerates to the flat model bit-identically (proptest).
 
 use forestbal_comm::{reverse_naive, reverse_notify, reverse_ranges, Comm};
 use forestbal_core::Condition;
 use forestbal_forest::{BalanceVariant, ReversalScheme};
 use forestbal_mesh::fractal_forest;
-use forestbal_sim::{
-    HierarchicalParams, NetStats, NetworkModel, NetworkSpec, SimCluster, SimConfig, SimRunOutput,
-};
-use proptest::prelude::*;
+use forestbal_sim::{NetStats, NetworkModel, SimCluster, SimConfig, SimRunOutput};
 
 /// The simulator's cost arithmetic exactly as hard-coded before the
 /// [`NetworkModel`] refactor: flat `α + round(β·bytes)` per message and
@@ -135,48 +129,4 @@ fn default_model_is_bitwise_historical_for_balance_small() {
     let new = SimCluster::run(p, cfg, balance);
     let old = SimCluster::run_with_model(p, cfg, &mut hist, balance);
     assert_identical(&new, &old);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Hierarchical with intra == inter parameters is indistinguishable
-    /// from flat: same virtual times, same results, for arbitrary
-    /// latency/bandwidth and rank grouping. (Traffic-class counters
-    /// differ by design — the hierarchical model still classifies.)
-    fn hierarchical_degenerates_to_flat(
-        p in 1usize..24,
-        k in 1usize..16,
-        latency in 0u64..5_000,
-        // Integral and fractional rates; both classes share one carry
-        // accumulator so the split cannot drift.
-        rate_milli in 0u64..4_000,
-        seed in any::<u64>(),
-    ) {
-        let ns_per_byte = rate_milli as f64 / 1000.0;
-        let base = SimConfig::builder()
-            .latency_ns(latency)
-            .ns_per_byte(ns_per_byte)
-            .seed(seed)
-            .jitter_ns(300);
-        let flat_cfg = base.build();
-        let hier_cfg = base
-            .network(NetworkSpec::Hierarchical(HierarchicalParams {
-                ranks_per_node: k,
-                intra_latency_ns: latency,
-                intra_ns_per_byte: ns_per_byte,
-                inter_latency_ns: latency,
-                inter_ns_per_byte: ns_per_byte,
-            }))
-            .build();
-        let flat = SimCluster::run(p, flat_cfg, reversal_workload);
-        let hier = SimCluster::run(p, hier_cfg, reversal_workload);
-        prop_assert_eq!(&flat.results, &hier.results);
-        prop_assert_eq!(&flat.stats, &hier.stats);
-        prop_assert_eq!(&flat.finish_ns, &hier.finish_ns);
-        prop_assert_eq!(
-            flat.net.p2p_messages + flat.net.collectives,
-            hier.net.p2p_messages + hier.net.collectives
-        );
-    }
 }

@@ -12,6 +12,8 @@
 //! are reproducible; there is **no shrinking** — a failure reports the
 //! exact generated inputs instead.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Debug;
 use std::ops::{Range, RangeInclusive};
 

@@ -11,6 +11,7 @@
 //! negligible for the small spans used here.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 

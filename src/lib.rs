@@ -75,11 +75,11 @@
 //! (single-threaded discrete-event execution, virtual time, up to the
 //! paper's full-machine P = 112,128 ranks, bit-identical across runs).
 //! The simulator prices communication through a pluggable
-//! [`sim::NetworkModel`] — flat α-β by default, or node-hierarchy and
-//! contended fat-tree topologies (see `DESIGN.md` §12 for the trait
-//! contract).
+//! [`sim::NetworkModel`] — flat α-β by default, or a contended fat-tree
+//! topology (see `DESIGN.md` §12 for the trait contract).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use forestbal_comm as comm;
 pub use forestbal_core as core;
@@ -101,7 +101,7 @@ pub mod prelude {
     pub use forestbal_octant::{Octant, MAX_LEVEL, ROOT_LEN};
     pub use forestbal_service::{ForestService, Request, Response, ServiceConfig};
     pub use forestbal_sim::{
-        FatTree, FatTreeParams, FlatAlphaBeta, Hierarchical, HierarchicalParams, NetStats,
-        NetworkModel, NetworkSpec, SimCluster, SimConfig, SimConfigBuilder,
+        FatTree, FatTreeParams, FlatAlphaBeta, NetStats, NetworkModel, NetworkSpec, SimCluster,
+        SimConfig, SimConfigBuilder,
     };
 }
