@@ -65,7 +65,7 @@ pub use lambda::{balanced_size_log2_at, carry3, closest_balanced_octant, is_bala
 pub use neighborhood::{coarse_neighborhood, insulation_layer};
 pub use preclude::{complete_reduced, precludes, reduce, remove_precluded};
 pub use scratch::{BalanceScratch, ScratchStats};
-pub use seeds::{find_seeds, reconstruct_from_seeds, reconstruct_from_seeds_scratch};
+pub use seeds::{find_seeds, reconstruct_from_seeds};
 pub use subtree::{
     balance_subtree_new, balance_subtree_new_keys, balance_subtree_new_with_stats_scratch,
     balance_subtree_old, balance_subtree_old_ext_scratch, balance_subtree_old_keys, BalanceStats,

@@ -76,17 +76,6 @@ pub fn reconstruct_from_seeds<const D: usize>(
     balance_subtree_new(r, seeds, cond)
 }
 
-/// [`reconstruct_from_seeds`] with caller-provided working memory, for the
-/// rebalance splice loop that reconstructs one overlap per query octant.
-pub fn reconstruct_from_seeds_scratch<const D: usize>(
-    r: &Octant<D>,
-    seeds: &[Octant<D>],
-    cond: Condition,
-    scratch: &mut crate::scratch::BalanceScratch<D>,
-) -> Vec<Octant<D>> {
-    crate::subtree::balance_subtree_new_with_stats_scratch(r, seeds, cond, scratch).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,14 +26,15 @@
 //! kernels of `forestbal_core` run on the stored key arrays themselves:
 //! phase 1 balances each tree's keys and clips the output back, phase 4
 //! reconstructs and splices keys (New) or merges key arrays (Old). Query
-//! octants, responses and candidate leaves stay keys; only the λ/seed
-//! decision of phase 3 and cross-tree frame changes decode. The wire
+//! octants, responses and candidate leaves stay keys, and a cross-tree
+//! frame change rewrites a key's top bit-planes
+//! ([`PackedOctant::translate`]); only the λ/seed decision decodes. The wire
 //! carries fixed-width packed keys (queries as `(u32 eid, u32 tree, key)`
 //! records, responses as `(u32 eid, u32 count, count × key)` groups — see
 //! [`crate::codec`]).
 
 use crate::codec;
-use crate::connectivity::{translate, TreeId};
+use crate::connectivity::TreeId;
 use crate::forest::Forest;
 use forestbal_comm::{ranges_expansion, reverse_naive, reverse_notify, reverse_ranges, Comm};
 use forestbal_core::{
@@ -41,7 +42,7 @@ use forestbal_core::{
     Condition,
 };
 use forestbal_octant::{
-    directions, is_linear_keys, key, linearize_keys_with, merge_sorted, sort_keys_with, Coord,
+    directions, is_linear_keys, key, linearize_keys_with, merge_sorted, sort_keys_with,
     PackedOctant, SortScratch,
 };
 use forestbal_trace as trace;
@@ -140,14 +141,14 @@ impl BalanceReport {
 }
 
 /// One outbound query entry: a local octant expressed in a target tree's
-/// frame, with the offset needed to map responses back home.
+/// frame, with the frame change needed to map responses back home.
 struct QueryEntry<const D: usize> {
     /// Index into the flat list of queried local octants.
     qid: u32,
     /// Target tree (responder frame).
     tree: TreeId,
-    /// Offset such that `home + off = target frame`.
-    off: [Coord; D],
+    /// Tree steps such that `home.translate(steps)` is the target frame.
+    steps: [i8; D],
 }
 
 /// Phase-4 work item: a qid's merged seed keys paired with its
@@ -197,16 +198,6 @@ fn clip_to_owned<const D: usize>(balanced: &[u128], v: &mut Vec<u128>) {
     let end = balanced.partition_point(|&k| PackedOctant::<D>(k).last_index() <= hi);
     v.clear();
     v.extend_from_slice(&balanced[start..end]);
-}
-
-/// Key `k` moved into another tree's frame by `off`. Keys carry no frame,
-/// so a cross-tree move goes through the coordinates.
-fn translate_key<const D: usize>(k: u128, off: &[Coord; D]) -> u128 {
-    if *off == [0; D] {
-        k
-    } else {
-        key::pack(&translate(&key::unpack::<D>(k), off))
-    }
 }
 
 impl<const D: usize> Forest<D> {
@@ -325,13 +316,13 @@ impl<const D: usize> Forest<D> {
             };
             for &k in v {
                 let mut qid: Option<u32> = None;
-                // (rank, tree, off) destinations already recorded for k.
-                let mut seen: Vec<(usize, TreeId, [Coord; D])> = Vec::new();
-                self.for_each_reach(t, k, range, |owner, t2, off| {
-                    if owner == me && t2 == t && off == [0; D] {
+                // (rank, tree, steps) destinations already recorded for k.
+                let mut seen: Vec<(usize, TreeId, [i8; D])> = Vec::new();
+                self.for_each_reach(t, k, range, |owner, t2, steps| {
+                    if owner == me && t2 == t && steps == [0; D] {
                         return; // same tree, same rank: phase 1 did it
                     }
-                    let dest = (owner, t2, off);
+                    let dest = (owner, t2, steps);
                     if seen.contains(&dest) {
                         return;
                     }
@@ -341,7 +332,11 @@ impl<const D: usize> Forest<D> {
                         (queries.len() - 1) as u32
                     });
                     let eid = entries.len() as u32;
-                    entries.push(QueryEntry { qid, tree: t2, off });
+                    entries.push(QueryEntry {
+                        qid,
+                        tree: t2,
+                        steps,
+                    });
                     per_rank.entry(owner).or_default().push(eid);
                 });
             }
@@ -357,7 +352,7 @@ impl<const D: usize> Forest<D> {
                 let (_, r) = queries[e.qid as usize];
                 codec::put_u32(&mut buf, eid);
                 codec::put_u32(&mut buf, e.tree);
-                codec::put_key::<D>(&mut buf, translate_key(r, &e.off));
+                codec::put_key::<D>(&mut buf, PackedOctant::<D>(r).translate(e.steps).0);
             }
             buf
         };
@@ -434,12 +429,14 @@ impl<const D: usize> Forest<D> {
                 let count = codec::get_u32(data, &mut pos) as usize;
                 octants += count as u64;
                 let e = &entries[eid];
-                let back: [Coord; D] = std::array::from_fn(|i| -e.off[i]);
                 let got = &mut per_qid[e.qid as usize];
                 let base = got.len();
                 codec::get_keys::<D>(data, &mut pos, count, got);
-                for k in &mut got[base..] {
-                    *k = translate_key(*k, &back);
+                if e.steps != [0; D] {
+                    let back = e.steps.map(|s| -s);
+                    for k in &mut got[base..] {
+                        *k = PackedOctant::<D>(*k).translate(back).0;
+                    }
                 }
             }
             trace::counter_add("balance.response_octants_recv", octants);

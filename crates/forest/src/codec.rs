@@ -22,7 +22,8 @@
 //! message-volume changes stay visible in the perf trajectory.
 
 use crate::connectivity::TreeId;
-use forestbal_octant::Octant;
+use forestbal_octant::{sort_keys_with, unpack_batch, Octant, SortScratch};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Bytes per octant on the wire: one packed key, 8 bytes for `D <= 2`
@@ -248,24 +249,24 @@ impl<const D: usize> Forest<D> {
     }
 
     /// Rebuild a per-tree leaf map from bytes produced by
-    /// [`Forest::serialize_local`] (possibly concatenated across ranks).
-    pub fn deserialize_leaves(
-        data: &[u8],
-    ) -> std::collections::BTreeMap<crate::connectivity::TreeId, Vec<forestbal_octant::Octant<D>>>
-    {
-        let mut keyed: std::collections::BTreeMap<TreeId, Vec<u128>> = Default::default();
+    /// [`Forest::serialize_local`] (possibly concatenated across ranks):
+    /// each tree's keys are radix-sorted, since runs of one tree may
+    /// arrive out of order, and decoded once at the API edge.
+    pub fn deserialize_leaves(data: &[u8]) -> BTreeMap<TreeId, Vec<Octant<D>>> {
+        let mut keyed: BTreeMap<TreeId, Vec<u128>> = BTreeMap::new();
         for_each_run::<D>(data, |t, keys| {
             keyed.entry(t).or_default().extend_from_slice(keys)
         });
-        let mut sort = forestbal_octant::SortScratch::new();
-        let mut map: std::collections::BTreeMap<_, Vec<Octant<D>>> = Default::default();
-        for (t, mut keys) in keyed {
-            forestbal_octant::sort_keys_with::<D>(&mut keys, &mut sort);
-            let mut v = Vec::with_capacity(keys.len());
-            forestbal_octant::unpack_batch(&keys, &mut v);
-            map.insert(t, v);
-        }
-        map
+        let mut sort = SortScratch::new();
+        keyed
+            .into_iter()
+            .map(|(t, mut keys)| {
+                sort_keys_with::<D>(&mut keys, &mut sort);
+                let mut v = Vec::with_capacity(keys.len());
+                unpack_batch(&keys, &mut v);
+                (t, v)
+            })
+            .collect()
     }
 }
 

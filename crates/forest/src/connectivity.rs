@@ -10,7 +10,7 @@
 //! general connectivities is orthogonal to balance. The paper's own weak
 //! scaling forest (Figure 14, six octrees) is a `3x2x1` brick.
 
-use forestbal_octant::{Coord, Octant, ROOT_LEN};
+use forestbal_octant::{Coord, Octant, PackedOctant, ROOT_LEN};
 
 /// Identifies one octree of the forest.
 pub type TreeId = u32;
@@ -164,46 +164,21 @@ impl<const D: usize> BrickConnectivity<D> {
     ///
     /// The octant must lie within one root length of the root cube (true
     /// for every neighbor/insulation construction) so that it maps to at
-    /// most one neighboring tree per axis.
+    /// most one neighboring tree per axis. This is the coordinate
+    /// reference of [`BrickConnectivity::transform_key`], which the forest
+    /// routes with.
     pub fn transform(&self, t: TreeId, o: &Octant<D>) -> Option<(TreeId, Octant<D>)> {
-        self.transform_from(self.tree_coords(t), o)
-    }
-
-    /// [`BrickConnectivity::transform`] from the grid coordinates of the
-    /// home tree, for callers that remap many octants of one tree.
-    pub(crate) fn transform_from(
-        &self,
-        mut tc: [usize; D],
-        o: &Octant<D>,
-    ) -> Option<(TreeId, Octant<D>)> {
         let mut coords = o.coords;
+        let mut steps = [0i8; D];
         for i in 0..D {
             debug_assert!(
                 coords[i] >= -ROOT_LEN && coords[i] + o.len() <= 2 * ROOT_LEN,
                 "octant strays more than one tree away"
             );
-            let off: i64 = if coords[i] < 0 {
-                -1
-            } else if coords[i] >= ROOT_LEN {
-                1
-            } else {
-                0
-            };
-            if off != 0 {
-                let n = self.dims[i] as i64;
-                let mut nt = tc[i] as i64 + off;
-                if nt < 0 || nt >= n {
-                    if self.periodic[i] {
-                        nt = nt.rem_euclid(n);
-                    } else {
-                        return None;
-                    }
-                }
-                tc[i] = nt as usize;
-                coords[i] -= off as Coord * ROOT_LEN;
-            }
+            steps[i] = coords[i].div_euclid(ROOT_LEN) as i8;
+            coords[i] -= steps[i] as Coord * ROOT_LEN;
         }
-        let t2 = self.try_tree_id(tc)?; // masked-out neighbor = boundary
+        let t2 = self.step(t, steps)?;
         Some((
             t2,
             Octant {
@@ -213,45 +188,39 @@ impl<const D: usize> BrickConnectivity<D> {
         ))
     }
 
-    /// The translation that expresses frame `from`'s coordinates in frame
-    /// `to`'s coordinates, if the trees are identical or grid-adjacent
-    /// (within one step per axis, honoring periodicity). Adding the result
-    /// to an octant in `from`'s frame yields its coordinates in `to`'s
-    /// frame.
-    pub fn frame_offset(&self, from: TreeId, to: TreeId) -> Option<[Coord; D]> {
-        let fc = self.tree_coords(from);
-        let tc = self.tree_coords(to);
-        let mut off = [0 as Coord; D];
-        for i in 0..D {
-            let mut d = fc[i] as i64 - tc[i] as i64;
-            if self.periodic[i] {
-                let n = self.dims[i] as i64;
-                // Choose the representative step in {-1, 0, 1} if any.
-                if d > 1 {
-                    d -= n;
-                }
-                if d < -1 {
-                    d += n;
-                }
-            }
-            if d.abs() > 1 {
-                return None;
-            }
-            off[i] = d as Coord * ROOT_LEN;
+    /// [`BrickConnectivity::transform`] on a packed key: the tree steps are
+    /// the key's top bit-planes ([`PackedOctant::tree_steps`]), and the
+    /// frame change rewrites only those planes ([`PackedOctant::translate`]).
+    #[inline]
+    pub fn transform_key(
+        &self,
+        t: TreeId,
+        k: PackedOctant<D>,
+    ) -> Option<(TreeId, PackedOctant<D>)> {
+        if k.is_inside_root() {
+            return Some((t, k));
         }
-        Some(off)
+        let steps = k.tree_steps();
+        Some((self.step(t, steps)?, k.translate(steps.map(|s| -s))))
     }
-}
 
-/// Translate an octant by a frame offset.
-pub fn translate<const D: usize>(o: &Octant<D>, off: &[Coord; D]) -> Octant<D> {
-    let mut coords = o.coords;
-    for i in 0..D {
-        coords[i] += off[i];
-    }
-    Octant {
-        coords,
-        level: o.level,
+    /// The tree `steps` (each in `{-1, 0, 1}`) away from tree `t` on the
+    /// grid, wrapping periodic axes; `None` beyond a non-periodic face or
+    /// in a masked-out cell.
+    fn step(&self, t: TreeId, steps: [i8; D]) -> Option<TreeId> {
+        let mut tc = self.tree_coords(t);
+        for i in 0..D {
+            let n = self.dims[i] as i64;
+            let mut nt = tc[i] as i64 + steps[i] as i64;
+            if nt < 0 || nt >= n {
+                if !self.periodic[i] {
+                    return None;
+                }
+                nt = nt.rem_euclid(n);
+            }
+            tc[i] = nt as usize;
+        }
+        self.try_tree_id(tc) // masked-out neighbor = boundary
     }
 }
 
@@ -324,17 +293,16 @@ mod tests {
     }
 
     #[test]
-    fn frame_offsets_match_transform() {
+    fn key_frame_change_round_trips() {
         let b = BrickConnectivity::<2>::new([3, 2], [false; 2]);
         let o = Octant::<2>::root().child(3).child(3);
-        let n = o.neighbor(&[1, 1]);
-        let (t, m) = b.transform(b.tree_id([1, 0]), &n).unwrap();
+        let n = PackedOctant::new(&o.neighbor(&[1, 1]));
+        assert_eq!(n.tree_steps(), [1, 1]);
+        let (t, m) = b.transform_key(b.tree_id([1, 0]), n).unwrap();
         assert_eq!(t, b.tree_id([2, 1]));
-        // Express m back in the original frame.
-        let off = b.frame_offset(t, b.tree_id([1, 0])).unwrap();
-        assert_eq!(translate(&m, &off), n);
-        // Non-adjacent trees have no frame offset.
-        assert_eq!(b.frame_offset(b.tree_id([0, 0]), b.tree_id([2, 0])), None);
+        assert_eq!(m, PackedOctant::new(&Octant::<2>::root().child(0).child(0)));
+        // Back into the original frame: the inverse of the tree steps.
+        assert_eq!(m.translate([1, 1]), n);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::connectivity::{BrickConnectivity, TreeId};
 use crate::store::{LeafSlice, LeafStore};
 use forestbal_comm::Comm;
 use forestbal_octant::{
-    is_linear, is_linear_keys, key, pack_batch, sort_keys_with, unpack_batch, MortonIndex, Octant,
-    PackedOctant, SortScratch, MAX_LEVEL,
+    is_linear, is_linear_keys, key, pack_batch, sort_keys_with, MortonIndex, Octant, PackedOctant,
+    SortScratch, MAX_LEVEL,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -369,30 +369,11 @@ impl<const D: usize> Forest<D> {
         debug_assert!(self.local.check_invariants());
     }
 
-    /// Gather the whole forest on every rank (tests and tools only).
-    /// Ships the packed-key run format of [`codec`] and radix-sorts the
-    /// merged key arrays before decoding once at the API edge.
+    /// Gather the whole forest on every rank (tests and tools only): the
+    /// concatenated [`Forest::serialize_local`] payloads of all ranks,
+    /// read back with [`Forest::deserialize_leaves`].
     pub fn gather(&self, ctx: &impl Comm) -> BTreeMap<TreeId, Vec<Octant<D>>> {
-        let payload = self.serialize_local();
-        let all = ctx.allgather(payload);
-        let mut keyed: BTreeMap<TreeId, Vec<u128>> = BTreeMap::new();
-        for part in all.iter() {
-            codec::for_each_run::<D>(part, |t, keys| {
-                keyed.entry(t).or_default().extend_from_slice(keys)
-            });
-        }
-        // Ranks own disjoint contiguous slices, but interleaved pushes may
-        // disorder trees split across ranks.
-        let mut sort = forestbal_octant::SortScratch::new();
-        let mut global: BTreeMap<TreeId, Vec<Octant<D>>> = BTreeMap::new();
-        for (t, mut keys) in keyed {
-            forestbal_octant::sort_keys_with::<D>(&mut keys, &mut sort);
-            let mut v = Vec::with_capacity(keys.len());
-            unpack_batch(&keys, &mut v);
-            debug_assert!(is_linear(&v));
-            global.insert(t, v);
-        }
-        global
+        Self::deserialize_leaves(&ctx.allgather(self.serialize_local()).concat())
     }
 
     /// A position-independent checksum of the local leaves (xor-fold of

@@ -7,10 +7,15 @@
 //! marker machinery. Mirrors p4est's `ghost` module: one layer of
 //! neighbor octants across faces, edges, and corners, including across
 //! tree boundaries.
+//!
+//! The layer is packed keys end to end, searched like the local leaf
+//! arrays; only [`GhostLayer::iter`] and [`GhostLayer::contains`] decode
+//! or encode, at the API edge.
 
 use crate::connectivity::TreeId;
 use crate::forest::Forest;
 use crate::reach::RunExchange;
+use crate::store;
 use forestbal_comm::Comm;
 use forestbal_octant::{directions, key, Octant, PackedOctant};
 use std::collections::BTreeMap;
@@ -22,24 +27,26 @@ const GHOST_TAG: u32 = 0xBA1A_0020;
 const GHOST_PAR_CHUNK: usize = 1 << 10;
 
 /// The remote leaves adjacent to this rank's partition, each with its
-/// owner rank, stored under their *home* tree in in-root coordinates and
-/// sorted in Morton order per tree.
+/// owner rank, stored under their *home* tree as in-root packed keys and
+/// sorted per tree like [`crate::LeafStore`] (key order is Morton order).
+/// [`GhostLayer::iter`] and [`GhostLayer::contains`] speak [`Octant`] at
+/// the edge.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GhostLayer<const D: usize> {
-    per_tree: BTreeMap<TreeId, Vec<(usize, Octant<D>)>>,
+    per_tree: BTreeMap<TreeId, Vec<(u128, usize)>>,
 }
 
 impl<const D: usize> GhostLayer<D> {
-    /// Ghosts of one tree (sorted by octant).
-    pub fn tree(&self, t: TreeId) -> &[(usize, Octant<D>)] {
+    /// Ghosts of one tree as `(key, owner)`, sorted by key.
+    pub(crate) fn tree(&self, t: TreeId) -> &[(u128, usize)] {
         self.per_tree.get(&t).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Iterate all `(tree, owner, octant)` triples.
-    pub fn iter(&self) -> impl Iterator<Item = (TreeId, usize, &Octant<D>)> {
+    /// Iterate all `(tree, owner, octant)` triples, decoded by value.
+    pub fn iter(&self) -> impl Iterator<Item = (TreeId, usize, Octant<D>)> + '_ {
         self.per_tree
             .iter()
-            .flat_map(|(&t, v)| v.iter().map(move |(o, oct)| (t, *o, oct)))
+            .flat_map(|(&t, v)| v.iter().map(move |&(k, o)| (t, o, key::unpack(k))))
     }
 
     /// Total number of ghost octants.
@@ -52,24 +59,23 @@ impl<const D: usize> GhostLayer<D> {
         self.len() == 0
     }
 
-    /// Splice a changed remote leaf into the layer: every entry of `t`
-    /// overlapping `g` (a stale ancestor, or the pre-split/pre-coarsen
-    /// leaves of its region) is dropped and `(owner, g)` takes its sorted
-    /// place. The incremental balance of [`crate::incremental`] keeps a
-    /// prior epoch's layer exact with this as remote adaptations arrive.
-    pub fn patch(&mut self, t: TreeId, owner: usize, g: Octant<D>) {
+    /// Splice a changed remote leaf, given as its packed key, into the
+    /// layer: the run of entries of `t` overlapping it (a stale ancestor,
+    /// or the pre-split/pre-coarsen leaves of its region) is replaced by
+    /// `(g, owner)`. The incremental balance of [`crate::incremental`]
+    /// keeps a prior epoch's layer exact with this as remote adaptations
+    /// arrive.
+    pub fn patch(&mut self, t: TreeId, owner: usize, g: u128) {
         let v = self.per_tree.entry(t).or_default();
-        let (lo, hi) = (g.index(), g.last_index());
-        v.retain(|&(_, o)| o.last_index() < lo || o.index() > hi);
-        let i = v.partition_point(|&(_, o)| o < g);
-        v.insert(i, (owner, g));
+        let run = store::overlapping::<D, _>(v, g);
+        v.splice(run, [(g, owner)]);
     }
 
     /// Does the layer contain exactly this `(tree, owner, octant)` entry?
     pub fn contains(&self, t: TreeId, owner: usize, g: &Octant<D>) -> bool {
-        self.tree(t)
-            .binary_search_by_key(g, |&(_, o)| o)
-            .is_ok_and(|i| self.tree(t)[i].0 == owner)
+        let v = self.tree(t);
+        v.binary_search_by_key(&key::pack(g), |&(k, _)| k)
+            .is_ok_and(|i| v[i].1 == owner)
     }
 }
 
@@ -130,10 +136,10 @@ impl<const D: usize> Forest<D> {
         let mut layer = GhostLayer::default();
         out.exchange::<D>(ctx, GHOST_TAG, |src, t, keys| {
             let v = layer.per_tree.entry(t).or_default();
-            v.extend(keys.iter().map(|&k| (src, key::unpack::<D>(k))));
+            v.extend(keys.iter().map(|&k| (k, src)));
         });
         for v in layer.per_tree.values_mut() {
-            v.sort_by_key(|&(_, o)| o);
+            v.sort_unstable();
             v.dedup();
         }
         forestbal_trace::counter_add("ghost.sent_octants", sent_octants);
@@ -154,20 +160,20 @@ impl<const D: usize> Forest<D> {
     ) -> bool {
         let ghosts = self.ghost_layer(ctx);
         let mut ok = true;
-        'outer: for (t, v) in self.trees() {
-            for o in v.iter() {
+        'outer: for (t, v) in self.local.iter() {
+            for &k in v {
+                let o = PackedOctant::<D>(k);
                 for dir in directions::<D>() {
                     if !cond.constrains(forestbal_octant::codim(&dir)) {
                         continue;
                     }
-                    let n = o.neighbor(&dir);
-                    let Some((t2, n2)) = self.connectivity().transform(t, &n) else {
+                    let Some((t2, n2)) = self.neighbor(t, o, &dir) else {
                         continue;
                     };
                     // The containing leaf (local or ghost), if coarser
                     // than n2, must be within one level of o.
-                    if let Some(c) = self.containing_leaf(Some(&ghosts), t2, &n2) {
-                        if c.level + 1 < o.level {
+                    if let Some(c) = self.containing_leaf(Some(&ghosts), t2, n2.0) {
+                        if PackedOctant::<D>(c).level() + 1 < o.level() {
                             ok = false;
                             break 'outer;
                         }
@@ -181,20 +187,14 @@ impl<const D: usize> Forest<D> {
     /// Is octant `g` of tree `tg` adjacent (sharing any boundary object)
     /// to some local leaf, including across tree boundaries?
     pub fn touches_local(&self, tg: TreeId, g: &Octant<D>) -> bool {
-        for dir in directions::<D>() {
-            let n = g.neighbor(&dir);
-            let Some((t2, n2)) = self.connectivity().transform(tg, &n) else {
-                continue;
-            };
-            let Some(v) = self.local.get(t2) else {
-                continue;
-            };
-            let lo = v.partition_point(|&k| PackedOctant::<D>(k).last_index() < n2.index());
-            if lo < v.len() && PackedOctant::<D>(v[lo]).index() <= n2.last_index() {
-                return true;
-            }
-        }
-        false
+        let g = PackedOctant::new(g);
+        directions::<D>().any(|dir| {
+            self.neighbor(tg, g, &dir).is_some_and(|(t2, n2)| {
+                self.local
+                    .get(t2)
+                    .is_some_and(|v| !store::overlapping::<D, _>(v, n2.0).is_empty())
+            })
+        })
     }
 }
 
@@ -216,14 +216,14 @@ mod tests {
             for (t, owner, g) in ghosts.iter() {
                 assert_ne!(owner, ctx.rank());
                 // Each ghost is a real global leaf...
-                assert!(global[&t].binary_search(g).is_ok());
+                assert!(global[&t].binary_search(&g).is_ok());
                 // ...not a local one...
                 let local: Vec<_> = f.trees().filter(|&(tt, _)| tt == t).collect();
                 for (_, v) in local {
-                    assert!(v.binary_search(g).is_err());
+                    assert!(v.keys().binary_search(&key::pack(&g)).is_err());
                 }
                 // ...and adjacent to the local partition.
-                assert!(f.touches_local(t, g), "ghost {g:?} does not touch rank");
+                assert!(f.touches_local(t, &g), "ghost {g:?} does not touch rank");
             }
         });
     }
@@ -248,8 +248,10 @@ mod tests {
                         // Uniform forest: the neighbor IS a leaf.
                         assert!(global[&t].binary_search(&n).is_ok());
                         let local_hit = v.binary_search(&n).is_ok();
-                        let ghost_hit =
-                            ghosts.tree(t).binary_search_by_key(&n, |&(_, g)| g).is_ok();
+                        let ghost_hit = ghosts
+                            .tree(t)
+                            .binary_search_by_key(&key::pack(&n), |&(g, _)| g)
+                            .is_ok();
                         assert!(
                             local_hit || ghost_hit,
                             "neighbor {n:?} neither local nor ghost"

@@ -46,11 +46,16 @@
 //! sides of a partition boundary — two ranks coarsening facing families
 //! in one epoch included — from ever splitting against a stale ghost
 //! entry.
+//!
+//! Worklist, overlay, neighbor lookups, searches and ghost patches all
+//! run on packed keys; only [`AdaptBatch::refine`] and
+//! [`AdaptBatch::coarsen`] take struct octants, at the API edge.
 
 use crate::connectivity::TreeId;
 use crate::forest::Forest;
 use crate::ghost::GhostLayer;
 use crate::reach::RunExchange;
+use crate::store;
 use forestbal_comm::Comm;
 use forestbal_core::Condition;
 use forestbal_octant::{
@@ -96,11 +101,6 @@ impl<const D: usize> AdaptBatch<D> {
     /// Request splitting a leaf given as a packed key.
     pub fn refine_key(&mut self, tree: TreeId, k: u128) {
         self.refine.push((tree, k));
-    }
-
-    /// Request a coarsen given the parent's packed key.
-    pub fn coarsen_key(&mut self, tree: TreeId, k: u128) {
-        self.coarsen.push((tree, k));
     }
 
     /// Number of queued requests.
@@ -369,7 +369,7 @@ impl<const D: usize> Forest<D> {
                 // Patch first: a simultaneous coarsen on the far side
                 // must never leave its finer pre-epoch ghosts behind to
                 // force unforced splits here.
-                ghosts.patch(t, src, key::unpack::<D>(gk));
+                ghosts.patch(t, src, gk);
             }
             for &(_, t, gk) in &received {
                 work.push_back((t, gk));
@@ -383,17 +383,14 @@ impl<const D: usize> Forest<D> {
             let mut changed = false;
             while let Some((t, gk)) = work.pop_front() {
                 let g = PackedOctant::<D>(gk);
-                let go = g.octant();
                 for dir in directions::<D>() {
                     if !cond.constrains(codim(&dir)) {
                         continue;
                     }
-                    let n = go.neighbor(&dir);
-                    let Some((t2, n2)) = self.connectivity().transform(t, &n) else {
+                    let Some((t2, n2)) = self.neighbor(t, g, &dir) else {
                         continue;
                     };
-                    let nk = key::pack(&n2);
-                    while let Some((bk, ck)) = container(&self.local, &overlay, t2, nk) {
+                    while let Some((bk, ck)) = container(&self.local, &overlay, t2, n2.0) {
                         let c = PackedOctant::<D>(ck);
                         if c.level() + 1 >= g.level() {
                             break;
@@ -460,54 +457,42 @@ impl<const D: usize> Forest<D> {
         k: u128,
         work: &mut VecDeque<(TreeId, u128)>,
     ) {
-        let o = key::unpack::<D>(k);
-        let min_level = o.level + 2;
+        let o = PackedOctant::<D>(k);
+        let min_level = o.level() + 2;
         if min_level > MAX_LEVEL {
             return;
         }
+        let fine = |rk: u128| PackedOctant::<D>(rk).level() >= min_level;
         for dir in directions::<D>() {
             if !cond.constrains(codim(&dir)) {
                 continue;
             }
-            let n = o.neighbor(&dir);
-            let Some((t2, n2)) = self.connectivity().transform(tree, &n) else {
+            let Some((t2, n2)) = self.neighbor(tree, o, &dir) else {
                 continue;
             };
-            let (nlo, nhi) = (n2.index(), n2.last_index());
             if let Some(v) = self.local.get(t2) {
                 let ov = overlay.get(&t2);
-                let lo = v.partition_point(|&bk| PackedOctant::<D>(bk).last_index() < nlo);
-                for &bk in v[lo..]
-                    .iter()
-                    .take_while(|&&bk| PackedOctant::<D>(bk).index() <= nhi)
-                {
+                for &bk in &v[store::overlapping::<D, _>(v, n2.0)] {
                     match ov.and_then(|m| m.get(&bk)) {
                         Some(reps) => {
-                            for &rk in reps {
-                                let r = PackedOctant::<D>(rk);
-                                if r.level() >= min_level
-                                    && r.last_index() >= nlo
-                                    && r.index() <= nhi
-                                {
-                                    work.push_back((t2, rk));
-                                }
-                            }
+                            let run = store::overlapping::<D, _>(reps, n2.0);
+                            work.extend(
+                                reps[run].iter().filter(|&&rk| fine(rk)).map(|&rk| (t2, rk)),
+                            );
                         }
-                        None => {
-                            if PackedOctant::<D>(bk).level() >= min_level {
-                                work.push_back((t2, bk));
-                            }
-                        }
+                        None if fine(bk) => work.push_back((t2, bk)),
+                        None => {}
                     }
                 }
             }
             let gv = ghosts.tree(t2);
-            let lo = gv.partition_point(|&(_, g)| g.last_index() < nlo);
-            for &(_, g) in gv[lo..].iter().take_while(|&&(_, g)| g.index() <= nhi) {
-                if g.level >= min_level {
-                    work.push_back((t2, key::pack(&g)));
-                }
-            }
+            let run = store::overlapping::<D, _>(gv, n2.0);
+            work.extend(
+                gv[run]
+                    .iter()
+                    .filter(|&&(g, _)| fine(g))
+                    .map(|&(g, _)| (t2, g)),
+            );
         }
     }
 }
@@ -614,24 +599,12 @@ fn container<const D: usize>(
     n: u128,
 ) -> Option<(u128, u128)> {
     let v = local.get(tree)?;
-    let i = v.partition_point(|&k| k <= n);
-    if i == 0 {
-        return None;
-    }
-    let bk = v[i - 1];
+    let bk = store::containing::<D, _>(v, n)?;
     let ck = match overlay.get(&tree).and_then(|m| m.get(&bk)) {
-        Some(reps) => {
-            let j = reps.partition_point(|&k| k <= n);
-            if j == 0 {
-                return None;
-            }
-            reps[j - 1]
-        }
+        Some(reps) => store::containing::<D, _>(reps, n)?,
         None => bk,
     };
-    PackedOctant::<D>(ck)
-        .contains(PackedOctant(n))
-        .then_some((bk, ck))
+    Some((bk, ck))
 }
 
 /// Is key `k` still a leaf of `tree` under the overlay?
@@ -749,7 +722,7 @@ mod tests {
             let fresh = f.ghost_layer(ctx);
             for (t, owner, g) in fresh.iter() {
                 assert!(
-                    ghosts.contains(t, owner, g),
+                    ghosts.contains(t, owner, &g),
                     "patched ghost layer lost {t}:{owner}:{g:?}"
                 );
             }

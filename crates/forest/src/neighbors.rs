@@ -10,7 +10,7 @@
 use crate::connectivity::TreeId;
 use crate::forest::Forest;
 use crate::ghost::GhostLayer;
-use forestbal_octant::Octant;
+use forestbal_octant::{key, Octant, PackedOctant};
 
 /// What lies across one face of a leaf.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,32 +44,33 @@ impl<const D: usize> Forest<D> {
         debug_assert!(axis < D && (sign == 1 || sign == -1));
         let mut dir = [0i8; D];
         dir[axis] = sign;
-        let n = o.neighbor(&dir);
-        let Some((t2, n2)) = self.connectivity().transform(tree, &n) else {
+        let Some((t2, n2)) = self.neighbor(tree, PackedOctant::new(o), &dir) else {
             return FaceNeighbor::Boundary;
         };
 
         // One lookup decides both the same-size and the coarser case: the
         // leaf containing the same-size region is that region itself or
         // its parent.
-        match self.containing_leaf(Some(ghosts), t2, &n2) {
-            Some(c) if c == n2 => return FaceNeighbor::Same(t2, n2),
-            Some(c) if c.level + 1 == n2.level => return FaceNeighbor::Coarse(t2, c),
+        match self.containing_leaf(Some(ghosts), t2, n2.0) {
+            Some(c) if c == n2.0 => return FaceNeighbor::Same(t2, n2.octant()),
+            Some(c) if PackedOctant::<D>(c).level() + 1 == n2.level() => {
+                return FaceNeighbor::Coarse(t2, key::unpack(c))
+            }
             _ => {}
         }
         // Otherwise 2:1 face balance guarantees the 2^(D-1) children of
         // the region adjacent to the shared face are leaves. They face
         // back toward `o`: their child bit along `axis` opposes `sign`.
+        let n2o = n2.octant();
         let mut fine = Vec::with_capacity(1 << (D - 1));
         for i in 0..Octant::<D>::NUM_CHILDREN {
-            let toward_o = ((i >> axis) & 1) == usize::from(sign < 0);
-            if toward_o {
+            if ((i >> axis) & 1) == usize::from(sign < 0) {
                 let c = n2.child(i);
                 debug_assert!(
-                    self.containing_leaf(Some(ghosts), t2, &c) == Some(c),
+                    self.containing_leaf(Some(ghosts), t2, c.0) == Some(c.0),
                     "face not 2:1 balanced at {c:?}"
                 );
-                fine.push(c);
+                fine.push(n2o.child(i));
             }
         }
         FaceNeighbor::Fine(t2, fine)

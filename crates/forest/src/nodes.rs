@@ -116,7 +116,7 @@ impl<const D: usize> Forest<D> {
             v.iter().for_each(|o| push_corners(&base, &o, true));
         }
         for (t, _, o) in ghosts.iter() {
-            push_corners(&domain.tree_base(t), o, false);
+            push_corners(&domain.tree_base(t), &o, false);
         }
         records.sort_unstable();
 
@@ -232,7 +232,6 @@ impl<'a, const D: usize> Domain<'a, D> {
 mod tests {
     use super::*;
     use crate::balance::{BalanceVariant, ReversalScheme};
-    use crate::ghost::GhostLayer;
     use crate::reach::tests::{bricks, pseudo_refine};
     use forestbal_comm::Cluster;
     use forestbal_core::Condition;
@@ -240,116 +239,87 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::Arc;
 
-    /// The per-cell oracle the sweep replaced: every corner of every local
-    /// leaf, sorted and deduplicated, each classified by looking up the
-    /// leaf that contains each of its incident unit cells.
+    /// The definitional oracle: every corner of every local leaf, sorted
+    /// and deduplicated, each classified against the gathered global
+    /// forest. A node is hanging iff some leaf holding one of its
+    /// in-domain incident unit cells lacks it as a corner; its owner is
+    /// the rank of the least incident cell in the forest-wide curve order.
+    /// No ghost layer, no forest search.
     impl<const D: usize> Forest<D> {
         fn enumerate_nodes_by_search(&mut self, ctx: &impl Comm) -> Vec<NodeInfo<D>> {
-            let ghosts = self.ghost_layer(ctx);
-            let dims = self.connectivity().dims();
+            self.update_markers(ctx);
+            let global = self.gather(ctx);
+            let conn = self.connectivity();
+            let (dims, periodic) = (conn.dims(), conn.periodic());
             let extent: [i64; D] = std::array::from_fn(|i| dims[i] as i64 * ROOT_LEN as i64);
+            // Canonical global coordinates of corner `corner` of leaf `o`.
+            let node = |t: TreeId, o: &Octant<D>, corner: usize| -> [i64; D] {
+                let tc = conn.tree_coords(t);
+                std::array::from_fn(|i| {
+                    let g = tc[i] as i64 * ROOT_LEN as i64
+                        + o.coords[i] as i64
+                        + ((corner >> i) & 1) as i64 * o.len() as i64;
+                    if periodic[i] {
+                        g.rem_euclid(extent[i])
+                    } else {
+                        g
+                    }
+                })
+            };
+            let corners = Octant::<D>::NUM_CHILDREN;
             let mut coords: Vec<[i64; D]> = Vec::new();
             for (t, v) in self.trees() {
-                let tc = self.connectivity().tree_coords(t);
                 for o in v.iter() {
-                    for corner in 0..Octant::<D>::NUM_CHILDREN {
-                        coords.push(self.canonical_node(&tc, &o, corner, &extent));
-                    }
+                    coords.extend((0..corners).map(|c| node(t, &o, c)));
                 }
             }
             coords.sort_unstable();
             coords.dedup();
             coords
                 .into_iter()
-                .map(|gcoord| {
-                    let (hanging, owner_pos) = self.classify_node(&ghosts, &gcoord, &extent);
+                .map(|g| {
+                    let mut hanging = false;
+                    let mut owner: Option<GlobalPos> = None;
+                    'cell: for delta in 0..corners {
+                        // Incident unit cell: lower corner g - delta.
+                        let mut tc = [0usize; D];
+                        let mut lc = [0 as Coord; D];
+                        for i in 0..D {
+                            let mut u = g[i] - ((delta >> i) & 1) as i64;
+                            if periodic[i] {
+                                u = u.rem_euclid(extent[i]);
+                            } else if u < 0 || u >= extent[i] {
+                                continue 'cell;
+                            }
+                            tc[i] = (u / ROOT_LEN as i64) as usize;
+                            lc[i] = (u % ROOT_LEN as i64) as Coord;
+                        }
+                        let Some(tree) = conn.try_tree_id(tc) else {
+                            continue; // masked-out cell: outside the domain
+                        };
+                        let cell = Octant::<D> {
+                            coords: lc,
+                            level: MAX_LEVEL,
+                        };
+                        let pos = GlobalPos {
+                            tree,
+                            index: cell.index(),
+                        };
+                        owner = Some(owner.map_or(pos, |best| best.min(pos)));
+                        // The gathered tree is linear and Morton-sorted: the
+                        // cell's leaf is the last one not after it.
+                        let v = &global[&tree];
+                        let leaf = &v[v.partition_point(|l| l <= &cell) - 1];
+                        assert!(leaf.contains(&cell), "the forest leaves {cell:?} uncovered");
+                        hanging |= !(0..corners).any(|c| node(tree, leaf, c) == g);
+                    }
                     NodeInfo {
-                        gcoord,
+                        gcoord: g,
                         hanging,
-                        owned: owner_pos.is_some_and(|pos| self.owner_of(pos) == self.rank()),
+                        owned: owner.is_some_and(|pos| self.owner_of(pos) == self.rank()),
                     }
                 })
                 .collect()
-        }
-
-        /// Canonical global coordinates of leaf corner `corner`.
-        fn canonical_node(
-            &self,
-            tree_coords: &[usize; D],
-            o: &Octant<D>,
-            corner: usize,
-            extent: &[i64; D],
-        ) -> [i64; D] {
-            let periodic = self.connectivity().periodic();
-            std::array::from_fn(|i| {
-                let mut g = tree_coords[i] as i64 * ROOT_LEN as i64
-                    + o.coords[i] as i64
-                    + ((corner >> i) & 1) as i64 * o.len() as i64;
-                if periodic[i] {
-                    g = g.rem_euclid(extent[i]);
-                }
-                g
-            })
-        }
-
-        /// Classify one node: hanging flag and the canonical owner position
-        /// (the Morton-least in-domain incident unit cell).
-        fn classify_node(
-            &self,
-            ghosts: &GhostLayer<D>,
-            g: &[i64; D],
-            extent: &[i64; D],
-        ) -> (bool, Option<GlobalPos>) {
-            let periodic = self.connectivity().periodic();
-            let mut hanging = false;
-            let mut owner: Option<GlobalPos> = None;
-            for delta in 0..Octant::<D>::NUM_CHILDREN {
-                // Incident unit cell: lower corner g - delta.
-                let mut u = [0i64; D];
-                let mut outside = false;
-                for i in 0..D {
-                    u[i] = g[i] - ((delta >> i) & 1) as i64;
-                    if periodic[i] {
-                        u[i] = u[i].rem_euclid(extent[i]);
-                    } else if u[i] < 0 || u[i] >= extent[i] {
-                        outside = true;
-                        break;
-                    }
-                }
-                if outside {
-                    continue;
-                }
-                // Split into (tree, local cell).
-                let mut tc = [0usize; D];
-                let mut lc = [0 as Coord; D];
-                for i in 0..D {
-                    tc[i] = (u[i] / ROOT_LEN as i64) as usize;
-                    lc[i] = (u[i] % ROOT_LEN as i64) as Coord;
-                }
-                let Some(tree) = self.connectivity().try_tree_id(tc) else {
-                    continue; // masked-out cell: outside the domain
-                };
-                let cell = Octant::<D> {
-                    coords: lc,
-                    level: MAX_LEVEL,
-                };
-                let pos = GlobalPos {
-                    tree,
-                    index: cell.index(),
-                };
-                owner = Some(match owner {
-                    Some(best) if best <= pos => best,
-                    _ => pos,
-                });
-                // The touching leaf: hanging iff it doesn't share the node.
-                if let Some(leaf) = self.containing_leaf(Some(ghosts), tree, &cell) {
-                    let tcoords = self.connectivity().tree_coords(tree);
-                    let shares = (0..Octant::<D>::NUM_CHILDREN)
-                        .any(|corner| self.canonical_node(&tcoords, &leaf, corner, extent) == *g);
-                    hanging |= !shares;
-                }
-            }
-            (hanging, owner)
         }
     }
 

@@ -4,32 +4,42 @@
 //! split a leaf `r` lies in its insulation layer `I(r)`. "Which (rank,
 //! tree, frame) does `I(r)` reach" is therefore the only routing question
 //! the forest asks, and balance, ripple, ghost and incremental all ask it
-//! here:
+//! here, on packed keys:
 //!
-//! * [`Forest::for_each_reach`] — the scan: O(1) interior rejection, then
-//!   direction → tree transform → partition-marker owners;
+//! * [`Forest::neighbor`] — the one neighbor lookup: a key's same-size
+//!   neighbor across a direction, moved into the frame of the tree that
+//!   holds it by a top-bit-plane rewrite
+//!   ([`BrickConnectivity::transform_key`]);
+//! * [`Forest::for_each_reach`] — the scan: O(1) interior rejection (the
+//!   one decode), then direction → neighbor → partition-marker owners;
 //! * [`RunExchange`] — the sparse neighbor exchange of packed-key tree
 //!   runs that follows the scan (receivers → Notify reversal → send →
 //!   receive → decode);
 //! * [`Forest::containing_leaf`] — the lookup the consumers of a ghost
-//!   layer make: the leaf containing an octant among local ∪ ghost.
+//!   layer make: the leaf key containing a key among local ∪ ghost, by
+//!   the same key-slice search ([`store::containing`]) on both arrays.
+//!
+//! [`BrickConnectivity::transform_key`]: crate::BrickConnectivity::transform_key
 
 use crate::codec::{self, RunEncoder};
 use crate::connectivity::TreeId;
 use crate::forest::Forest;
 use crate::ghost::GhostLayer;
+use crate::store;
 use forestbal_comm::{reverse_notify, Comm};
 use forestbal_octant::{
-    directions, key, morton, Coord, MortonIndex, Octant, PackedOctant, ROOT_LEN,
+    directions, key, morton, Coord, Direction, MortonIndex, PackedOctant, ROOT_LEN,
 };
 use std::collections::BTreeMap;
 
 impl<const D: usize> Forest<D> {
-    /// Visit every `(owner, tree2, off)` reached by the insulation layer
+    /// Visit every `(owner, tree2, steps)` reached by the insulation layer
     /// of leaf `k` of `tree`: for each of the `3^D - 1` directions (in
     /// [`directions`] order) whose neighbor exists in the forest, every
     /// rank owning part of it (ascending), with the neighbor's tree and
-    /// the offset `home + off = tree2 frame`. Destinations repeat across
+    /// the frame change `steps` (root lengths per axis) that carries a
+    /// home-frame octant into `tree2`'s frame
+    /// ([`PackedOctant::translate`]). Destinations repeat across
     /// directions and the leaf's own `(rank, tree, [0; D])` is included;
     /// callers apply their own dedup and self-entry rules.
     ///
@@ -48,7 +58,7 @@ impl<const D: usize> Forest<D> {
         tree: TreeId,
         k: u128,
         local_range: (MortonIndex, MortonIndex),
-        mut visit: impl FnMut(usize, TreeId, [Coord; D]),
+        mut visit: impl FnMut(usize, TreeId, [i8; D]),
     ) {
         let conn = self.connectivity();
         let (tc, dims, periodic) = (conn.tree_coords(tree), conn.dims(), conn.periodic());
@@ -77,38 +87,46 @@ impl<const D: usize> Forest<D> {
         if interior {
             return;
         }
+        let rk = PackedOctant::<D>(k);
         for dir in directions::<D>() {
-            let n = r.neighbor(&dir);
-            let Some((t2, n2)) = conn.transform_from(tc, &n) else {
+            let Some((t2, n2)) = self.neighbor(tree, rk, &dir) else {
                 continue;
             };
-            let off: [Coord; D] = std::array::from_fn(|i| n2.coords[i] - n.coords[i]);
+            // Home frame to `t2`'s: undo the neighbor's tree steps.
+            let steps = rk.neighbor(&dir).tree_steps().map(|s| -s);
             for owner in self.owners_of_range(t2, n2.index(), n2.last_index()) {
-                visit(owner, t2, off);
+                visit(owner, t2, steps);
             }
         }
     }
 
-    /// The leaf containing octant `q` of `tree` (an ancestor of or equal
-    /// to `q`) among the local leaves and, when given, the ghost layer.
-    /// The local probe is one `partition_point` on the packed key array;
-    /// only the hit is decoded.
+    /// The same-size neighbor of octant `k` of `tree` across `dir`, in the
+    /// frame of the tree that holds it, or `None` beyond the forest's
+    /// boundary: the one way the forest finds a neighbor.
+    #[inline]
+    pub(crate) fn neighbor(
+        &self,
+        tree: TreeId,
+        k: PackedOctant<D>,
+        dir: &Direction<D>,
+    ) -> Option<(TreeId, PackedOctant<D>)> {
+        self.connectivity().transform_key(tree, k.neighbor(dir))
+    }
+
+    /// The leaf containing octant key `q` of `tree` (an ancestor of or
+    /// equal to `q`) among the local leaves and, when given, the ghost
+    /// layer.
     pub(crate) fn containing_leaf(
         &self,
         ghosts: Option<&GhostLayer<D>>,
         tree: TreeId,
-        q: &Octant<D>,
-    ) -> Option<Octant<D>> {
-        if let Some(v) = self.local.get(tree) {
-            let qk = key::pack(q);
-            let i = v.partition_point(|&k| k <= qk);
-            if i > 0 && PackedOctant::<D>(v[i - 1]).contains(PackedOctant(qk)) {
-                return Some(key::unpack(v[i - 1]));
-            }
-        }
-        let gv = ghosts?.tree(tree);
-        let i = gv.partition_point(|&(_, o)| o <= *q);
-        (i > 0 && gv[i - 1].1.contains(q)).then(|| gv[i - 1].1)
+        q: u128,
+    ) -> Option<u128> {
+        let local = self
+            .local
+            .get(tree)
+            .and_then(|v| store::containing::<D, _>(v, q));
+        local.or_else(|| Some(store::containing::<D, _>(ghosts?.tree(tree), q)?.0))
     }
 }
 
@@ -161,6 +179,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::connectivity::BrickConnectivity;
     use forestbal_comm::Cluster;
+    use forestbal_octant::Octant;
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -227,8 +246,9 @@ pub(crate) mod tests {
                                 let Some((t2, n2)) = f.connectivity().transform(t, &n) else {
                                     continue;
                                 };
-                                let off: [Coord; D] =
-                                    std::array::from_fn(|i| n2.coords[i] - n.coords[i]);
+                                let off: [i8; D] = std::array::from_fn(|i| {
+                                    ((n2.coords[i] - n.coords[i]) / ROOT_LEN) as i8
+                                });
                                 for owner in f.owners_of_range(t2, n2.index(), n2.last_index()) {
                                     want.push((owner, t2, off));
                                 }

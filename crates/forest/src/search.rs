@@ -4,14 +4,15 @@
 
 use crate::connectivity::TreeId;
 use crate::forest::{Forest, GlobalPos};
-use forestbal_octant::{Coord, Octant, MAX_LEVEL, ROOT_LEN};
+use forestbal_octant::{key, Coord, Octant, MAX_LEVEL, ROOT_LEN};
 
 impl<const D: usize> Forest<D> {
     /// The local leaf of `tree` containing octant `q` (an ancestor of or
     /// equal to `q`), if this rank owns it. The search runs on the packed
     /// key array; only the hit is decoded (returned by value).
     pub fn find_leaf(&self, tree: TreeId, q: &Octant<D>) -> Option<Octant<D>> {
-        self.containing_leaf(None, tree, q)
+        self.containing_leaf(None, tree, key::pack(q))
+            .map(key::unpack)
     }
 
     /// The local leaf containing the integer point `p` of `tree`

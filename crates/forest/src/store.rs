@@ -21,6 +21,7 @@
 use crate::connectivity::TreeId;
 use forestbal_octant::{key, Octant, PackedOctant};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Per-tree sorted arrays of packed leaf keys — the native storage of
 /// [`crate::Forest`]. See the module docs for the layout and invariants.
@@ -142,6 +143,50 @@ impl<const D: usize> LeafStore<D> {
     }
 }
 
+/// An element of a sorted, linear key array: a local leaf key, or a
+/// ghost layer entry `(key, owner)`.
+pub(crate) trait Keyed: Copy {
+    /// The leaf's packed key.
+    fn key(self) -> u128;
+}
+
+impl Keyed for u128 {
+    #[inline]
+    fn key(self) -> u128 {
+        self
+    }
+}
+
+impl Keyed for (u128, usize) {
+    #[inline]
+    fn key(self) -> u128 {
+        self.0
+    }
+}
+
+/// The leaf of the sorted linear array `v` that contains key `n` (an
+/// ancestor of or equal to it): the last entry `<= n`, if it contains `n`.
+#[inline]
+pub(crate) fn containing<const D: usize, T: Keyed>(v: &[T], n: u128) -> Option<T> {
+    let e = *v[..v.partition_point(|e| e.key() <= n)].last()?;
+    PackedOctant::<D>(e.key())
+        .contains(PackedOctant(n))
+        .then_some(e)
+}
+
+/// The run of leaves of the sorted linear array `v` overlapping the
+/// in-root octant `n`: the leaf containing it, or the leaves inside it.
+/// First and last cell indices both grow along a linear array, so the
+/// run is bounded by two binary searches.
+#[inline]
+pub(crate) fn overlapping<const D: usize, T: Keyed>(v: &[T], n: u128) -> Range<usize> {
+    let n = PackedOctant::<D>(n);
+    let (lo, hi) = (n.index(), n.last_index());
+    let start = v.partition_point(|e| PackedOctant::<D>(e.key()).last_index() < lo);
+    let end = start + v[start..].partition_point(|e| PackedOctant::<D>(e.key()).index() <= hi);
+    start..end
+}
+
 /// A read view over one tree's sorted packed keys that decodes to the
 /// struct [`Octant`] on demand (by value). This is what
 /// [`crate::Forest::trees`] yields, keeping mesh generators, exporters and
@@ -177,11 +222,6 @@ impl<'a, const D: usize> LeafSlice<'a, D> {
         key::unpack(self.keys[i])
     }
 
-    /// Leaf `i` as a packed octant (no decode).
-    pub fn packed(&self, i: usize) -> PackedOctant<D> {
-        PackedOctant(self.keys[i])
-    }
-
     /// Decode the first leaf.
     pub fn first(&self) -> Option<Octant<D>> {
         self.keys.first().map(|&k| key::unpack(k))
@@ -195,17 +235,6 @@ impl<'a, const D: usize> LeafSlice<'a, D> {
     /// Iterate decoded leaves in Morton order.
     pub fn iter(&self) -> impl Iterator<Item = Octant<D>> + 'a {
         self.keys.iter().map(|&k| key::unpack(k))
-    }
-
-    /// Binary search for an octant (integer search on its packed key).
-    pub fn binary_search(&self, o: &Octant<D>) -> Result<usize, usize> {
-        self.keys.binary_search(&key::pack(o))
-    }
-
-    /// First index at which `pred` (over the decoded leaf) is false;
-    /// `pred` must be monotone in Morton order.
-    pub fn partition_point(&self, mut pred: impl FnMut(&Octant<D>) -> bool) -> usize {
-        self.keys.partition_point(|&k| pred(&key::unpack(k)))
     }
 }
 
@@ -252,7 +281,7 @@ mod tests {
     }
 
     #[test]
-    fn slice_decodes_and_searches() {
+    fn slice_decodes() {
         let r = Octant::<2>::root();
         let leaves = [r.child(0), r.child(1), r.child(2), r.child(3)];
         let keys: Vec<u128> = leaves.iter().map(key::pack).collect();
@@ -261,9 +290,6 @@ mod tests {
         assert_eq!(s.get(2), leaves[2]);
         assert_eq!(s.first(), Some(leaves[0]));
         assert_eq!(s.last(), Some(leaves[3]));
-        assert_eq!(s.binary_search(&leaves[1]), Ok(1));
-        assert!(s.binary_search(&r).is_err());
-        assert_eq!(s.partition_point(|o| o < &leaves[2]), 2);
         let dec: Vec<_> = s.iter().collect();
         assert_eq!(dec, leaves);
     }

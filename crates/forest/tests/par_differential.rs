@@ -7,7 +7,7 @@
 use forestbal_comm::Cluster;
 use forestbal_core::Condition;
 use forestbal_forest::{
-    AdaptBatch, BalanceVariant, BrickConnectivity, Forest, ReversalScheme, TreeId,
+    AdaptBatch, BalanceVariant, BrickConnectivity, Forest, GhostLayer, ReversalScheme, TreeId,
 };
 use forestbal_octant::Octant;
 use forestbal_par::Pool;
@@ -27,7 +27,7 @@ fn balance_outcome<const D: usize>(
     threads: usize,
     cond: Condition,
     refine: impl Fn(TreeId, &Octant<D>) -> bool + Sync,
-) -> (Outcome<D>, Vec<usize>) {
+) -> (Outcome<D>, Vec<GhostLayer<D>>) {
     let conn = Arc::clone(conn);
     let refine = &refine;
     let out = Cluster::run(p, move |ctx| {
@@ -39,16 +39,17 @@ fn balance_outcome<const D: usize>(
             f.refine(true, 6, |t, o| refine(t, o));
             f.balance(ctx, cond, BalanceVariant::New, ReversalScheme::Notify);
             let ghosts = f.ghost_layer(ctx);
-            ((f.gather(ctx), f.checksum(ctx)), ghosts.len())
+            ((f.gather(ctx), f.checksum(ctx)), ghosts)
         })
     });
     // Every rank gathers the same global forest; the ghost layer is
-    // rank-local, so its sizes are compared per rank across widths.
+    // rank-local, so whole layers (keys, owners, order) are compared per
+    // rank across widths.
     for (w, _) in &out.results {
         assert_eq!(w, &out.results[0].0, "ranks disagree on the forest");
     }
-    let ghost_sizes = out.results.iter().map(|(_, g)| *g).collect();
-    (out.results[0].0.clone(), ghost_sizes)
+    let layers = out.results.iter().map(|(_, g)| g.clone()).collect();
+    (out.results[0].0.clone(), layers)
 }
 
 fn hugger_2d(_t: TreeId, o: &Octant<2>) -> bool {
@@ -62,7 +63,7 @@ fn hugger_3d(t: TreeId, o: &Octant<3>) -> bool {
 #[test]
 fn balance_bit_identical_across_thread_counts_2d() {
     let conn = Arc::new(BrickConnectivity::<2>::new([3, 2], [false; 2]));
-    let mut base: Option<(Outcome<2>, Vec<usize>)> = None;
+    let mut base: Option<(Outcome<2>, Vec<GhostLayer<2>>)> = None;
     for threads in THREAD_COUNTS {
         let got = balance_outcome(&conn, 3, threads, Condition::full(2), hugger_2d);
         match &base {
@@ -75,7 +76,7 @@ fn balance_bit_identical_across_thread_counts_2d() {
 #[test]
 fn balance_bit_identical_across_thread_counts_3d() {
     let conn = Arc::new(BrickConnectivity::<3>::new([2, 2, 1], [false; 3]));
-    let mut base: Option<(Outcome<3>, Vec<usize>)> = None;
+    let mut base: Option<(Outcome<3>, Vec<GhostLayer<3>>)> = None;
     for threads in THREAD_COUNTS {
         let got = balance_outcome(&conn, 2, threads, Condition::full(3), hugger_3d);
         match &base {

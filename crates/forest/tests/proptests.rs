@@ -9,7 +9,7 @@ use forestbal_forest::serial::is_forest_balanced;
 use forestbal_forest::{
     serial_forest_balance, BalanceVariant, BrickConnectivity, Forest, ReversalScheme, TreeId,
 };
-use forestbal_octant::{directions, Octant};
+use forestbal_octant::{directions, Octant, PackedOctant, MAX_LEVEL};
 use forestbal_sim::{SimCluster, SimConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -134,7 +134,7 @@ fn layer_and_oracle<const D: usize>(
     let mut f = Forest::new_uniform(Arc::clone(conn), ctx, levels.0);
     f.refine(true, levels.1, |t, o| pseudo_refine(seed, t, o, denom));
     let ghosts = f.ghost_layer(ctx);
-    let got: Entries<D> = ghosts.iter().map(|(t, owner, g)| (t, owner, *g)).collect();
+    let got: Entries<D> = ghosts.iter().collect();
 
     let overlaps_local = |t: TreeId, n: &Octant<D>| {
         f.trees()
@@ -298,5 +298,78 @@ proptest! {
     #[test]
     fn ghost_layer_matches_oracle_3d(seed in any::<u64>(), denom in 3u64..6) {
         ghosts_match_oracle::<3>(seed, denom, (1, 3));
+    }
+}
+
+// ---- Frame changes on keys --------------------------------------------
+//
+// The forest routes every neighbor across tree boundaries with
+// `transform_key` (top bit-plane rewrite); the struct `transform` is its
+// coordinate reference.
+
+/// A random octant of some tree, hugging one corner of the root at most
+/// levels (so faces, edges and corners of trees are touched often), down
+/// to `MAX_LEVEL`.
+fn corner_hugger<const D: usize>(mut h: u64) -> Octant<D> {
+    let mut step = move || {
+        h ^= h << 13;
+        h ^= h >> 7;
+        h ^= h << 17;
+        h
+    };
+    let nc = Octant::<D>::NUM_CHILDREN as u64;
+    let corner = (step() % nc) as usize;
+    let mut o = Octant::<D>::root();
+    for _ in 0..step() % (MAX_LEVEL as u64 + 1) {
+        let id = if step().is_multiple_of(4) {
+            (step() % nc) as usize
+        } else {
+            corner
+        };
+        o = o.child(id);
+    }
+    o
+}
+
+/// Key and struct transform agree, `None` included, on every neighbor of
+/// random octants of every tree of the three bricks.
+fn key_transform_matches_struct<const D: usize>(seed: u64) {
+    for (name, conn) in bricks::<D>() {
+        let (mut crossed, mut outside) = (0usize, 0usize);
+        for t in 0..conn.num_trees() as TreeId {
+            for i in 0..64u64 {
+                let o = corner_hugger::<D>(
+                    seed ^ (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ t as u64,
+                );
+                for dir in directions::<D>() {
+                    let n = o.neighbor(&dir);
+                    let want = conn.transform(t, &n);
+                    let got = conn.transform_key(t, PackedOctant::new(&n));
+                    assert_eq!(
+                        got.map(|(t2, k)| (t2, k.octant())),
+                        want,
+                        "{name} tree {t} {o:?} dir {dir:?}"
+                    );
+                    crossed += usize::from(!n.is_inside_root() && want.is_some());
+                    outside += usize::from(want.is_none());
+                }
+            }
+        }
+        assert!(crossed > 0, "{name}: no neighbor crossed a tree boundary");
+        assert_eq!(outside > 0, name != "periodic", "{name}: boundary coverage");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn key_transform_matches_struct_2d(seed in any::<u64>()) {
+        key_transform_matches_struct::<2>(seed);
+    }
+
+    #[test]
+    fn key_transform_matches_struct_3d(seed in any::<u64>()) {
+        key_transform_matches_struct::<3>(seed);
     }
 }

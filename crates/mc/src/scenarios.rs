@@ -120,7 +120,7 @@ fn ghosts_digest(ctx: &SimCtx) -> String {
     let mut items: Vec<String> = Vec::new();
     for (t, owner, g) in ghosts.iter() {
         valid &= owner != ctx.rank();
-        valid &= global.get(&t).is_some_and(|v| v.binary_search(g).is_ok());
+        valid &= global.get(&t).is_some_and(|v| v.binary_search(&g).is_ok());
         items.push(format!("{t}:{owner}:l{}@{:?}", g.level, g.coords));
     }
     items.sort();
@@ -252,7 +252,7 @@ fn epochs_digest(ctx: &SimCtx) -> (bool, bool, bool, u64) {
     let after = f.gather(ctx);
     let balanced = is_forest_balanced(f.connectivity(), &after, cond);
     let fresh = f.ghost_layer(ctx);
-    let superset = fresh.iter().all(|(t, o, g)| ghosts.contains(t, o, g));
+    let superset = fresh.iter().all(|(t, o, g)| ghosts.contains(t, o, &g));
     (oracle_ok, balanced, superset, f.checksum(ctx))
 }
 

@@ -41,6 +41,11 @@
 //! * `is_inside_root`: biased in-root coordinates are exactly those with
 //!   bit 26 set and bits 24–25 clear, so one shift and compare of the top
 //!   three bit-planes tests all `D` coordinates at once.
+//! * `tree_steps`/`translate`: those planes read `011`, `100` or `101` for
+//!   a coordinate in `[-R, 0)`, `[0, R)` or `[R, 2R)` (`R = ROOT_LEN`), so
+//!   the tree step along an axis is the planes' value minus 4, and moving
+//!   an octant by whole root lengths rewrites only those planes — a frame
+//!   change between trees never touches the low bits.
 //!
 //! The natural integer order on keys equals [`crate::morton::cmp`]
 //! (ancestors first), so sorted key arrays are linear octrees and
@@ -257,9 +262,15 @@ impl<const D: usize> PackedOctant<D> {
     /// the 27-bit field (debug-checked); it may leave the packable window.
     #[inline]
     pub fn axis_field(self, j: usize, d: i8) -> u128 {
+        self.field_moved(j, d, self.level())
+    }
+
+    /// Axis `j`'s bit-plane moved by `d` lengths of a level-`level` octant.
+    #[inline]
+    fn field_moved(self, j: usize, d: i8, level: u8) -> u128 {
         let m = axis_plane(D) << j;
         let f = self.idx() & m;
-        let step = 1u128 << ((L - self.level() as u32) * D as u32 + j as u32);
+        let step = 1u128 << ((L - level as u32) * D as u32 + j as u32);
         let moved = match d {
             // Dilated add: fill foreign bits with ones so the carry ripples
             // across them to the next bit of this axis.
@@ -291,6 +302,33 @@ impl<const D: usize> PackedOctant<D> {
     pub fn neighbor(self, dir: &Direction<D>) -> Self {
         let idx = (0..D).fold(0, |idx, j| idx | self.axis_field(j, dir[j]));
         PackedOctant(idx << KEY_LEVEL_BITS | self.level() as u128)
+    }
+
+    /// Which root-sized cell of the packable window holds the octant, per
+    /// axis: `coords.div_euclid(ROOT_LEN)` in `{-1, 0, 1}`, read off the
+    /// top three bit-planes — the tree step from the octant's frame to
+    /// the tree that contains it.
+    #[inline]
+    pub fn tree_steps(self) -> [i8; D] {
+        let top = self.idx() >> (24 * D);
+        std::array::from_fn(|j| {
+            (0..3).fold(0, |v, b| v | (((top >> (b * D + j)) & 1) << b)) as i8 - 4
+        })
+    }
+
+    /// The octant moved by `steps[j] ∈ {-1, 0, 1}` root lengths along each
+    /// axis `j`: a dilated add on the top three bit-planes alone, as
+    /// [`PackedOctant::axis_field`] at level 0. The result must stay
+    /// inside the packable window (debug-checked).
+    #[inline]
+    pub fn translate(self, steps: [i8; D]) -> Self {
+        let idx = (0..D).fold(0, |idx, j| idx | self.field_moved(j, steps[j], 0));
+        let moved = PackedOctant(idx << KEY_LEVEL_BITS | self.level() as u128);
+        debug_assert!(
+            moved.tree_steps().iter().all(|s| s.abs() <= 1),
+            "translation leaves the packable window"
+        );
+        moved
     }
 }
 

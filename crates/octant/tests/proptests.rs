@@ -279,6 +279,53 @@ proptest! {
     }
 }
 
+/// The frame change on keys against the coordinates: for every step
+/// vector in `{-1, 0, 1}^D` that keeps `o` inside the packable window,
+/// `translate` equals the packed coordinate shift, and `tree_steps` is
+/// each coordinate's root-length cell `div_euclid(ROOT_LEN)`, before and
+/// after the move.
+fn translate_matches_shift<const D: usize>(o: Octant<D>) {
+    let p = PackedOctant::<D>::new(&o);
+    assert_eq!(
+        p.tree_steps(),
+        o.coords.map(|c| c.div_euclid(ROOT_LEN) as i8)
+    );
+    let mut moved = 0;
+    for code in 0..3usize.pow(D as u32) {
+        let steps: [i8; D] = std::array::from_fn(|j| (code / 3usize.pow(j as u32) % 3) as i8 - 1);
+        let mut shifted = o;
+        for (c, &s) in shifted.coords.iter_mut().zip(&steps) {
+            *c += s as i32 * ROOT_LEN;
+        }
+        if !key::packable(&shifted) {
+            continue;
+        }
+        moved += 1;
+        let q = p.translate(steps);
+        assert_eq!(q.0, key::pack(&shifted), "{o:?} by {steps:?}");
+        assert_eq!(
+            q.tree_steps(),
+            shifted.coords.map(|c| c.div_euclid(ROOT_LEN) as i8)
+        );
+    }
+    // At least the identity, and every axis can move one way or the other.
+    assert!(moved >= 2usize.pow(D as u32));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn translate_matches_shift_2d(o in arb_shifted_octant::<2>(MAX_LEVEL)) {
+        translate_matches_shift(o);
+    }
+
+    #[test]
+    fn translate_matches_shift_3d(o in arb_shifted_octant::<3>(MAX_LEVEL)) {
+        translate_matches_shift(o);
+    }
+}
+
 /// The bit-serial interleave the word-parallel kernels replaced: bit `b`
 /// of axis `i` lands at bit `b * D + i`. Kept here as the oracle.
 fn interleave_bit_serial<const D: usize>(coords: &[i32; D]) -> u128 {

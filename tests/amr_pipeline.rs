@@ -94,10 +94,10 @@ fn ghosts_after_balance_match_adjacency() {
         for (t, owner, g) in ghosts.iter() {
             assert_ne!(owner, ctx.rank());
             assert!(
-                global[&t].binary_search(g).is_ok(),
+                global[&t].binary_search(&g).is_ok(),
                 "ghost must be a global leaf"
             );
-            assert!(f.touches_local(t, g));
+            assert!(f.touches_local(t, &g));
         }
         // 2:1 balance holds between local leaves and ghosts (the property
         // a numerical code relies on): any ghost sharing a constrained
@@ -107,7 +107,7 @@ fn ghosts_after_balance_match_adjacency() {
                 if t2 != t {
                     continue;
                 }
-                for o in v.iter().filter(|o| !o.overlaps(g)) {
+                for o in v.iter().filter(|o| !o.overlaps(&g)) {
                     // Closed boxes sharing at least a corner point.
                     let touch = (0..2).all(|i| {
                         o.coords[i] <= g.coords[i] + g.len() && g.coords[i] <= o.coords[i] + o.len()
