@@ -13,7 +13,10 @@
 //! * §IV  — [`lambda`]: the closed-form λ(δ̄) balance-distance functions of
 //!   Table II (with `Carry3`), giving O(1) balance decisions between
 //!   arbitrary octants; [`seeds`]: seed-octant construction and
-//!   reconstruction for balancing remote octants.
+//!   reconstruction for balancing remote octants. §IV has keys at its
+//!   boundary ([`find_seeds_keys`], what the parallel balance calls) and
+//!   coordinate arithmetic inside, as Table II states it; [`find_seeds`]
+//!   is the struct view of the same construction.
 //! * [`oracle`]: an independent ripple-based reference implementation used
 //!   to validate everything above (and as the "ripple algorithm" baseline
 //!   discussed in §II-B).
@@ -65,7 +68,7 @@ pub use lambda::{balanced_size_log2_at, carry3, closest_balanced_octant, is_bala
 pub use neighborhood::{coarse_neighborhood, insulation_layer};
 pub use preclude::{complete_reduced, precludes, reduce, remove_precluded};
 pub use scratch::{BalanceScratch, ScratchStats};
-pub use seeds::{find_seeds, reconstruct_from_seeds};
+pub use seeds::{find_seeds, find_seeds_keys, reconstruct_from_seeds};
 pub use subtree::{
     balance_subtree_new, balance_subtree_new_keys, balance_subtree_new_with_stats_scratch,
     balance_subtree_old, balance_subtree_old_ext_scratch, balance_subtree_old_keys, BalanceStats,

@@ -16,7 +16,7 @@
 
 use crate::condition::Condition;
 use forestbal_octant::key::KEY_LEVEL_BITS;
-use forestbal_octant::{direction_digits, directions, OctBuf, Octant, PackedOctant};
+use forestbal_octant::{direction_digits, directions, Octant, PackedOctant};
 
 /// The coarse neighborhood `N(o)` under balance condition `cond`, on
 /// packed keys: same-size-as-`parent(o)` neighbors of `parent(o)` across
@@ -42,12 +42,10 @@ pub fn coarse_neighborhood<const D: usize>(
 /// The insulation layer `I(o)`: the `3^D - 1` same-size neighbors of `o`
 /// (all codimensions, regardless of the balance condition — insulation is
 /// a sufficient envelope for every condition).
-pub fn insulation_layer<const D: usize>(o: &Octant<D>) -> OctBuf<D> {
-    let mut out = OctBuf::new();
-    for dir in directions::<D>() {
-        out.push(o.neighbor(&dir));
-    }
-    out
+pub fn insulation_layer<const D: usize>(o: &Octant<D>) -> Vec<Octant<D>> {
+    let mut layer = Vec::with_capacity(3usize.pow(D as u32) - 1);
+    layer.extend(directions::<D>().map(|dir| o.neighbor(&dir)));
+    layer
 }
 
 #[cfg(test)]

@@ -76,6 +76,37 @@ impl ScratchStats {
         }
     }
 
+    /// The five counters `forestbal-forest` traces for a balance phase,
+    /// as `(name, value)` under `prefix`: `"balance.local"` (phase 1) or
+    /// `"balance.rebalance"` (phase 4).
+    pub fn counters(&self, prefix: &str) -> [(&'static str, u64); 5] {
+        let names = match prefix {
+            "balance.local" => [
+                "balance.local.radix_passes",
+                "balance.local.presorted_sorts",
+                "balance.local.table_probes",
+                "balance.local.table_lookups",
+                "balance.local.table_grows",
+            ],
+            "balance.rebalance" => [
+                "balance.rebalance.radix_passes",
+                "balance.rebalance.presorted_sorts",
+                "balance.rebalance.table_probes",
+                "balance.rebalance.table_lookups",
+                "balance.rebalance.table_grows",
+            ],
+            _ => panic!("no kernel counters under {prefix:?}"),
+        };
+        let values = [
+            self.radix_passes,
+            self.presorted_hits,
+            self.table_probes,
+            self.table_lookups,
+            self.table_grows,
+        ];
+        std::array::from_fn(|i| (names[i], values[i]))
+    }
+
     /// Fieldwise accumulate.
     pub fn accumulate(&mut self, d: &ScratchStats) {
         self.radix_passes += d.radix_passes;

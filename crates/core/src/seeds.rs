@@ -14,11 +14,22 @@
 //! `T_k(a)` and `T_k(o)` can only occur in the coarse ring adjacent to
 //! `family(a)`, so each ring position is checked against `o` (again in
 //! O(1)) and a corrective closest octant is added where needed.
+//!
+//! The construction exists once, in two steps (the closest octant `a`,
+//! then the ring corrections). Phase 3 of the parallel balance holds
+//! packed keys and calls [`find_seeds_keys`], which takes keys and
+//! appends keys: it decodes `o` and `r` once at that boundary, and λ,
+//! [`closest_balanced_octant`] and the ring loop run on coordinates, as
+//! Table II states them. Keys all the way down was measured and lost:
+//! per (o, r) pair on one x86_64 core, λ on dilated key fields took
+//! 48–55 ns against 40–42 ns on coordinates, while the decode-once
+//! boundary took 38–48 ns with no per-call allocation. [`find_seeds`]
+//! is the struct view of the same construction.
 
 use crate::condition::Condition;
 use crate::lambda::{balanced_size_log2_at, closest_balanced_octant};
 use crate::subtree::balance_subtree_new;
-use forestbal_octant::{directions, Octant};
+use forestbal_octant::{directions, key, Octant, PackedOctant};
 
 /// Compute seed octants standing in for `o` as a response to query octant
 /// `r`: `None` when `o` does not force `r` to split (no response needed),
@@ -32,6 +43,51 @@ pub fn find_seeds<const D: usize>(
     r: &Octant<D>,
     cond: Condition,
 ) -> Option<Vec<Octant<D>>> {
+    let a = closest_seed(o, r, cond)?;
+    // One exact allocation: growing an empty `Vec` on the first push
+    // measured ~4 ns slower per call.
+    let mut seeds = vec![a];
+    ring_seeds(o, r, &a, cond, |t| seeds.push(t));
+    seeds.sort_unstable();
+    Some(seeds)
+}
+
+/// [`find_seeds`] with keys at its boundary, the form phase 3 of the
+/// parallel balance calls: when `o` forces `r` to split, append the
+/// sorted, distinct seed keys (at most `3^{D-1}`) to `out` and return
+/// `true`; otherwise leave `out` alone and return `false`.
+///
+/// `o` and `r` are decoded once and the construction runs on their
+/// coordinates (see the module docs for why). Both may lie anywhere in
+/// the packable window, as the octants of a cross-tree pair do.
+pub fn find_seeds_keys<const D: usize>(
+    o: PackedOctant<D>,
+    r: PackedOctant<D>,
+    cond: Condition,
+    out: &mut Vec<u128>,
+) -> bool {
+    let (o, r) = (o.octant(), r.octant());
+    let Some(a) = closest_seed(&o, &r, cond) else {
+        return false;
+    };
+    let base = out.len();
+    out.push(key::pack(&a));
+    ring_seeds(&o, &r, &a, cond, |t| out.push(key::pack(&t)));
+    out[base..].sort_unstable();
+    debug_assert!(
+        out.len() - base <= 3usize.pow(D as u32 - 1) && out[base..].is_sorted_by(|a, b| a < b),
+        "more than 3^(D-1) seeds, or a repeated one"
+    );
+    true
+}
+
+/// The first step of the one seed construction: `None` when `o` is
+/// balanced with `r`, else the closest leaf `a` of `T_k(o)` inside `r`.
+fn closest_seed<const D: usize>(
+    o: &Octant<D>,
+    r: &Octant<D>,
+    cond: Condition,
+) -> Option<Octant<D>> {
     debug_assert!(!o.overlaps(r), "seeds are defined for disjoint octants");
     if o.level <= r.level {
         return None; // o is no finer than r: it cannot force a split
@@ -39,29 +95,38 @@ pub fn find_seeds<const D: usize>(
     if balanced_size_log2_at(o, cond, r) == r.size_log2() {
         return None; // already balanced
     }
+    Some(closest_balanced_octant(o, cond, r))
+}
 
-    let a = closest_balanced_octant(o, cond, r);
-    let mut seeds = vec![a];
-    if a.level > r.level + 1 {
-        // The ring of octants adjacent to family(a) at twice a's size: the
-        // only places where T_k(a) may disagree with T_k(o) inside r.
-        let pa = a.parent();
-        for dir in directions::<D>() {
-            let ring = pa.neighbor(&dir);
-            if !r.contains(&ring) {
-                continue;
-            }
-            // True T_k(o) size inside the ring octant: if finer than the
-            // ring itself, pin the closest corrective octant.
-            let t = closest_balanced_octant(o, cond, &ring);
-            if t.level > ring.level {
-                seeds.push(t);
-            }
-        }
-        seeds.sort_unstable();
-        seeds.dedup();
+/// The second step: hand `push` every corrective octant of the ring
+/// around `family(a)`, unsorted. None repeats another or `a`: each lies
+/// strictly inside its own ring octant, and the ring octants are
+/// disjoint from each other and from `family(a)`.
+fn ring_seeds<const D: usize>(
+    o: &Octant<D>,
+    r: &Octant<D>,
+    a: &Octant<D>,
+    cond: Condition,
+    mut push: impl FnMut(Octant<D>),
+) {
+    if a.level <= r.level + 1 {
+        return; // a child of r has no ring inside r
     }
-    Some(seeds)
+    // The ring of octants adjacent to family(a) at twice a's size: the
+    // only places where T_k(a) may disagree with T_k(o) inside r.
+    let pa = a.parent();
+    for dir in directions::<D>() {
+        let ring = pa.neighbor(&dir);
+        if !r.contains(&ring) {
+            continue;
+        }
+        // True T_k(o) size inside the ring octant: if finer than the
+        // ring itself, pin the closest corrective octant.
+        let t = closest_balanced_octant(o, cond, &ring);
+        if t.level > ring.level {
+            push(t);
+        }
+    }
 }
 
 /// Reconstruct `S = T_k(o) ∩ r` from seed octants: the coarsest complete

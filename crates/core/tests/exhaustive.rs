@@ -7,8 +7,10 @@
 //! (including the `Carry3` carry region in 3D).
 
 use forestbal_core::oracle::ripple_balance;
-use forestbal_core::{closest_balanced_octant, is_balanced_pair, Condition};
-use forestbal_octant::Octant;
+use forestbal_core::{
+    closest_balanced_octant, find_seeds, find_seeds_keys, is_balanced_pair, Condition,
+};
+use forestbal_octant::{key, Octant, PackedOctant};
 
 /// All octants of the root tree with level in `min..=max`.
 fn enumerate<const D: usize>(min: u8, max: u8) -> Vec<Octant<D>> {
@@ -58,6 +60,14 @@ fn check_all<const D: usize>(o_levels: (u8, u8), r_levels: (u8, u8)) {
                     is_balanced_pair(r, o, cond),
                     "decision must be symmetric"
                 );
+                // The key boundary of §IV: the same decision and the
+                // packed struct seeds.
+                let mut seeds = Vec::new();
+                let found =
+                    find_seeds_keys(PackedOctant::new(o), PackedOctant::new(r), cond, &mut seeds);
+                assert_eq!(found, !fast, "D={D} k={k} o={o:?} r={r:?}");
+                let want = find_seeds(o, r, cond).map(|s| s.iter().map(key::pack).collect());
+                assert_eq!(found.then_some(seeds), want, "D={D} k={k} o={o:?} r={r:?}");
                 // When r must split, the closest balanced octant is a
                 // genuine leaf of the cone and the finest one inside r.
                 if !slow && r.level < o.level {
@@ -102,7 +112,7 @@ fn exhaustive_3d() {
 fn exhaustive_seeds_2d() {
     // For every (finer o, coarser r) pair in a bounded quadtree and both
     // conditions: the seeds reconstruct the oracle overlap exactly.
-    use forestbal_core::{find_seeds, reconstruct_from_seeds};
+    use forestbal_core::reconstruct_from_seeds;
     let root = Octant::<2>::root();
     let os = enumerate::<2>(2, 4);
     let rs = enumerate::<2>(1, 2);
@@ -140,7 +150,7 @@ fn exhaustive_seeds_2d() {
 
 #[test]
 fn exhaustive_seeds_3d_small() {
-    use forestbal_core::{find_seeds, reconstruct_from_seeds};
+    use forestbal_core::reconstruct_from_seeds;
     let root = Octant::<3>::root();
     let os = enumerate::<3>(3, 3);
     let rs = enumerate::<3>(1, 1);

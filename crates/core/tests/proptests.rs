@@ -5,10 +5,10 @@ use forestbal_core::oracle::{is_balanced_tree, oracle_balanced_pair, ripple_bala
 use forestbal_core::{
     balance_subtree_new, balance_subtree_new_keys, balance_subtree_new_with_stats_scratch,
     balance_subtree_old, balance_subtree_old_ext_scratch, balance_subtree_old_keys,
-    complete_reduced, find_seeds, is_balanced_pair, reconstruct_from_seeds, reduce, BalanceScratch,
-    Condition,
+    complete_reduced, find_seeds, find_seeds_keys, is_balanced_pair, reconstruct_from_seeds,
+    reduce, BalanceScratch, Condition,
 };
-use forestbal_octant::{is_complete, key, linearize, Octant, PackedOctant};
+use forestbal_octant::{directions, is_complete, key, linearize, Octant, PackedOctant, ROOT_LEN};
 use proptest::prelude::*;
 
 fn keys<const D: usize>(octs: &[Octant<D>]) -> Vec<u128> {
@@ -106,6 +106,62 @@ fn arb_octant<const D: usize>(min_depth: u8, max_depth: u8) -> impl Strategy<Val
             o
         },
     )
+}
+
+/// The step vector in `{-1, 0, 1}^D` whose base-3 digits (axis 0 lowest)
+/// are `code`'s, each minus one.
+fn steps<const D: usize>(code: usize) -> [i8; D] {
+    std::array::from_fn(|j| (code / 3usize.pow(j as u32) % 3) as i8 - 1)
+}
+
+/// `o` moved by `s[j]` root lengths along each axis `j`.
+fn shifted<const D: usize>(o: &Octant<D>, s: [i8; D]) -> Octant<D> {
+    let coords = std::array::from_fn(|j| o.coords[j] + s[j] as i32 * ROOT_LEN);
+    Octant::new(coords, o.level)
+}
+
+/// A strictly finer `o` in `r`'s insulation layer — a descendant along
+/// `path` of `r`'s neighbor across direction code `dir`, possibly in
+/// another root cell — with the pair moved by the step vector of `cell`.
+fn near_pair<const D: usize>(
+    r: &Octant<D>,
+    dir: usize,
+    path: &[usize],
+    cell: usize,
+) -> (Octant<D>, Octant<D>) {
+    let o = descend(r.neighbor(&steps(dir)), path);
+    (shifted(&o, steps(cell)), shifted(r, steps(cell)))
+}
+
+/// `find_seeds_keys` on a finer `o` and a coarser disjoint `r`, each in
+/// any root cell of the packable window (as the pairs of cross-tree
+/// queries are): it appends to `out`, agrees with the struct
+/// `find_seeds`, and for every step vector `s` keeping both octants
+/// packable, the seeds of the moved pair are the home seeds moved by `s`.
+fn check_seed_keys_translate<const D: usize>(
+    o: &Octant<D>,
+    r: &Octant<D>,
+    cond: Condition,
+) -> Result<(), String> {
+    let (po, pr) = (PackedOctant::new(o), PackedOctant::new(r));
+    let mut home = vec![7]; // keys already in `out` are left alone
+    let found = find_seeds_keys(po, pr, cond, &mut home);
+    prop_assert_eq!(home[0], 7);
+    prop_assert_eq!(found.then(|| octants(&home[1..])), find_seeds(o, r, cond));
+    for s in std::iter::once([0; D]).chain(directions::<D>()) {
+        if !key::packable(&shifted(o, s)) || !key::packable(&shifted(r, s)) {
+            continue;
+        }
+        let mut got = Vec::new();
+        let f = find_seeds_keys(po.translate(s), pr.translate(s), cond, &mut got);
+        prop_assert_eq!(f, found, "moved by {:?}", s);
+        let want: Vec<u128> = home[1..]
+            .iter()
+            .map(|&k| PackedOctant::<D>(k).translate(s).0)
+            .collect();
+        prop_assert_eq!(got, want, "moved by {:?}", s);
+    }
+    Ok(())
 }
 
 fn arb_cond(d: u8) -> impl Strategy<Value = Condition> {
@@ -412,6 +468,32 @@ proptest! {
                 prop_assert_eq!(rebuilt, want);
             }
         }
+    }
+
+    #[test]
+    fn seed_keys_commute_with_translation_2d(
+        r in arb_octant::<2>(1, 4),
+        dir in 0usize..9,
+        path in prop::collection::vec(0usize..4, 1..6),
+        cell in 0usize..9,
+        cond in arb_cond(2),
+    ) {
+        let (o, r) = near_pair(&r, dir, &path, cell);
+        prop_assume!(!o.overlaps(&r) && key::packable(&o) && key::packable(&r));
+        check_seed_keys_translate(&o, &r, cond)?;
+    }
+
+    #[test]
+    fn seed_keys_commute_with_translation_3d(
+        r in arb_octant::<3>(1, 3),
+        dir in 0usize..27,
+        path in prop::collection::vec(0usize..8, 1..5),
+        cell in 0usize..27,
+        cond in arb_cond(3),
+    ) {
+        let (o, r) = near_pair(&r, dir, &path, cell);
+        prop_assume!(!o.overlaps(&r) && key::packable(&o) && key::packable(&r));
+        check_seed_keys_translate(&o, &r, cond)?;
     }
 
     // ---- invariants of the result ---------------------------------------

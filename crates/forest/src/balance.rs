@@ -26,9 +26,10 @@
 //! kernels of `forestbal_core` run on the stored key arrays themselves:
 //! phase 1 balances each tree's keys and clips the output back, phase 4
 //! reconstructs and splices keys (New) or merges key arrays (Old). Query
-//! octants, responses and candidate leaves stay keys, and a cross-tree
-//! frame change rewrites a key's top bit-planes
-//! ([`PackedOctant::translate`]); only the λ/seed decision decodes. The wire
+//! octants, responses and candidate leaves stay keys, a cross-tree frame
+//! change rewrites a key's top bit-planes ([`PackedOctant::translate`]),
+//! and the λ/seed decision takes and returns keys
+//! ([`forestbal_core::find_seeds_keys`]). The wire
 //! carries fixed-width packed keys (queries as `(u32 eid, u32 tree, key)`
 //! records, responses as `(u32 eid, u32 count, count × key)` groups — see
 //! [`crate::codec`]).
@@ -38,12 +39,12 @@ use crate::connectivity::TreeId;
 use crate::forest::Forest;
 use forestbal_comm::{ranges_expansion, reverse_naive, reverse_notify, reverse_ranges, Comm};
 use forestbal_core::{
-    balance_subtree_new_keys, balance_subtree_old_keys, find_seeds, BalanceScratch, BalanceStats,
-    Condition,
+    balance_subtree_new_keys, balance_subtree_old_keys, find_seeds_keys, BalanceScratch,
+    BalanceStats, Condition,
 };
 use forestbal_octant::{
-    directions, is_linear_keys, key, linearize_keys_with, merge_sorted, sort_keys_with,
-    PackedOctant, SortScratch,
+    directions, is_linear_keys, linearize_keys_with, merge_sorted, sort_keys_with, PackedOctant,
+    SortScratch,
 };
 use forestbal_trace as trace;
 use std::collections::BTreeMap;
@@ -278,26 +279,9 @@ impl<const D: usize> Forest<D> {
         trace::counter_add("balance.local.sorted_len", local_stats.sorted_len as u64);
         trace::counter_add("balance.local.output_len", local_stats.output_len as u64);
         let ks_local = scratch.stats();
-        trace::counter_add(
-            "balance.local.radix_passes",
-            ks_local.radix_passes - ks_base.radix_passes,
-        );
-        trace::counter_add(
-            "balance.local.presorted_sorts",
-            ks_local.presorted_hits - ks_base.presorted_hits,
-        );
-        trace::counter_add(
-            "balance.local.table_probes",
-            ks_local.table_probes - ks_base.table_probes,
-        );
-        trace::counter_add(
-            "balance.local.table_lookups",
-            ks_local.table_lookups - ks_base.table_lookups,
-        );
-        trace::counter_add(
-            "balance.local.table_grows",
-            ks_local.table_grows - ks_base.table_grows,
-        );
+        for (name, v) in ks_local.delta_since(&ks_base).counters("balance.local") {
+            trace::counter_add(name, v);
+        }
         report.timings.local_balance = Duration::from_nanos(t1 - t0);
 
         // ---- Phase 2: build queries --------------------------------
@@ -469,27 +453,10 @@ impl<const D: usize> Forest<D> {
         let t1 = ctx.now_ns();
         trace::span_end(|| t1);
         trace::span_end(|| t1); // the enclosing "balance" span
-        let ks = scratch.stats();
-        trace::counter_add(
-            "balance.rebalance.radix_passes",
-            ks.radix_passes - ks_local.radix_passes,
-        );
-        trace::counter_add(
-            "balance.rebalance.presorted_sorts",
-            ks.presorted_hits - ks_local.presorted_hits,
-        );
-        trace::counter_add(
-            "balance.rebalance.table_probes",
-            ks.table_probes - ks_local.table_probes,
-        );
-        trace::counter_add(
-            "balance.rebalance.table_lookups",
-            ks.table_lookups - ks_local.table_lookups,
-        );
-        trace::counter_add(
-            "balance.rebalance.table_grows",
-            ks.table_grows - ks_local.table_grows,
-        );
+        let ks = scratch.stats().delta_since(&ks_local);
+        for (name, v) in ks.counters("balance.rebalance") {
+            trace::counter_add(name, v);
+        }
         report.timings.rebalance = Duration::from_nanos(t1 - t0);
         report.timings.total = Duration::from_nanos(t1 - t_total);
         report
@@ -498,8 +465,8 @@ impl<const D: usize> Forest<D> {
     /// Phase 3 responder: for each encoded query entry, find the local
     /// leaves inside the query octant's insulation layer that might cause
     /// it to split, and encode the response (raw octants or seeds). The
-    /// insulation scan and the response stay on packed keys; only leaves
-    /// that survive the level precheck are decoded, for `find_seeds`.
+    /// insulation scan, the seed decision and the response all stay on
+    /// packed keys.
     fn answer_queries(&self, data: &[u8], cond: Condition, variant: BalanceVariant) -> Vec<u8> {
         let mut reply = Vec::new();
         let mut sort = SortScratch::new();
@@ -508,9 +475,9 @@ impl<const D: usize> Forest<D> {
             let eid = codec::get_u32(data, &mut pos);
             let tree = codec::get_u32(data, &mut pos);
             let rk = PackedOctant::<D>(codec::get_key::<D>(data, &mut pos));
-            let r = rk.octant();
 
             let mut out: Vec<u128> = Vec::new();
+            let mut seed_calls = 0u64;
             if let Some(v) = self.local.get(tree) {
                 for dir in directions::<D>() {
                     let n = rk.neighbor(&dir);
@@ -525,20 +492,20 @@ impl<const D: usize> Forest<D> {
                         .take_while(|&&k| PackedOctant::<D>(k).last_index() <= n_hi)
                     {
                         let p = PackedOctant::<D>(k);
-                        if p.level() < r.level + 2 {
+                        if p.level() < rk.level() + 2 {
                             continue; // too coarse to split r
                         }
                         match variant {
                             BalanceVariant::Old => out.push(k),
                             BalanceVariant::New => {
-                                if let Some(seeds) = find_seeds(&p.octant(), &r, cond) {
-                                    out.extend(seeds.iter().map(key::pack));
-                                }
+                                seed_calls += 1;
+                                find_seeds_keys(p, rk, cond, &mut out);
                             }
                         }
                     }
                 }
             }
+            trace::counter_add("balance.find_seeds_calls", seed_calls);
             sort_keys_with::<D>(&mut out, &mut sort);
             out.dedup();
             if variant == BalanceVariant::New {

@@ -10,8 +10,9 @@
 //!   neighbor across a direction, moved into the frame of the tree that
 //!   holds it by a top-bit-plane rewrite
 //!   ([`BrickConnectivity::transform_key`]);
-//! * [`Forest::for_each_reach`] — the scan: O(1) interior rejection (the
-//!   one decode), then direction → neighbor → partition-marker owners;
+//! * [`Forest::for_each_reach`] — the scan: O(1) interior rejection on
+//!   the key's axis fields, then direction → neighbor → partition-marker
+//!   owners;
 //! * [`RunExchange`] — the sparse neighbor exchange of packed-key tree
 //!   runs that follows the scan (receivers → Notify reversal → send →
 //!   receive → decode);
@@ -27,9 +28,8 @@ use crate::forest::Forest;
 use crate::ghost::GhostLayer;
 use crate::store;
 use forestbal_comm::{reverse_notify, Comm};
-use forestbal_octant::{
-    directions, key, morton, Coord, Direction, MortonIndex, PackedOctant, ROOT_LEN,
-};
+use forestbal_octant::key::KEY_LEVEL_BITS;
+use forestbal_octant::{directions, Direction, MortonIndex, PackedOctant, MAX_LEVEL};
 use std::collections::BTreeMap;
 
 impl<const D: usize> Forest<D> {
@@ -62,32 +62,37 @@ impl<const D: usize> Forest<D> {
     ) {
         let conn = self.connectivity();
         let (tc, dims, periodic) = (conn.tree_coords(tree), conn.dims(), conn.periodic());
-        let r = key::unpack::<D>(k);
-        let len = r.len();
-        let ins_min: [Coord; D] = std::array::from_fn(|i| {
-            let c = r.coords[i] - len;
-            if tc[i] == 0 && !periodic[i] {
-                c.max(0)
-            } else {
-                c
+        // The insulation bounding box's extreme unit cells, one field per
+        // axis; order on a dilated field is order on its coordinate, so
+        // the clamp compares fields against the root's first and last cell.
+        let rk = PackedOctant::<D>(k);
+        let (lo, hi) = (
+            rk.neighbor(&[-1; D]),
+            rk.neighbor(&[1; D]).last_descendant(MAX_LEVEL),
+        );
+        let root = PackedOctant::<D>::root();
+        let (first, last) = (root, root.last_descendant(MAX_LEVEL));
+        let (mut lo_idx, mut hi_idx) = (0, 0);
+        for j in 0..D {
+            let (mut l, mut h) = (lo.axis_field(j, 0), hi.axis_field(j, 0));
+            if !periodic[j] && tc[j] == 0 {
+                l = l.max(first.axis_field(j, 0));
             }
-        });
-        let ins_max: [Coord; D] = std::array::from_fn(|i| {
-            let c = r.coords[i] + 2 * len - 1;
-            if tc[i] + 1 == dims[i] && !periodic[i] {
-                c.min(ROOT_LEN - 1)
-            } else {
-                c
+            if !periodic[j] && tc[j] + 1 == dims[j] {
+                h = h.min(last.axis_field(j, 0));
             }
-        });
-        let interior = ins_min.iter().all(|&c| c >= 0)
-            && ins_max.iter().all(|&c| c < ROOT_LEN)
-            && morton::interleave::<D>(&ins_min) >= local_range.0
-            && morton::interleave::<D>(&ins_max) <= local_range.1;
+            lo_idx |= l;
+            hi_idx |= h;
+        }
+        let lo = PackedOctant::<D>(lo_idx << KEY_LEVEL_BITS | MAX_LEVEL as u128);
+        let hi = PackedOctant::<D>(hi_idx << KEY_LEVEL_BITS | MAX_LEVEL as u128);
+        let interior = lo.is_inside_root()
+            && hi.is_inside_root()
+            && lo.index() >= local_range.0
+            && hi.index() <= local_range.1;
         if interior {
             return;
         }
-        let rk = PackedOctant::<D>(k);
         for dir in directions::<D>() {
             let Some((t2, n2)) = self.neighbor(tree, rk, &dir) else {
                 continue;
@@ -179,7 +184,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::connectivity::BrickConnectivity;
     use forestbal_comm::Cluster;
-    use forestbal_octant::Octant;
+    use forestbal_octant::{key, Coord, Octant, ROOT_LEN};
     use proptest::prelude::*;
     use std::sync::Arc;
 

@@ -8,6 +8,11 @@
 //! kernels that does the same paper work leaves every one of them
 //! unchanged. The tables must also never regrow.
 //!
+//! Phase 3's work is pinned beside it: the query entries sent, the
+//! queries answered, the octants the answers carry and, for New, the
+//! number of seed constructions the responders run (one per candidate
+//! leaf that passes the level precheck; Old runs none).
+//!
 //! `balance.{local,rebalance}.table_probes` is deliberately not pinned:
 //! it counts the slots a linear probe inspects, which depends on the hash
 //! of the table key, not on the algorithm.
@@ -21,17 +26,21 @@ use forestbal_mesh::fractal_forest;
 use forestbal_trace::Tracer;
 
 /// Counters read per rank, in this order.
-const COUNTERS: [&str; 6] = [
+const COUNTERS: [&str; 10] = [
     "balance.local.hash_queries",
     "balance.local.binary_searches",
     "balance.local.sorted_len",
     "balance.local.output_len",
     "balance.local.table_lookups",
     "balance.rebalance.table_lookups",
+    "balance.query_entries",
+    "balance.queries_answered",
+    "balance.response_octants",
+    "balance.find_seeds_calls",
 ];
 
 /// Per-rank values of [`COUNTERS`] and the global checksum after balance.
-fn run(variant: BalanceVariant) -> (Vec<[u64; 6]>, u64) {
+fn run(variant: BalanceVariant) -> (Vec<[u64; 10]>, u64) {
     let out = Cluster::run(2, move |ctx| {
         let mut f = fractal_forest(ctx, 2, 4);
         let tracer = Tracer::begin(ctx.rank());
@@ -55,7 +64,11 @@ const CHECKSUM: u64 = 0xceda_9f60_8974_2628;
 fn new_balance_does_the_pinned_paper_work() {
     let (counts, checksum) = run(BalanceVariant::New);
     // The two ranks hold mirror halves of the brick and do equal work.
-    let rank = [391_764, 10_683, 16_794, 117_792, 419_307, 648];
+    // One seed construction per candidate leaf: as many as Old's raw
+    // response octants.
+    let rank = [
+        391_764, 10_683, 16_794, 117_792, 419_307, 648, 6_340, 6_340, 420, 32_064,
+    ];
     assert_eq!(counts, vec![rank; 2]);
     assert_eq!(checksum, CHECKSUM);
 }
@@ -63,7 +76,9 @@ fn new_balance_does_the_pinned_paper_work() {
 #[test]
 fn old_balance_does_the_pinned_paper_work() {
     let (counts, checksum) = run(BalanceVariant::Old);
-    let rank = [5_596_416, 1_206_312, 134_616, 117_792, 5_704_200, 7_398_072];
+    let rank = [
+        5_596_416, 1_206_312, 134_616, 117_792, 5_704_200, 7_398_072, 6_340, 6_340, 32_064, 0,
+    ];
     assert_eq!(counts, vec![rank; 2]);
     assert_eq!(checksum, CHECKSUM);
 }

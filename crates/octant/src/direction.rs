@@ -16,13 +16,13 @@ pub fn codim<const D: usize>(dir: &Direction<D>) -> u8 {
     dir.iter().map(|&d| (d != 0) as u8).sum()
 }
 
-/// Every direction code `0..3^D` (`D <= 4`) in enumeration order, as
+/// Every direction code `0..3^D` (`D <= 3`) in enumeration order, as
 /// (`dir[j] + 1` per axis, codimension); the middle code is the zero
 /// direction, of codimension 0.
-const fn code_table<const D: usize>() -> [([u8; D], u8); 81] {
-    let mut table = [([0; D], 0); 81];
+const fn code_table<const D: usize>() -> [([u8; D], u8); 27] {
+    let mut table = [([0; D], 0); 27];
     let mut code = 0;
-    while code < 81 {
+    while code < 27 {
         let (mut c, mut j) = (code, 0);
         while j < D {
             table[code].0[j] = (c % 3) as u8;
@@ -40,7 +40,7 @@ const fn code_table<const D: usize>() -> [([u8; D], u8); 81] {
 /// `PackedOctant::axis_fields`). They are read from a table built at
 /// compile time, so a caller pays no per-call setup.
 pub fn direction_digits<const D: usize>(k: u8) -> impl Iterator<Item = [u8; D]> {
-    let table: &[([u8; D], u8); 81] = const { &code_table::<D>() };
+    let table: &[([u8; D], u8); 27] = const { &code_table::<D>() };
     table[..3usize.pow(D as u32)]
         .iter()
         .filter(move |&&(_, c)| (1..=k).contains(&c))

@@ -21,8 +21,10 @@
 //!   and on the same `dilate` ladders).
 //! * The level occupies the low 5 bits (`MAX_LEVEL = 24 < 32`).
 //!
-//! Bit budget: 2D keys use `2*27 + 5 = 59` bits and fit a `u64`; 3D keys
-//! use `3*27 + 5 = 86` bits and fit a `u128`.
+//! Bit budget: 1D keys use `27 + 5 = 32` bits, 2D keys `2*27 + 5 = 59`
+//! bits and fit a `u64`; 3D keys use `3*27 + 5 = 86` bits and fit a
+//! `u128`. Those are the only dimensions: `pack` and `unpack` refuse
+//! `D > 3` at compile time, as λ (Table II) covers `D <= 3` only.
 //!
 //! # Why the ordering matches
 //!
@@ -67,10 +69,9 @@ pub const fn key_bits<const D: usize>() -> u32 {
 /// of the root cube — all octants the balance algorithms construct.
 #[inline]
 pub fn packable<const D: usize>(o: &Octant<D>) -> bool {
-    D <= 4
-        && o.coords
-            .iter()
-            .all(|&c| (-ROOT_LEN..2 * ROOT_LEN).contains(&c))
+    o.coords
+        .iter()
+        .all(|&c| (-ROOT_LEN..2 * ROOT_LEN).contains(&c))
 }
 
 #[inline]
@@ -88,28 +89,20 @@ fn unbias(b: u64) -> Coord {
 }
 
 /// Pack an octant into a `u128` key whose natural order equals
-/// [`crate::morton::cmp`]. Supports `D <= 4` and coordinates in
-/// `[-ROOT_LEN, 2*ROOT_LEN)` (checked in debug builds; see [`packable`]).
+/// [`crate::morton::cmp`]. Supports `1 <= D <= 3` (checked at compile
+/// time) and coordinates in `[-ROOT_LEN, 2*ROOT_LEN)` (checked in debug
+/// builds; see [`packable`]).
 #[inline]
 pub fn pack<const D: usize>(o: &Octant<D>) -> u128 {
+    const { assert!(1 <= D && D <= 3, "octants have 1, 2 or 3 dimensions") };
     debug_assert!(packable(o), "unpackable octant {o:?}");
     let interleaved: u128 = match D {
+        1 => bias(o.coords[0]) as u128, // stride-1 dilation is the identity
         2 => (dilate2(bias(o.coords[0])) | dilate2(bias(o.coords[1])) << 1) as u128,
-        3 => {
+        _ => {
             dilate3_wide(bias(o.coords[0]))
                 | dilate3_wide(bias(o.coords[1])) << 1
                 | dilate3_wide(bias(o.coords[2])) << 2
-        }
-        _ => {
-            // Generic bit loop for the rare other dimensions (D <= 4).
-            let mut idx: u128 = 0;
-            for bit in 0..KEY_COORD_BITS {
-                for (i, &c) in o.coords.iter().enumerate() {
-                    let b = ((bias(c) >> bit) & 1) as u128;
-                    idx |= b << (bit * D as u32 + i as u32);
-                }
-            }
-            idx
         }
     };
     interleaved << KEY_LEVEL_BITS | o.level as u128
@@ -118,21 +111,13 @@ pub fn pack<const D: usize>(o: &Octant<D>) -> u128 {
 /// Invert [`pack`].
 #[inline]
 pub fn unpack<const D: usize>(key: u128) -> Octant<D> {
+    const { assert!(1 <= D && D <= 3, "octants have 1, 2 or 3 dimensions") };
     let level = (key & ((1 << KEY_LEVEL_BITS) - 1)) as u8;
     let idx = key >> KEY_LEVEL_BITS;
     let coords: [Coord; D] = match D {
+        1 => [unbias(idx as u64); D],
         2 => std::array::from_fn(|a| unbias(contract2(idx as u64 >> a))),
-        3 => std::array::from_fn(|a| unbias(contract3_wide(idx >> a))),
-        _ => {
-            let mut coords = [0u64; D];
-            for bit in 0..KEY_COORD_BITS {
-                for (i, c) in coords.iter_mut().enumerate() {
-                    let b = ((idx >> (bit * D as u32 + i as u32)) & 1) as u64;
-                    *c |= b << bit;
-                }
-            }
-            std::array::from_fn(|a| unbias(coords[a]))
-        }
+        _ => std::array::from_fn(|a| unbias(contract3_wide(idx >> a))),
     };
     Octant { coords, level }
 }
@@ -167,9 +152,27 @@ mod tests {
 
     #[test]
     fn key_bits_fit_the_integer() {
+        assert!(key_bits::<1>() <= 64);
         assert!(key_bits::<2>() <= 64);
         assert!(key_bits::<3>() <= 128);
-        assert!(key_bits::<4>() <= 128);
+    }
+
+    #[test]
+    fn roundtrip_and_order_exhaustive_1d() {
+        // Stride-1 dilation: the key is the biased coordinate itself.
+        let mut octs = all_octants(Octant::<1>::root(), 5);
+        let shifted: Vec<Octant<1>> = octs
+            .iter()
+            .flat_map(|o| [-1, 1].map(|s| Octant::<1>::new([o.coords[0] + s * ROOT_LEN], o.level)))
+            .collect();
+        octs.extend(shifted);
+        for a in &octs {
+            assert_eq!(unpack::<1>(pack(a)), *a);
+            for b in &octs {
+                assert_eq!(pack(a).cmp(&pack(b)), morton::cmp(a, b), "{a:?} vs {b:?}");
+            }
+        }
+        edges_on_every_axis::<1>();
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Octant arithmetic and linear-octree array operations.
 //!
-//! This crate is the dimension-generic substrate underneath the 2:1 balance
-//! algorithms: the [`Octant`] value type (a `d`-dimensional cube with integer
-//! corner coordinates and a power-of-two side length), the Morton
+//! This crate is the substrate underneath the 2:1 balance algorithms, for
+//! `D ∈ {1, 2, 3}` dimensions (the only ones the λ functions of the
+//! paper's Table II cover; the codecs check it at compile time): the
+//! [`Octant`] value type (a `D`-dimensional cube with integer corner
+//! coordinates and a power-of-two side length), the Morton
 //! (space-filling-curve) total order on octants, neighborhood enumeration,
 //! and the classic sorted-array algorithms on *linear octrees* (octrees
 //! stored as sorted arrays of leaves): `linearize`, `complete`, and friends.
@@ -18,6 +20,9 @@
 //!   p4est does. Octants with out-of-root coordinates support all relations
 //!   except those that require an in-root Morton index.
 //! * The Morton order sorts an ancestor *before* its descendants (preorder).
+//! * The algorithms run on packed keys ([`PackedOctant`], [`key`]);
+//!   [`Octant`] is the view at API edges and the representation of the
+//!   independent oracles.
 //!
 //! # Example
 //!
@@ -68,7 +73,7 @@ pub use linear::{
     is_linear_keys, linearize, linearize_keys_with, merge_sorted,
 };
 pub use morton::MortonIndex;
-pub use octant::{OctBuf, Octant};
+pub use octant::Octant;
 pub use packed::{pack_batch, simd_active, unpack_batch, PackedOctant};
 pub use sort::{sort_keys_with, sort_octants_with, SortScratch, PAR_MIN_LEN, RADIX_MIN_LEN};
 pub use table::OctantTable;

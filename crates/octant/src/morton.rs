@@ -9,7 +9,7 @@
 //! negative (out-of-root) coordinates compare consistently as if the curve
 //! were extended to a `3x` larger cube centered on the root.
 
-use crate::coords::{Coord, MAX_LEVEL, ROOT_LEN};
+use crate::coords::{Coord, ROOT_LEN};
 use crate::dilate::{contract2, contract3_wide, dilate2, dilate3_wide};
 use crate::octant::Octant;
 use std::cmp::Ordering;
@@ -51,27 +51,19 @@ pub fn cmp<const D: usize>(a: &Octant<D>, b: &Octant<D>) -> Ordering {
 
 /// Interleave in-root coordinates into a Morton index
 /// (axis 0 occupies the least significant bit of each level group).
-/// Word-parallel for `D = 2, 3`, on the `dilate` ladders shared with
-/// [`crate::key::pack`].
+/// Word-parallel on the `dilate` ladders shared with
+/// [`crate::key::pack`]; `1 <= D <= 3` (checked at compile time).
 #[inline]
 pub fn interleave<const D: usize>(coords: &[Coord; D]) -> MortonIndex {
+    const { assert!(1 <= D && D <= 3, "octants have 1, 2 or 3 dimensions") };
     debug_assert!(coords.iter().all(|&c| (0..ROOT_LEN).contains(&c)));
     match D {
+        1 => coords[0] as MortonIndex, // stride-1 dilation is the identity
         2 => (dilate2(coords[0] as u64) | dilate2(coords[1] as u64) << 1) as MortonIndex,
-        3 => {
+        _ => {
             dilate3_wide(coords[0] as u64)
                 | dilate3_wide(coords[1] as u64) << 1
                 | dilate3_wide(coords[2] as u64) << 2
-        }
-        _ => {
-            let mut idx: MortonIndex = 0;
-            for bit in 0..MAX_LEVEL as u32 {
-                for (i, &c) in coords.iter().enumerate() {
-                    let b = ((c as u64 >> bit) & 1) as MortonIndex;
-                    idx |= b << (bit * D as u32 + i as u32);
-                }
-            }
-            idx
         }
     }
 }
@@ -79,25 +71,18 @@ pub fn interleave<const D: usize>(coords: &[Coord; D]) -> MortonIndex {
 /// Inverse of [`interleave`].
 #[inline]
 pub fn deinterleave<const D: usize>(idx: MortonIndex) -> [Coord; D] {
+    const { assert!(1 <= D && D <= 3, "octants have 1, 2 or 3 dimensions") };
     match D {
+        1 => [idx as Coord; D],
         2 => std::array::from_fn(|i| contract2(idx as u64 >> i) as Coord),
-        3 => std::array::from_fn(|i| contract3_wide(idx >> i) as Coord),
-        _ => {
-            let mut coords = [0 as Coord; D];
-            for bit in 0..MAX_LEVEL as u32 {
-                for (i, c) in coords.iter_mut().enumerate() {
-                    let b = ((idx >> (bit * D as u32 + i as u32)) & 1) as Coord;
-                    *c |= b << bit;
-                }
-            }
-            coords
-        }
+        _ => std::array::from_fn(|i| contract3_wide(idx >> i) as Coord),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coords::MAX_LEVEL;
 
     type Oct2 = Octant<2>;
     type Oct3 = Octant<3>;

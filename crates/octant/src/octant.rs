@@ -245,79 +245,6 @@ impl<const D: usize> Ord for Octant<D> {
     }
 }
 
-/// A small fixed-capacity buffer of octants, sized for the largest
-/// neighborhood any algorithm enumerates (the 3^3 - 1 = 26 member insulation
-/// layer, or 8 children). Avoids heap allocation on hot paths.
-#[derive(Clone, Copy)]
-pub struct OctBuf<const D: usize> {
-    buf: [Octant<D>; 27],
-    len: u8,
-}
-
-impl<const D: usize> OctBuf<D> {
-    /// New empty buffer.
-    #[inline]
-    pub fn new() -> Self {
-        OctBuf {
-            buf: [Octant::root(); 27],
-            len: 0,
-        }
-    }
-
-    /// Append an octant. Panics if the buffer is full (capacity 27).
-    #[inline]
-    pub fn push(&mut self, o: Octant<D>) {
-        self.buf[self.len as usize] = o;
-        self.len += 1;
-    }
-
-    /// Contents as a slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[Octant<D>] {
-        &self.buf[..self.len as usize]
-    }
-
-    /// Number of stored octants.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Is the buffer empty?
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl<const D: usize> Default for OctBuf<D> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<const D: usize> std::ops::Deref for OctBuf<D> {
-    type Target = [Octant<D>];
-    #[inline]
-    fn deref(&self) -> &[Octant<D>] {
-        self.as_slice()
-    }
-}
-
-impl<'a, const D: usize> IntoIterator for &'a OctBuf<D> {
-    type Item = &'a Octant<D>;
-    type IntoIter = std::slice::Iter<'a, Octant<D>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
-impl<const D: usize> std::fmt::Debug for OctBuf<D> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.as_slice()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,16 +368,5 @@ mod tests {
         let c = o.child(3);
         assert_eq!(c.child_id(), 3);
         assert_eq!(c.parent(), o);
-    }
-
-    #[test]
-    fn octbuf_basics() {
-        let mut b = OctBuf::<3>::new();
-        assert!(b.is_empty());
-        for i in 0..8 {
-            b.push(Oct3::root().child(i));
-        }
-        assert_eq!(b.len(), 8);
-        assert_eq!(b.as_slice().len(), 8);
     }
 }
