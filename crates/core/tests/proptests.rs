@@ -164,6 +164,34 @@ fn check_seed_keys_translate<const D: usize>(
     Ok(())
 }
 
+/// The family skip of the phase-3 responder: siblings share their
+/// coarsest balanced tree, T_k(o) = T_k(s), so for every sibling `s` of a
+/// finer in-root `o` that is disjoint from `r`, the seeds of `s`
+/// reconstruct the same T_k ∩ r as the seeds of `o` — with the new key
+/// kernel on the linearized seeds, as phase 4 runs it.
+fn check_sibling_seeds<const D: usize>(
+    o: &Octant<D>,
+    r: &Octant<D>,
+    cond: Condition,
+) -> Result<(), String> {
+    let pr = PackedOctant::new(r);
+    let scratch = &mut BalanceScratch::new();
+    let mut rebuilt = |o: &Octant<D>| {
+        let mut seeds = Vec::new();
+        find_seeds_keys(PackedOctant::new(o), pr, cond, &mut seeds);
+        scratch.linearize(&mut seeds);
+        balance_subtree_new_keys(pr, &seeds, cond, scratch).0
+    };
+    let want = rebuilt(o);
+    for i in 0..1 << D {
+        let s = o.sibling(i);
+        if !s.overlaps(r) {
+            prop_assert_eq!(rebuilt(&s), want.clone(), "sibling {} of {:?}", i, o);
+        }
+    }
+    Ok(())
+}
+
 fn arb_cond(d: u8) -> impl Strategy<Value = Condition> {
     (1..=d).prop_map(move |k| Condition::new(k, d).unwrap())
 }
@@ -494,6 +522,30 @@ proptest! {
         let (o, r) = near_pair(&r, dir, &path, cell);
         prop_assume!(!o.overlaps(&r) && key::packable(&o) && key::packable(&r));
         check_seed_keys_translate(&o, &r, cond)?;
+    }
+
+    #[test]
+    fn sibling_seeds_reconstruct_alike_2d(
+        r in arb_octant::<2>(1, 4),
+        dir in 0usize..9,
+        path in prop::collection::vec(0usize..4, 1..6),
+        cond in arb_cond(2),
+    ) {
+        let o = descend(r.neighbor(&steps(dir)), &path);
+        prop_assume!(!o.overlaps(&r) && o.is_inside_root());
+        check_sibling_seeds(&o, &r, cond)?;
+    }
+
+    #[test]
+    fn sibling_seeds_reconstruct_alike_3d(
+        r in arb_octant::<3>(1, 3),
+        dir in 0usize..27,
+        path in prop::collection::vec(0usize..8, 1..5),
+        cond in arb_cond(3),
+    ) {
+        let o = descend(r.neighbor(&steps(dir)), &path);
+        prop_assume!(!o.overlaps(&r) && o.is_inside_root());
+        check_sibling_seeds(&o, &r, cond)?;
     }
 
     // ---- invariants of the result ---------------------------------------

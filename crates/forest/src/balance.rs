@@ -11,11 +11,16 @@
 //!    `I(r)` reaches other partitions (or other trees), `r` is sent — in
 //!    the *receiver's* tree frame — to every rank owning part of the
 //!    layer. The asymmetric pattern is reversed with Naive / Ranges /
-//!    Notify (§V) so receivers know whom to expect.
+//!    Notify (§V) so receivers know whom to expect. Only the partition
+//!    boundary is visited: the reach scan's boundary walk skips every
+//!    subtree whose insulation box is interior, so its work follows the
+//!    boundary, not the leaf count.
 //! 3. **Response** — for each received query octant, the responder finds
 //!    its local leaves inside `I(r)` that might split `r` and answers
 //!    with the octants themselves (old) or with λ-tested seed octants
-//!    (new, §IV).
+//!    (new, §IV). Siblings share their coarsest balanced tree,
+//!    T_k(o) = T_k(s), so New builds one seed set per family of
+//!    candidates, not one per candidate.
 //! 4. **Local rebalance** — old: each tree's full partition is rebalanced
 //!    with the received octants as exterior/interior constraints,
 //!    constructing auxiliary octants across any gaps; new: each queried
@@ -294,15 +299,16 @@ impl<const D: usize> Forest<D> {
         let mut entries: Vec<QueryEntry<D>> = Vec::new();
         let mut per_rank: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
 
+        let (mut reach_tests, mut boundary_leaves) = (0u64, 0u64);
         for (t, v) in self.local.iter() {
             let Some(range) = self.local_range(t) else {
                 continue;
             };
-            for &k in v {
+            let walk = self.for_each_boundary_leaf(t, v, range, |k| {
                 let mut qid: Option<u32> = None;
                 // (rank, tree, steps) destinations already recorded for k.
                 let mut seen: Vec<(usize, TreeId, [i8; D])> = Vec::new();
-                self.for_each_reach(t, k, range, |owner, t2, steps| {
+                self.for_each_neighbor_owner(t, k, range, |owner, t2, steps| {
                     if owner == me && t2 == t && steps == [0; D] {
                         return; // same tree, same rank: phase 1 did it
                     }
@@ -323,7 +329,9 @@ impl<const D: usize> Forest<D> {
                     });
                     per_rank.entry(owner).or_default().push(eid);
                 });
-            }
+            });
+            reach_tests += walk.tests;
+            boundary_leaves += walk.boundary;
         }
 
         // Encode per-destination query buffers (self entries bypass the
@@ -344,6 +352,8 @@ impl<const D: usize> Forest<D> {
         let receivers: Vec<usize> = per_rank.keys().copied().filter(|&d| d != me).collect();
         let t1 = ctx.now_ns();
         trace::span_end(|| t1);
+        trace::counter_add("balance.reach_tests", reach_tests);
+        trace::counter_add("balance.boundary_leaves", boundary_leaves);
         trace::counter_add("balance.query_octants", queries.len() as u64);
         trace::counter_add("balance.query_entries", entries.len() as u64);
         report.timings.query_response = Duration::from_nanos(t1 - t0);
@@ -464,9 +474,9 @@ impl<const D: usize> Forest<D> {
 
     /// Phase 3 responder: for each encoded query entry, find the local
     /// leaves inside the query octant's insulation layer that might cause
-    /// it to split, and encode the response (raw octants or seeds). The
-    /// insulation scan, the seed decision and the response all stay on
-    /// packed keys.
+    /// it to split, and encode the response (raw octants or seeds, the
+    /// latter built once per family of such leaves). The insulation scan,
+    /// the seed decision and the response all stay on packed keys.
     fn answer_queries(&self, data: &[u8], cond: Condition, variant: BalanceVariant) -> Vec<u8> {
         let mut reply = Vec::new();
         let mut sort = SortScratch::new();
@@ -478,6 +488,8 @@ impl<const D: usize> Forest<D> {
 
             let mut out: Vec<u128> = Vec::new();
             let mut seed_calls = 0u64;
+            // Parent of the last candidate that ran `find_seeds_keys`.
+            let mut family: Option<PackedOctant<D>> = None;
             if let Some(v) = self.local.get(tree) {
                 for dir in directions::<D>() {
                     let n = rk.neighbor(&dir);
@@ -498,6 +510,17 @@ impl<const D: usize> Forest<D> {
                         match variant {
                             BalanceVariant::Old => out.push(k),
                             BalanceVariant::New => {
+                                // Siblings share their coarsest balanced
+                                // tree, T_k(o) = T_k(s), so one seed set
+                                // per family reconstructs the same T_k ∩ r.
+                                // A candidate's family lies inside its
+                                // insulation member, so it is consecutive
+                                // in the run.
+                                let parent = Some(p.parent());
+                                if family == parent {
+                                    continue;
+                                }
+                                family = parent;
                                 seed_calls += 1;
                                 find_seeds_keys(p, rk, cond, &mut out);
                             }

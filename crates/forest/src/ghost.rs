@@ -95,10 +95,13 @@ impl<const D: usize> Forest<D> {
         // leaf ships as its packed key straight out of the SoA storage,
         // framed into tree runs (wire format v2).
         //
-        // Candidate generation (the per-leaf direction/ownership scan) is
-        // chunked across the pool: each chunk emits its `(owner, key)`
-        // pairs in leaf-scan order, and the encoder replays them in chunk
-        // order below — byte-identical buffers for any thread count.
+        // Candidate generation is the boundary walk of the reach scan:
+        // interior subtrees are skipped whole, and only the leaves whose
+        // insulation layer leaves the partition run the direction/ownership
+        // loop. It is chunked across the pool: each chunk walks its piece
+        // of the tree run and emits its `(owner, key)` pairs in leaf order,
+        // and the encoder replays them in chunk order below — byte-identical
+        // buffers for any thread count.
         let this: &Forest<D> = self;
         let pool = forestbal_par::current();
         let mut chunks: Vec<(TreeId, &[u128])> = Vec::new();
@@ -112,15 +115,15 @@ impl<const D: usize> Forest<D> {
         let scan_chunk = |&(t, keys): &(TreeId, &[u128])| -> Vec<(usize, u128)> {
             let range = this.local_range(t).expect("chunk of a stored tree");
             let mut cand = Vec::new();
-            for &k in keys {
+            this.for_each_boundary_leaf(t, keys, range, |k| {
                 let mut sent_to: Vec<usize> = Vec::new();
-                this.for_each_reach(t, k, range, |owner, _, _| {
+                this.for_each_neighbor_owner(t, k, range, |owner, _, _| {
                     if owner != me && !sent_to.contains(&owner) {
                         sent_to.push(owner);
                         cand.push((owner, k));
                     }
                 });
-            }
+            });
             cand
         };
         let candidates = pool.map(chunks.len(), |c, _| scan_chunk(&chunks[c]));

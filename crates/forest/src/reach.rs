@@ -10,9 +10,15 @@
 //!   neighbor across a direction, moved into the frame of the tree that
 //!   holds it by a top-bit-plane rewrite
 //!   ([`BrickConnectivity::transform_key`]);
-//! * [`Forest::for_each_reach`] — the scan: O(1) interior rejection on
-//!   the key's axis fields, then direction → neighbor → partition-marker
-//!   owners;
+//! * [`Forest::for_each_boundary_leaf`] — the scan: a walk over a tree's
+//!   sorted leaf run that skips every subtree whose insulation box is
+//!   interior (one O(1) test on the key's axis fields, then one binary
+//!   search past the subtree) and hands on only the leaves whose layer
+//!   leaves the partition, each tested once; for those,
+//!   [`Forest::for_each_neighbor_owner`] runs direction → neighbor →
+//!   partition-marker owners (no marker search for a neighbor inside the
+//!   local range). [`Forest::for_each_reach`] is the same for one leaf at
+//!   a time;
 //! * [`RunExchange`] — the sparse neighbor exchange of packed-key tree
 //!   runs that follows the scan (receivers → Notify reversal → send →
 //!   receive → decode);
@@ -32,40 +38,40 @@ use forestbal_octant::key::KEY_LEVEL_BITS;
 use forestbal_octant::{directions, Direction, MortonIndex, PackedOctant, MAX_LEVEL};
 use std::collections::BTreeMap;
 
+/// The work of one [`Forest::for_each_boundary_leaf`] walk.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct WalkStats {
+    /// Interior tests run: one per leaf the walk reached, plus one per
+    /// ancestor tried while climbing.
+    pub(crate) tests: u64,
+    /// Leaves handed on: those that fail the interior test.
+    pub(crate) boundary: u64,
+}
+
 impl<const D: usize> Forest<D> {
-    /// Visit every `(owner, tree2, steps)` reached by the insulation layer
-    /// of leaf `k` of `tree`: for each of the `3^D - 1` directions (in
-    /// [`directions`] order) whose neighbor exists in the forest, every
-    /// rank owning part of it (ascending), with the neighbor's tree and
-    /// the frame change `steps` (root lengths per axis) that carries a
-    /// home-frame octant into `tree2`'s frame
-    /// ([`PackedOctant::translate`]). Destinations repeat across
-    /// directions and the leaf's own `(rank, tree, [0; D])` is included;
-    /// callers apply their own dedup and self-entry rules.
+    /// Does octant `rk` of `tree` reach nothing but `(self, tree, [0; D])`?
+    /// The O(1) test of the reach scan, on a leaf or on any in-root
+    /// ancestor of one.
     ///
     /// `local_range` is this rank's [`Forest::local_range`] in `tree`.
     /// All Morton indices of cells inside an axis-aligned box lie between
-    /// the indices of its extreme corners, so a leaf whose insulation
-    /// bounding box stays inside the root and within the local range
-    /// reaches nothing but `(self, tree, [0; D])` — the phase-1 case no
-    /// caller wants. Nothing exists beyond a non-periodic face of the
-    /// brick, so the box is clamped there first: a leaf on such a face is
-    /// as interior as its in-forest neighbors make it. The vast majority
-    /// of leaves pass this O(1) test and skip the direction loop entirely,
-    /// visiting nothing.
-    pub(crate) fn for_each_reach(
+    /// the indices of its extreme corners, and the local range is one
+    /// interval of them, so an octant whose insulation bounding box stays
+    /// inside the root and within the local range reaches only this rank
+    /// and tree. Nothing exists beyond a non-periodic face of the brick,
+    /// so the box is clamped there first: an octant on such a face is as
+    /// interior as its in-forest neighbors make it.
+    fn is_interior(
         &self,
         tree: TreeId,
-        k: u128,
+        rk: PackedOctant<D>,
         local_range: (MortonIndex, MortonIndex),
-        mut visit: impl FnMut(usize, TreeId, [i8; D]),
-    ) {
+    ) -> bool {
         let conn = self.connectivity();
         let (tc, dims, periodic) = (conn.tree_coords(tree), conn.dims(), conn.periodic());
         // The insulation bounding box's extreme unit cells, one field per
         // axis; order on a dilated field is order on its coordinate, so
         // the clamp compares fields against the root's first and last cell.
-        let rk = PackedOctant::<D>(k);
         let (lo, hi) = (
             rk.neighbor(&[-1; D]),
             rk.neighbor(&[1; D]).last_descendant(MAX_LEVEL),
@@ -86,28 +92,122 @@ impl<const D: usize> Forest<D> {
         }
         let lo = PackedOctant::<D>(lo_idx << KEY_LEVEL_BITS | MAX_LEVEL as u128);
         let hi = PackedOctant::<D>(hi_idx << KEY_LEVEL_BITS | MAX_LEVEL as u128);
-        let interior = lo.is_inside_root()
+        lo.is_inside_root()
             && hi.is_inside_root()
             && lo.index() >= local_range.0
-            && hi.index() <= local_range.1;
-        if interior {
-            return;
+            && hi.index() <= local_range.1
+    }
+
+    /// Visit every `(owner, tree2, steps)` reached by the insulation layer
+    /// of leaf `k` of `tree`, or nothing when [`Forest::is_interior`]
+    /// rejects it: for each of the `3^D - 1` directions (in [`directions`]
+    /// order) whose neighbor exists in the forest, every rank owning part
+    /// of it (ascending), with the neighbor's tree and the frame change
+    /// `steps` (root lengths per axis) that carries a home-frame octant
+    /// into `tree2`'s frame ([`PackedOctant::translate`]). Destinations
+    /// repeat across directions and the leaf's own `(rank, tree, [0; D])`
+    /// is included; callers apply their own dedup and self-entry rules.
+    ///
+    /// This is the per-leaf form, for callers holding a few scattered
+    /// leaves; a scan over a tree's leaf run walks it with
+    /// [`Forest::for_each_boundary_leaf`] instead.
+    pub(crate) fn for_each_reach(
+        &self,
+        tree: TreeId,
+        k: u128,
+        local_range: (MortonIndex, MortonIndex),
+        visit: impl FnMut(usize, TreeId, [i8; D]),
+    ) {
+        if !self.is_interior(tree, PackedOctant(k), local_range) {
+            self.for_each_neighbor_owner(tree, k, local_range, visit);
         }
+    }
+
+    /// [`Forest::for_each_reach`] without the interior test: the
+    /// direction → neighbor → partition-marker owners loop, for a leaf
+    /// already known to be on the boundary. A neighbor inside this rank's
+    /// `local_range` of `tree` is owned by this rank alone, so it skips
+    /// the marker search.
+    pub(crate) fn for_each_neighbor_owner(
+        &self,
+        tree: TreeId,
+        k: u128,
+        local_range: (MortonIndex, MortonIndex),
+        mut visit: impl FnMut(usize, TreeId, [i8; D]),
+    ) {
+        let rk = PackedOctant::<D>(k);
         for dir in directions::<D>() {
-            let Some((t2, n2)) = self.neighbor(tree, rk, &dir) else {
+            let n = rk.neighbor(&dir);
+            let Some((t2, n2)) = self.connectivity().transform_key(tree, n) else {
                 continue;
             };
             // Home frame to `t2`'s: undo the neighbor's tree steps.
-            let steps = rk.neighbor(&dir).tree_steps().map(|s| -s);
+            let steps = n.tree_steps().map(|s| -s);
+            if t2 == tree && n2.index() >= local_range.0 && n2.last_index() <= local_range.1 {
+                visit(self.rank(), t2, steps);
+                continue;
+            }
             for owner in self.owners_of_range(t2, n2.index(), n2.last_index()) {
                 visit(owner, t2, steps);
             }
         }
     }
 
+    /// Hand `leaf(k)`, in order, every key of the sorted leaf run `keys`
+    /// of `tree` that fails the interior test — the leaves whose
+    /// insulation layer leaves the partition — testing each of them once.
+    /// Callers run [`Forest::for_each_neighbor_owner`] on what they get.
+    ///
+    /// Interior subtrees are skipped whole. When a leaf is interior, the
+    /// walk climbs to its coarsest interior ancestor `a` and jumps past
+    /// every following key with `index() <= a.last_index()` (one binary
+    /// search). This is exact: for `d ⊆ a` the insulation box of `d` lies
+    /// inside that of `a` axis by axis, and both the face clamp and
+    /// Morton order are monotone under that containment, so every leaf
+    /// under an interior `a` is interior itself. Interior octants are
+    /// closed under descent, so the climb stops at the first ancestor
+    /// that fails. Most of a partition sits under a few such ancestors,
+    /// and the walk's work follows the partition boundary, not the leaf
+    /// count.
+    ///
+    /// `local_range` is this rank's [`Forest::local_range`] in `tree`;
+    /// `keys` may be any contiguous piece of the tree's leaf run.
+    pub(crate) fn for_each_boundary_leaf(
+        &self,
+        tree: TreeId,
+        keys: &[u128],
+        local_range: (MortonIndex, MortonIndex),
+        mut leaf: impl FnMut(u128),
+    ) -> WalkStats {
+        let mut stats = WalkStats::default();
+        let mut i = 0;
+        while let Some(&k) = keys.get(i) {
+            i += 1;
+            let mut a = PackedOctant::<D>(k);
+            stats.tests += 1;
+            if !self.is_interior(tree, a, local_range) {
+                stats.boundary += 1;
+                leaf(k);
+                continue;
+            }
+            while a.level() > 0 {
+                stats.tests += 1;
+                if !self.is_interior(tree, a.parent(), local_range) {
+                    break;
+                }
+                a = a.parent();
+            }
+            let end = a.last_index();
+            i += keys[i..].partition_point(|&k| PackedOctant::<D>(k).index() <= end);
+        }
+        stats
+    }
+
     /// The same-size neighbor of octant `k` of `tree` across `dir`, in the
     /// frame of the tree that holds it, or `None` beyond the forest's
     /// boundary: the one way the forest finds a neighbor.
+    /// [`Forest::for_each_neighbor_owner`] spells it out, to take the
+    /// tree steps from the same home-frame key.
     #[inline]
     pub(crate) fn neighbor(
         &self,
@@ -288,6 +388,84 @@ pub(crate) mod tests {
         }
     }
 
+    /// `for_each_boundary_leaf` against the per-leaf filter: on every
+    /// tree run it hands on, in order, exactly the keys `for_each_reach`
+    /// visits anything for (a superset of those reaching another rank,
+    /// tree or frame: beside the L-brick's hole no clamp applies, so a leaf
+    /// there fails the interior test and still reaches only itself). It
+    /// also runs exactly the interior tests of one climb per skipped
+    /// subtree: each leaf it reaches once, then the ancestors up to the
+    /// first that fails. The skipped subtrees are derived independently: an
+    /// interior leaf's coarsest interior ancestor, from all its ancestors,
+    /// and one skip per run of leaves sharing it. Tree 0 is also refined
+    /// down to `MAX_LEVEL` at the first and last cell of its first level-1
+    /// child, which is interior on one rank unless the brick is periodic:
+    /// a skipped subtree then starts with a climb of 23 levels and ends in
+    /// a unit-cell leaf.
+    fn boundary_walk_matches_per_leaf<const D: usize>(seed: u64, denom: u64, max_level: u8) {
+        let corner = Octant::<D>::root().child(0);
+        let deep = [
+            corner.first_descendant(MAX_LEVEL),
+            corner.last_descendant(MAX_LEVEL),
+        ];
+        for (name, conn) in bricks::<D>() {
+            let conn = Arc::new(conn);
+            for p in [1usize, 2, 3, 5] {
+                let conn = Arc::clone(&conn);
+                let out = Cluster::run(p, move |ctx| {
+                    let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 2);
+                    f.refine(true, MAX_LEVEL, |t, o| {
+                        (o.level < max_level && pseudo_refine(seed, t, o, denom))
+                            || (t == 0 && deep.iter().any(|d| o.contains(d)))
+                    });
+                    let (mut skips, mut deep_skips) = (0usize, 0usize);
+                    for (t, keys) in f.local.iter() {
+                        let range = f.local_range(t).unwrap();
+                        let mut got = Vec::new();
+                        let walk = f.for_each_boundary_leaf(t, keys, range, |k| got.push(k));
+                        let mut want = Vec::new();
+                        let mut tests = 0;
+                        let mut last_skip = None;
+                        for &k in keys {
+                            let mut reaches = false;
+                            f.for_each_reach(t, k, range, |_, _, _| reaches = true);
+                            if reaches {
+                                want.push(k);
+                                tests += 1;
+                                continue;
+                            }
+                            let rk = PackedOctant::<D>(k);
+                            let interior = |l: u8| f.is_interior(t, rk.ancestor(l), range);
+                            let top = (0..=rk.level()).rev().take_while(|&l| interior(l));
+                            let a = rk.ancestor(top.last().expect("a silent leaf is interior"));
+                            if last_skip.replace(a) == Some(a) {
+                                continue; // under the subtree skipped already
+                            }
+                            let climb = u64::from(rk.level() - a.level());
+                            tests += 1 + climb + u64::from(a.level() > 0);
+                            skips += 1;
+                            deep_skips += usize::from(climb >= 2);
+                        }
+                        assert_eq!(got, want, "{name} P={p} tree {t}: walked leaves");
+                        let boundary = want.len() as u64;
+                        let expect = WalkStats { tests, boundary };
+                        assert_eq!(walk, expect, "{name} P={p} tree {t}: walk work");
+                    }
+                    (skips, deep_skips)
+                });
+                let skips: usize = out.results.iter().map(|r| r.0).sum();
+                let deep_skips: usize = out.results.iter().map(|r| r.1).sum();
+                if p == 1 {
+                    assert!(skips > 0, "{name}: no subtree was skipped");
+                    assert!(
+                        deep_skips > 0 || name == "periodic",
+                        "{name}: no skip climbed two levels"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         // Each case spawns 16 clusters; keep the counts modest.
         #![proptest_config(ProptestConfig::with_cases(8))]
@@ -300,6 +478,16 @@ pub(crate) mod tests {
         #[test]
         fn reach_matches_brute_force_3d(seed in any::<u64>(), denom in 3u64..6) {
             reach_matches_brute_force::<3>(seed, denom, 4);
+        }
+
+        #[test]
+        fn boundary_walk_matches_per_leaf_2d(seed in any::<u64>(), denom in 2u64..5) {
+            boundary_walk_matches_per_leaf::<2>(seed, denom, 5);
+        }
+
+        #[test]
+        fn boundary_walk_matches_per_leaf_3d(seed in any::<u64>(), denom in 3u64..6) {
+            boundary_walk_matches_per_leaf::<3>(seed, denom, 4);
         }
     }
 }

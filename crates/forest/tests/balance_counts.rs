@@ -8,10 +8,12 @@
 //! kernels that does the same paper work leaves every one of them
 //! unchanged. The tables must also never regrow.
 //!
-//! Phase 3's work is pinned beside it: the query entries sent, the
-//! queries answered, the octants the answers carry and, for New, the
-//! number of seed constructions the responders run (one per candidate
-//! leaf that passes the level precheck; Old runs none).
+//! Phases 2 and 3's work is pinned beside it: the interior tests the
+//! phase-2 boundary walk runs (ancestors included) and the leaves it
+//! hands to the direction loop, the query entries sent, the queries
+//! answered, the octants the answers carry and, for New, the number of
+//! seed constructions the responders run (one per family of candidate
+//! leaves past the level precheck; Old runs none).
 //!
 //! `balance.{local,rebalance}.table_probes` is deliberately not pinned:
 //! it counts the slots a linear probe inspects, which depends on the hash
@@ -26,7 +28,7 @@ use forestbal_mesh::fractal_forest;
 use forestbal_trace::Tracer;
 
 /// Counters read per rank, in this order.
-const COUNTERS: [&str; 10] = [
+const COUNTERS: [&str; 12] = [
     "balance.local.hash_queries",
     "balance.local.binary_searches",
     "balance.local.sorted_len",
@@ -37,10 +39,12 @@ const COUNTERS: [&str; 10] = [
     "balance.queries_answered",
     "balance.response_octants",
     "balance.find_seeds_calls",
+    "balance.reach_tests",
+    "balance.boundary_leaves",
 ];
 
 /// Per-rank values of [`COUNTERS`] and the global checksum after balance.
-fn run(variant: BalanceVariant) -> (Vec<[u64; 10]>, u64) {
+fn run(variant: BalanceVariant) -> (Vec<[u64; 12]>, u64) {
     let out = Cluster::run(2, move |ctx| {
         let mut f = fractal_forest(ctx, 2, 4);
         let tracer = Tracer::begin(ctx.rank());
@@ -63,22 +67,36 @@ const CHECKSUM: u64 = 0xceda_9f60_8974_2628;
 #[test]
 fn new_balance_does_the_pinned_paper_work() {
     let (counts, checksum) = run(BalanceVariant::New);
-    // The two ranks hold mirror halves of the brick and do equal work.
-    // One seed construction per candidate leaf: as many as Old's raw
-    // response octants.
-    let rank = [
-        391_764, 10_683, 16_794, 117_792, 419_307, 648, 6_340, 6_340, 420, 32_064,
+    // The two ranks hold mirror halves of the brick and do equal paper
+    // work. One seed construction per family of candidate leaves (Old
+    // answers with 32,064 raw octants). The phase-2 walk runs in Morton
+    // order on both halves, so its climbs, and its interior tests, differ.
+    let ranks = [
+        [
+            391_764, 10_683, 16_794, 117_792, 419_307, 648, 6_340, 6_340, 420, 4_288, 24_468, 6_148,
+        ],
+        [
+            391_764, 10_683, 16_794, 117_792, 419_307, 648, 6_340, 6_340, 420, 4_288, 24_464, 6_148,
+        ],
     ];
-    assert_eq!(counts, vec![rank; 2]);
+    assert_eq!(counts, ranks);
     assert_eq!(checksum, CHECKSUM);
 }
 
 #[test]
 fn old_balance_does_the_pinned_paper_work() {
     let (counts, checksum) = run(BalanceVariant::Old);
-    let rank = [
-        5_596_416, 1_206_312, 134_616, 117_792, 5_704_200, 7_398_072, 6_340, 6_340, 32_064, 0,
+    // Phase 1 leaves the same leaves as New, so phase 2 walks alike.
+    let ranks = [
+        [
+            5_596_416, 1_206_312, 134_616, 117_792, 5_704_200, 7_398_072, 6_340, 6_340, 32_064, 0,
+            24_468, 6_148,
+        ],
+        [
+            5_596_416, 1_206_312, 134_616, 117_792, 5_704_200, 7_398_072, 6_340, 6_340, 32_064, 0,
+            24_464, 6_148,
+        ],
     ];
-    assert_eq!(counts, vec![rank; 2]);
+    assert_eq!(counts, ranks);
     assert_eq!(checksum, CHECKSUM);
 }
