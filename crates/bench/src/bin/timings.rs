@@ -571,7 +571,7 @@ const EXPS: &[Exp] = &[
     Exp {
         name: "local",
         groups: &["all"],
-        heading: "Incremental epoch commit: full balance vs Local rebalance",
+        heading: "Incremental epoch commit: full balance vs incremental rebalance",
         run: |o| {
             let p = o.ranks().min(4);
             println!("P = {p} threaded ranks");

@@ -176,31 +176,52 @@ fn exhaustive_seeds_3d_small() {
     }
 }
 
-#[test]
-fn insulation_fact() {
-    // "Two octants o and r can be unbalanced only if o is contained in
-    // r's insulation layer I(r), or vice versa" — check the contrapositive
-    // exhaustively in 2D: pairs outside each other's insulation are
-    // always balanced.
+/// The insulation fact (§II-B): `o` and `r` can be unbalanced only if
+/// `o ∈ I(r)` or `r ∈ I(o)`. Phase 2's query set, the ghost scan and the
+/// incremental announcement rely on it. Checked like `check_all`: one
+/// ripple cone per finer `o`, and every disjoint coarser `r` that the
+/// cone splits must satisfy the fact.
+fn check_insulation<const D: usize>(o_levels: (u8, u8), r_levels: (u8, u8)) {
     use forestbal_core::insulation_layer;
-    let os = enumerate::<2>(2, 4);
-    let rs = enumerate::<2>(1, 3);
-    for k in 1..=2u8 {
-        let cond = Condition::new(k, 2).unwrap();
+    let root = Octant::<D>::root();
+    let os = enumerate::<D>(o_levels.0, o_levels.1);
+    let rs = enumerate::<D>(r_levels.0, r_levels.1);
+    for k in 1..=D as u8 {
+        let cond = Condition::new(k, D as u8).unwrap();
+        let (mut unbalanced, mut outside) = (0usize, 0usize);
         for o in &os {
+            let t = ripple_balance(&root, &[*o], cond);
+            let io = insulation_layer(o);
             for r in &rs {
-                if o.overlaps(r) {
+                if o.overlaps(r) || o.level <= r.level {
                     continue;
                 }
                 let o_in_ir = insulation_layer(r).iter().any(|n| n.contains(o));
-                let r_in_io = insulation_layer(o).iter().any(|n| n.contains(r));
-                if !o_in_ir && !r_in_io {
+                let r_in_io = io.iter().any(|n| n.contains(r));
+                outside += usize::from(!o_in_ir && !r_in_io);
+                if t.iter().any(|l| r.is_ancestor_of(l)) {
+                    unbalanced += 1;
                     assert!(
-                        is_balanced_pair(o, r, cond),
-                        "k={k} o={o:?} r={r:?}: unbalanced outside insulation"
+                        o_in_ir || r_in_io,
+                        "D={D} k={k} o={o:?} r={r:?}: unbalanced outside insulation"
                     );
                 }
             }
         }
+        // Not vacuous: the cones split some partners, and some pairs
+        // lie outside both layers.
+        assert!(unbalanced > 0, "D={D} k={k}: no unbalanced pair");
+        assert!(outside > 0, "D={D} k={k}: no pair outside both layers");
     }
+}
+
+#[test]
+fn insulation_fact_2d() {
+    check_insulation::<2>((2, 5), (1, 4));
+}
+
+#[test]
+fn insulation_fact_3d() {
+    // exhaustive_3d's levels.
+    check_insulation::<3>((2, 3), (1, 2));
 }

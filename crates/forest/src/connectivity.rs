@@ -118,11 +118,6 @@ impl<const D: usize> BrickConnectivity<D> {
         self.periodic
     }
 
-    /// Is the grid cell at `coords` an active tree?
-    pub fn is_active(&self, coords: [usize; D]) -> bool {
-        self.try_tree_id(coords).is_some()
-    }
-
     /// Grid coordinates of tree `t` (row-major, axis 0 fastest).
     pub fn tree_coords(&self, t: TreeId) -> [usize; D] {
         let mut rem = match &self.mask {
@@ -147,14 +142,6 @@ impl<const D: usize> BrickConnectivity<D> {
             Some(m) => (m.grid_to_tree[g] != INACTIVE).then(|| m.grid_to_tree[g]),
             None => Some(g as TreeId),
         }
-    }
-
-    /// Tree id at grid coordinates.
-    ///
-    /// # Panics
-    /// Panics if the cell is masked out.
-    pub fn tree_id(&self, coords: [usize; D]) -> TreeId {
-        self.try_tree_id(coords).expect("grid cell is masked out")
     }
 
     /// Remap an octant with out-of-root coordinates in tree `t` into the
@@ -233,7 +220,7 @@ mod tests {
         let b = BrickConnectivity::<3>::new([3, 2, 1], [false; 3]);
         assert_eq!(b.num_trees(), 6);
         for t in 0..6 {
-            assert_eq!(b.tree_id(b.tree_coords(t)), t);
+            assert_eq!(b.try_tree_id(b.tree_coords(t)).unwrap(), t);
         }
         assert_eq!(b.tree_coords(0), [0, 0, 0]);
         assert_eq!(b.tree_coords(1), [1, 0, 0]);
@@ -298,8 +285,8 @@ mod tests {
         let o = Octant::<2>::root().child(3).child(3);
         let n = PackedOctant::new(&o.neighbor(&[1, 1]));
         assert_eq!(n.tree_steps(), [1, 1]);
-        let (t, m) = b.transform_key(b.tree_id([1, 0]), n).unwrap();
-        assert_eq!(t, b.tree_id([2, 1]));
+        let (t, m) = b.transform_key(b.try_tree_id([1, 0]).unwrap(), n).unwrap();
+        assert_eq!(t, b.try_tree_id([2, 1]).unwrap());
         assert_eq!(m, PackedOctant::new(&Octant::<2>::root().child(0).child(0)));
         // Back into the original frame: the inverse of the tree steps.
         assert_eq!(m.translate([1, 1]), n);
@@ -311,7 +298,7 @@ mod tests {
         let b = BrickConnectivity::<3>::new([3, 2, 1], [false; 3]);
         assert_eq!(b.num_trees(), 6);
         // Middle tree has neighbors on both x sides and one y side.
-        let mid = b.tree_id([1, 0, 0]);
+        let mid = b.try_tree_id([1, 0, 0]).unwrap();
         let o = Octant::<3>::root().child(0);
         assert!(b.transform(mid, &o.neighbor(&[-1, 0, 0])).is_some());
         assert!(b.transform(mid, &o.neighbor(&[0, 0, -1])).is_none());
@@ -327,10 +314,9 @@ mod tests {
         assert_eq!(b.tree_coords(1), [1, 0]);
         assert_eq!(b.tree_coords(2), [0, 1]);
         assert_eq!(b.try_tree_id([1, 1]), None);
-        assert!(!b.is_active([1, 1]));
         // Transform into the hole acts like a domain boundary.
         let o = Octant::<2>::root().child(3);
-        let t1 = b.tree_id([1, 0]);
+        let t1 = b.try_tree_id([1, 0]).unwrap();
         assert_eq!(b.transform(t1, &o.neighbor(&[0, 1])), None);
         // But within the L everything connects.
         let left = Octant::<2>::root().child(0);

@@ -12,8 +12,7 @@ use crate::connectivity::{BrickConnectivity, TreeId};
 use crate::store::{LeafSlice, LeafStore};
 use forestbal_comm::Comm;
 use forestbal_octant::{
-    is_linear, is_linear_keys, key, pack_batch, sort_keys_with, MortonIndex, Octant, PackedOctant,
-    SortScratch, MAX_LEVEL,
+    is_linear_keys, key, sort_keys_with, MortonIndex, Octant, PackedOctant, SortScratch, MAX_LEVEL,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -124,40 +123,6 @@ impl<const D: usize> Forest<D> {
                 v.push(key::pack(&Octant::<D>::from_index(idx, level)));
             }
             g = run_end;
-        }
-        let mut f = Forest {
-            conn,
-            rank: ctx.rank(),
-            size: ctx.size(),
-            local,
-            markers: Arc::new(Vec::new()),
-            sort: SortScratch::new(),
-        };
-        f.update_markers(ctx);
-        f
-    }
-
-    /// Build each rank's slice of an explicitly given global forest
-    /// (equal-count split). Intended for tests and workload setup.
-    pub fn from_global(
-        conn: Arc<BrickConnectivity<D>>,
-        ctx: &impl Comm,
-        global: &BTreeMap<TreeId, Vec<Octant<D>>>,
-    ) -> Forest<D> {
-        let total: usize = global.values().map(|v| v.len()).sum();
-        let p = ctx.size();
-        let lo = total * ctx.rank() / p;
-        let hi = total * (ctx.rank() + 1) / p;
-        let mut local: LeafStore<D> = LeafStore::new();
-        let mut seen = 0usize;
-        for (&t, v) in global {
-            debug_assert!(is_linear(v));
-            let start = lo.saturating_sub(seen).min(v.len());
-            let end = hi.saturating_sub(seen).min(v.len());
-            if start < end {
-                pack_batch(&v[start..end], local.entry(t));
-            }
-            seen += v.len();
         }
         let mut f = Forest {
             conn,
@@ -511,36 +476,6 @@ mod tests {
         }
         assert_eq!(sums[0], sums[1]);
         assert_eq!(sums[0], sums[2]);
-    }
-
-    #[test]
-    fn from_global_reproduces_content() {
-        let conn = Arc::new(BrickConnectivity::<2>::new([2, 1], [false; 2]));
-        // Build a reference forest on one rank, then redistribute the
-        // same global content on several ranks via from_global.
-        let global = Cluster::run(1, |ctx| {
-            let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 2);
-            f.refine(true, 4, |t, o| t == 0 && o.coords[1] == 0);
-            f.gather(ctx)
-        })
-        .results
-        .remove(0);
-        for p in [1usize, 2, 4, 7] {
-            let conn = Arc::clone(&conn);
-            let g = global.clone();
-            let out = Cluster::run(p, move |ctx| {
-                let f = Forest::from_global(Arc::clone(&conn), ctx, &g);
-                (f.num_local(), f.gather(ctx))
-            });
-            let total: usize = out.results.iter().map(|r| r.0).sum();
-            let expect: usize = global.values().map(Vec::len).sum();
-            assert_eq!(total, expect, "P={p}");
-            assert_eq!(out.results[0].1, global, "P={p}");
-            // Roughly even split.
-            for (n, _) in &out.results {
-                assert!(*n <= expect / p + 1, "P={p}: rank holds {n}");
-            }
-        }
     }
 
     #[test]

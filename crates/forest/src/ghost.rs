@@ -155,7 +155,9 @@ impl<const D: usize> Forest<D> {
     /// verifies its leaves against local leaves and the ghost layer; the
     /// verdicts are combined with one allreduce. (The insulation fact
     /// guarantees any violating pair is visible to at least one of the
-    /// two owners through its ghosts.)
+    /// two owners through its ghosts. `insulation_fact_2d` and
+    /// `insulation_fact_3d` in core's `tests/exhaustive.rs` check that
+    /// fact for every k against the ripple oracle.)
     pub fn is_balanced_distributed(
         &mut self,
         ctx: &impl Comm,
@@ -186,19 +188,6 @@ impl<const D: usize> Forest<D> {
         }
         ctx.allreduce_and(ok)
     }
-
-    /// Is octant `g` of tree `tg` adjacent (sharing any boundary object)
-    /// to some local leaf, including across tree boundaries?
-    pub fn touches_local(&self, tg: TreeId, g: &Octant<D>) -> bool {
-        let g = PackedOctant::new(g);
-        directions::<D>().any(|dir| {
-            self.neighbor(tg, g, &dir).is_some_and(|(t2, n2)| {
-                self.local
-                    .get(t2)
-                    .is_some_and(|v| !store::overlapping::<D, _>(v, n2.0).is_empty())
-            })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -207,6 +196,20 @@ mod tests {
     use crate::connectivity::BrickConnectivity;
     use forestbal_comm::{Cluster, Comm};
     use std::sync::Arc;
+
+    /// Does `g` of tree `tg` share a boundary object with a local leaf?
+    /// Built on the coordinate frame change, not on the key routing the
+    /// ghost layer itself uses.
+    fn touches_local<const D: usize>(f: &Forest<D>, tg: TreeId, g: &Octant<D>) -> bool {
+        directions::<D>().any(|dir| {
+            f.connectivity()
+                .transform(tg, &g.neighbor(&dir))
+                .is_some_and(|(t2, n)| {
+                    f.trees()
+                        .any(|(t, v)| t == t2 && v.iter().any(|l| l.overlaps(&n)))
+                })
+        })
+    }
 
     #[test]
     fn uniform_ghosts_are_range_neighbors() {
@@ -226,7 +229,7 @@ mod tests {
                     assert!(v.keys().binary_search(&key::pack(&g)).is_err());
                 }
                 // ...and adjacent to the local partition.
-                assert!(f.touches_local(t, &g), "ghost {g:?} does not touch rank");
+                assert!(touches_local(&f, t, &g), "ghost {g:?} does not touch rank");
             }
         });
     }

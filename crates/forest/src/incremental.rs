@@ -98,11 +98,6 @@ impl<const D: usize> AdaptBatch<D> {
         self.coarsen.push((tree, key::pack(parent)));
     }
 
-    /// Request splitting a leaf given as a packed key.
-    pub fn refine_key(&mut self, tree: TreeId, k: u128) {
-        self.refine.push((tree, k));
-    }
-
     /// Number of queued requests.
     pub fn len(&self) -> usize {
         self.refine.len() + self.coarsen.len()

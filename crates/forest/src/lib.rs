@@ -22,7 +22,6 @@ pub mod export;
 pub mod forest;
 pub mod ghost;
 pub mod incremental;
-pub mod iterate;
 pub mod neighbors;
 pub mod nodes;
 pub mod partition;
@@ -37,7 +36,6 @@ pub use connectivity::{BrickConnectivity, TreeId};
 pub use forest::{Forest, GlobalPos};
 pub use ghost::GhostLayer;
 pub use incremental::{AdaptBatch, DirtySet, IncrementalReport};
-pub use iterate::FaceVisit;
 pub use neighbors::FaceNeighbor;
 pub use nodes::Nodes;
 pub use ripple::RippleStats;

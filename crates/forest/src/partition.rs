@@ -184,8 +184,8 @@ mod tests {
 
     #[test]
     fn partition_from_skewed_ownership() {
-        // Everything starts on rank 0 (via from_global with 1 rank worth
-        // of content spread by construction), then spreads out.
+        // One rank refines tree 0's root and starts with 16 of the 17
+        // leaves; partition spreads them out.
         let conn = Arc::new(BrickConnectivity::<2>::new([2, 1], [false; 2]));
         Cluster::run(5, |ctx| {
             let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 0);

@@ -60,7 +60,11 @@ impl<const D: usize> Forest<D> {
     /// inside the root and within the local range reaches only this rank
     /// and tree. Nothing exists beyond a non-periodic face of the brick,
     /// so the box is clamped there first: an octant on such a face is as
-    /// interior as its in-forest neighbors make it.
+    /// interior as its in-forest neighbors make it. An interior octant
+    /// needs no query by the insulation fact: of an unbalanced pair, one
+    /// lies in the other's insulation layer. `insulation_fact_2d` and
+    /// `insulation_fact_3d` (core's `tests/exhaustive.rs`) check that
+    /// fact for every k against the ripple oracle.
     fn is_interior(
         &self,
         tree: TreeId,

@@ -32,16 +32,6 @@ impl<const D: usize> Forest<D> {
         let i = self.markers.partition_point(|m| *m <= pos);
         i.saturating_sub(1).min(self.size() - 1)
     }
-
-    /// The rank owning octant `q` of `tree` — more precisely, the rank
-    /// owning `q`'s first unit cell (a leaf is owned by exactly one rank;
-    /// for a coarser-than-leaf `q` this is the first overlapping owner).
-    pub fn owner_of_octant(&self, tree: TreeId, q: &Octant<D>) -> usize {
-        self.owner_of(GlobalPos {
-            tree,
-            index: q.index(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +71,10 @@ mod tests {
                 coords: p,
                 level: forestbal_octant::MAX_LEVEL,
             };
-            let owner = f.owner_of_octant(0, &cell.ancestor(forestbal_octant::MAX_LEVEL));
+            let owner = f.owner_of(GlobalPos {
+                tree: 0,
+                index: cell.index(),
+            });
             assert_eq!(found, owner == ctx.rank());
             let all = ctx.allgather(vec![found as u8]);
             let owners: usize = all.iter().map(|b| b[0] as usize).sum();
@@ -97,7 +90,10 @@ mod tests {
             let g = f.gather(ctx);
             for (&t, v) in &g {
                 for o in v {
-                    let owner = f.owner_of_octant(t, o);
+                    let owner = f.owner_of(GlobalPos {
+                        tree: t,
+                        index: o.index(),
+                    });
                     let local = f.find_leaf(t, o).is_some();
                     assert_eq!(local, owner == ctx.rank(), "{t} {o:?}");
                 }

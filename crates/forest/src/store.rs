@@ -105,12 +105,6 @@ impl<const D: usize> LeafStore<D> {
         *v = out;
     }
 
-    /// Drop trees whose key arrays became empty (restores the invariant
-    /// after draining mutations).
-    pub fn prune_empty(&mut self) {
-        self.trees.retain(|(_, v)| !v.is_empty());
-    }
-
     /// Iterate `(tree, keys)` in tree order.
     pub fn iter(&self) -> impl Iterator<Item = (TreeId, &[u128])> {
         self.trees.iter().map(|(t, v)| (*t, v.as_slice()))
@@ -267,17 +261,6 @@ mod tests {
         assert_eq!(s.num_octants(), 5);
         assert_eq!(s.get(1).unwrap().len(), 2);
         assert!(s.get(7).is_none());
-    }
-
-    #[test]
-    fn prune_drops_empty_trees() {
-        let mut s = LeafStore::<2>::new();
-        s.entry(0).push(1);
-        s.entry(5);
-        assert_eq!(s.num_trees(), 2);
-        s.prune_empty();
-        assert_eq!(s.num_trees(), 1);
-        assert_eq!(s.first(), Some((0, 1)));
     }
 
     #[test]

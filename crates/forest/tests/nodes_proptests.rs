@@ -1,9 +1,11 @@
-//! Property tests for node enumeration and face iteration on random
-//! balanced forests.
+//! Property tests for node enumeration and face classification on
+//! random balanced forests.
 
 use forestbal_comm::{Cluster, Comm};
 use forestbal_core::Condition;
-use forestbal_forest::{BalanceVariant, BrickConnectivity, Forest, ReversalScheme, TreeId};
+use forestbal_forest::{
+    BalanceVariant, BrickConnectivity, FaceNeighbor, Forest, ReversalScheme, TreeId,
+};
 use forestbal_octant::Octant;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -43,12 +45,25 @@ proptest! {
             let nodes = f.enumerate_nodes(ctx);
             let owned: u64 = nodes.num_owned_independent() as u64;
             let ghosts = f.ghost_layer(ctx);
-            let (mut b, mut s, mut h) = (0u64, 0u64, 0u64);
-            f.for_each_face(&ghosts, |v| match v {
-                forestbal_forest::FaceVisit::Boundary { .. } => b += 1,
-                forestbal_forest::FaceVisit::Same { .. } => s += 1,
-                forestbal_forest::FaceVisit::Hanging { .. } => h += 1,
-            });
+            // Classify every face of every local leaf; each face is
+            // counted once across the cluster.
+            let (mut b, mut s, mut h, mut fine) = (0u64, 0u64, 0u64, 0u64);
+            for (t, v) in f.trees() {
+                for o in v.iter() {
+                    for axis in 0..2 {
+                        for sign in [-1i8, 1] {
+                            match f.face_neighbor(&ghosts, t, &o, axis, sign) {
+                                FaceNeighbor::Boundary => b += 1,
+                                // From the globally smaller side only.
+                                FaceNeighbor::Same(t2, n) => s += u64::from((t, o) < (t2, n)),
+                                // The fine side counts the hanging sub-face.
+                                FaceNeighbor::Coarse(..) => h += 1,
+                                FaceNeighbor::Fine(_, n) => fine += n.len() as u64,
+                            }
+                        }
+                    }
+                }
+            }
             (
                 leaves_global,
                 nodes.num_global_independent,
@@ -56,10 +71,11 @@ proptest! {
                 ctx.allreduce_sum(b),
                 ctx.allreduce_sum(s),
                 ctx.allreduce_sum(h),
+                ctx.allreduce_sum(fine),
                 ctx.allreduce_sum(nodes.num_hanging() as u64),
             )
         });
-        let (leaves, indep, owned_sum, b, s, h, hang_incidence) = out.results[0];
+        let (leaves, indep, owned_sum, b, s, h, fine, hang_incidence) = out.results[0];
         for r in &out.results {
             prop_assert_eq!(r, &out.results[0], "ranks disagree");
         }
@@ -72,6 +88,9 @@ proptest! {
         // coarse face: the coarse leaf-face opposite 2^{d-1}=2 hanging
         // sub-faces contributes 1, so 2 hanging sub-faces = 3 leaf-faces.
         prop_assert_eq!(h % 2, 0, "2D hanging sub-faces come in pairs");
+        // Each hanging sub-face is seen from both sides: the coarse
+        // leaf lists the fine leaf that sees the coarse one.
+        prop_assert_eq!(fine, h, "coarse and fine sides disagree");
         prop_assert_eq!(
             4 * leaves,
             b + 2 * s + h + h / 2,

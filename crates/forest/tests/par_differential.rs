@@ -100,10 +100,10 @@ fn apply_edits_bit_identical_across_thread_counts() {
             pool.install(|| {
                 let mut f = Forest::new_uniform(Arc::clone(&conn2), ctx, 3);
                 let mut batch = AdaptBatch::new();
-                for (t, keys) in f.trees_packed() {
-                    for (i, &k) in keys.iter().enumerate() {
+                for (t, v) in f.trees() {
+                    for (i, o) in v.iter().enumerate() {
                         if i % 3 == 0 {
-                            batch.refine_key(t, k);
+                            batch.refine(t, &o);
                         }
                     }
                 }

@@ -7,7 +7,8 @@ use forestbal_comm::{Cluster, Comm};
 use forestbal_core::Condition;
 use forestbal_forest::serial::is_forest_balanced;
 use forestbal_forest::{
-    serial_forest_balance, BalanceVariant, BrickConnectivity, Forest, ReversalScheme, TreeId,
+    serial_forest_balance, BalanceVariant, BrickConnectivity, Forest, GlobalPos, ReversalScheme,
+    TreeId,
 };
 use forestbal_octant::{directions, Octant, PackedOctant, MAX_LEVEL};
 use forestbal_sim::{SimCluster, SimConfig};
@@ -144,7 +145,10 @@ fn layer_and_oracle<const D: usize>(
     let mut want: Entries<D> = Vec::new();
     for (&t, leaves) in &f.gather(ctx) {
         for g in leaves {
-            let owner = f.owner_of_octant(t, g);
+            let owner = f.owner_of(GlobalPos {
+                tree: t,
+                index: g.index(),
+            });
             let reaches_me = owner != ctx.rank()
                 && directions::<D>().any(|dir| {
                     conn.transform(t, &g.neighbor(&dir))

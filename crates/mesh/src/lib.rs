@@ -11,22 +11,19 @@
 //!   mesh comes from a finite-element simulation we do not have; the
 //!   balance cost depends only on the grading geometry, which this
 //!   reproduces.
-//! * [`random`] — seeded random refinement for fuzzing and benchmarks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fractal;
 pub mod ice_sheet;
-pub mod random;
 pub mod sphere;
 
 pub use fractal::{fractal_forest, fractal_forest_2d, FRACTAL_CHILDREN};
 pub use ice_sheet::{ice_sheet_forest, GroundingLine, IceSheetParams};
-pub use random::random_forest;
 pub use sphere::{sphere_forest, SphereParams};
 
-use forestbal_octant::{Octant, MAX_LEVEL};
+use forestbal_octant::MAX_LEVEL;
 
 /// Histogram of leaf counts per level for a local forest view.
 pub fn level_histogram<const D: usize>(
@@ -39,21 +36,6 @@ pub fn level_histogram<const D: usize>(
         }
     }
     h
-}
-
-/// Fraction of the covered volume held by leaves finer than `level` — a
-/// crude grading measure used in benchmark reports.
-pub fn fine_fraction<const D: usize>(leaves: &[Octant<D>], level: u8) -> f64 {
-    let total: u128 = leaves.iter().map(|o| o.cell_count()).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let fine: u128 = leaves
-        .iter()
-        .filter(|o| o.level > level)
-        .map(|o| o.cell_count())
-        .sum();
-    fine as f64 / total as f64
 }
 
 #[cfg(test)]
@@ -74,21 +56,5 @@ mod tests {
             assert_eq!(h[3], 4);
             assert_eq!(h.iter().sum::<u64>(), 19);
         });
-    }
-
-    #[test]
-    fn fine_fraction_measures_grading() {
-        let root = Octant::<2>::root();
-        // Uniform level-1 tree: nothing finer than level 1.
-        let uni: Vec<Octant<2>> = (0..4).map(|i| root.child(i)).collect();
-        assert_eq!(fine_fraction(&uni, 1), 0.0);
-        assert_eq!(fine_fraction(&uni, 0), 1.0);
-        // Refine one quadrant: a quarter of the area is finer than 1.
-        let mut v = vec![root.child(1), root.child(2), root.child(3)];
-        v.extend((0..4).map(|i| root.child(0).child(i)));
-        v.sort();
-        let frac = fine_fraction(&v, 1);
-        assert!((frac - 0.25).abs() < 1e-12);
-        assert_eq!(fine_fraction::<2>(&[], 0), 0.0);
     }
 }

@@ -12,8 +12,8 @@
 //! dirty insulation regions, unless the batch is so large that a full
 //! balance is cheaper (the fallback threshold of [`ServiceConfig`]).
 //!
-//! This is the serving-system shape of the paper's *Local* balance
-//! (§III-D, Fig. 16): balance cost proportional to the size of the
+//! The paper always balances the whole forest; this crate is an
+//! extension of it: balance cost proportional to the size of the
 //! change, not the mesh, with the ghost layer and the balance scratch
 //! reused across epochs. Every request class records a log2 latency
 //! histogram ([`forestbal_trace::Histogram`]), exported per epoch by

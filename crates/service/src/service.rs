@@ -22,25 +22,19 @@ pub struct ServiceConfig {
     /// When the global dirty fraction of an epoch exceeds this, commit
     /// runs a full balance (and rebuilds the ghost layer) instead of
     /// the incremental rebalance. `0.0` forces full balance always;
-    /// `1.0` (or anything ≥ 1) never falls back.
+    /// `1.0` (or anything ≥ 1) never falls back. Full balances run the
+    /// New variant with Notify reversal.
     pub fallback_dirty_fraction: f64,
-    /// Algorithm variant used by the full-balance fallback.
-    pub variant: BalanceVariant,
-    /// Sender-reversal scheme used by the full-balance fallback.
-    pub reversal: ReversalScheme,
 }
 
 impl ServiceConfig {
     /// Defaults for a `D`-dimensional forest: full condition (faces,
-    /// edges, corners), no level cap, 10% fallback threshold, New
-    /// variant with Notify reversal.
+    /// edges, corners), no level cap, 10% fallback threshold.
     pub fn new(d: u8) -> Self {
         ServiceConfig {
             cond: Condition::full(d),
             max_level: MAX_LEVEL,
             fallback_dirty_fraction: 0.10,
-            variant: BalanceVariant::New,
-            reversal: ReversalScheme::Notify,
         }
     }
 }
@@ -112,26 +106,6 @@ pub enum RequestClass {
 }
 
 impl RequestClass {
-    /// Every class, in histogram-index order.
-    pub const ALL: [RequestClass; 5] = [
-        RequestClass::Refine,
-        RequestClass::Coarsen,
-        RequestClass::PointLocate,
-        RequestClass::NeighborQuery,
-        RequestClass::Commit,
-    ];
-
-    /// Short name, used as the BENCH field prefix.
-    pub fn name(self) -> &'static str {
-        match self {
-            RequestClass::Refine => "refine",
-            RequestClass::Coarsen => "coarsen",
-            RequestClass::PointLocate => "point_locate",
-            RequestClass::NeighborQuery => "neighbor_query",
-            RequestClass::Commit => "commit",
-        }
-    }
-
     fn hist_name(self) -> &'static str {
         match self {
             RequestClass::Refine => "service.refine_ns",
@@ -185,7 +159,13 @@ impl<const D: usize> ForestService<D> {
     /// full balance) and build the initial ghost layer. Collective.
     pub fn new(ctx: &impl Comm, mut forest: Forest<D>, cfg: ServiceConfig) -> Self {
         let mut scratch = BalanceScratch::new();
-        forest.balance_with_report_scratch(ctx, cfg.cond, cfg.variant, cfg.reversal, &mut scratch);
+        forest.balance_with_report_scratch(
+            ctx,
+            cfg.cond,
+            BalanceVariant::New,
+            ReversalScheme::Notify,
+            &mut scratch,
+        );
         let ghosts = forest.ghost_layer(ctx);
         ForestService {
             forest,
@@ -206,16 +186,6 @@ impl<const D: usize> ForestService<D> {
     /// The current ghost layer (patched in place by incremental epochs).
     pub fn ghosts(&self) -> &GhostLayer<D> {
         &self.ghosts
-    }
-
-    /// Commits so far.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Adaptation requests queued for the next commit.
-    pub fn pending(&self) -> usize {
-        self.batch.len()
     }
 
     /// Latency histogram of a request class (log2 nanosecond buckets).
@@ -305,8 +275,8 @@ impl<const D: usize> ForestService<D> {
                 report.full = Some(self.forest.balance_with_report_scratch(
                     ctx,
                     self.cfg.cond,
-                    self.cfg.variant,
-                    self.cfg.reversal,
+                    BalanceVariant::New,
+                    ReversalScheme::Notify,
                     &mut self.scratch,
                 ));
                 self.ghosts = self.forest.ghost_layer(ctx);
@@ -401,7 +371,6 @@ mod tests {
                     assert!(matches!(r, Response::Neighbor(_)));
                 }
             }
-            assert_eq!(svc.epoch(), 3);
             assert_eq!(svc.latency(RequestClass::Commit).count(), 3);
             assert!(svc.latency(RequestClass::PointLocate).count() >= 3);
         });

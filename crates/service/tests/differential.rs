@@ -9,7 +9,7 @@
 //! the construction.
 
 use forestbal_comm::{Cluster, Comm};
-use forestbal_forest::{AdaptBatch, BrickConnectivity, Forest};
+use forestbal_forest::{AdaptBatch, BalanceVariant, BrickConnectivity, Forest, ReversalScheme};
 use forestbal_octant::key;
 use forestbal_service::{ForestService, MovingFront, ServiceConfig};
 use forestbal_sim::{SimCluster, SimConfig};
@@ -70,7 +70,7 @@ fn epochs_vs_full<C: Comm, const D: usize>(
         assert!(!rep.fallback);
 
         full.apply_edits(&batch, max_level);
-        full.balance(ctx, cfg.cond, cfg.variant, cfg.reversal);
+        full.balance(ctx, cfg.cond, BalanceVariant::New, ReversalScheme::Notify);
 
         let got = svc.forest().gather(ctx);
         let want = full.gather(ctx);
@@ -218,7 +218,7 @@ fn fallback_boundary_matches_full_on_fractal() {
             saw_incremental |= !rep.fallback;
 
             full.apply_edits(&batch, cfg.max_level);
-            full.balance(ctx, cfg.cond, cfg.variant, cfg.reversal);
+            full.balance(ctx, cfg.cond, BalanceVariant::New, ReversalScheme::Notify);
             assert_eq!(svc.forest().gather(ctx), full.gather(ctx), "epoch {e}");
             assert_eq!(svc.forest().checksum(ctx), full.checksum(ctx));
         }

@@ -77,6 +77,18 @@ fn coarsen_then_rebalance_stays_consistent() {
     });
 }
 
+/// Does `g` of tree `tg` share a boundary object with a local leaf?
+fn touches_local(f: &Forest<2>, tg: TreeId, g: &Octant<2>) -> bool {
+    forestbal::octant::directions::<2>().any(|dir| {
+        f.connectivity()
+            .transform(tg, &g.neighbor(&dir))
+            .is_some_and(|(t2, n)| {
+                f.trees()
+                    .any(|(t, v)| t == t2 && v.iter().any(|l| l.overlaps(&n)))
+            })
+    })
+}
+
 #[test]
 fn ghosts_after_balance_match_adjacency() {
     let conn = Arc::new(BrickConnectivity::<2>::new([2, 1], [false, false]));
@@ -97,7 +109,7 @@ fn ghosts_after_balance_match_adjacency() {
                 global[&t].binary_search(&g).is_ok(),
                 "ghost must be a global leaf"
             );
-            assert!(f.touches_local(t, &g));
+            assert!(touches_local(&f, t, &g), "ghost {g:?} does not touch rank");
         }
         // 2:1 balance holds between local leaves and ghosts (the property
         // a numerical code relies on): any ghost sharing a constrained
@@ -193,7 +205,16 @@ fn weighted_partition_after_balance() {
 
 #[test]
 fn all_reversal_schemes_agree_end_to_end() {
-    use forestbal::mesh::random_forest;
+    // Seeded hash refinement: the same global mesh on every rank count.
+    fn split(t: TreeId, o: &Octant<2>) -> bool {
+        let mut h = 77 ^ u64::from(t).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        for &c in &o.coords {
+            h ^= u64::from(c as u32).wrapping_mul(0xff51_afd7_ed55_8ccd);
+            h = h.rotate_left(29);
+        }
+        h ^= u64::from(o.level).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        (h.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32).is_multiple_of(5)
+    }
     let conn = Arc::new(BrickConnectivity::<2>::new([3, 1], [false, false]));
     let mut sums = Vec::new();
     for scheme in [
@@ -204,7 +225,8 @@ fn all_reversal_schemes_agree_end_to_end() {
     ] {
         let conn = Arc::clone(&conn);
         let out = Cluster::run(5, move |ctx| {
-            let mut f = random_forest(ctx, Arc::clone(&conn), 2, 5, 5, 77);
+            let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 2);
+            f.refine(true, 5, split);
             f.balance(ctx, Condition::full(2), BalanceVariant::New, scheme);
             f.checksum(ctx)
         });
