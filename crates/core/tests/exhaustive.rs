@@ -10,7 +10,7 @@ use forestbal_core::oracle::ripple_balance;
 use forestbal_core::{
     closest_balanced_octant, find_seeds, find_seeds_keys, is_balanced_pair, Condition,
 };
-use forestbal_octant::{key, Octant, PackedOctant};
+use forestbal_octant::{codim, directions, key, Octant, PackedOctant};
 
 /// All octants of the root tree with level in `min..=max`.
 fn enumerate<const D: usize>(min: u8, max: u8) -> Vec<Octant<D>> {
@@ -224,4 +224,101 @@ fn insulation_fact_2d() {
 fn insulation_fact_3d() {
     // exhaustive_3d's levels.
     check_insulation::<3>((2, 3), (1, 2));
+}
+
+/// Does a worklist item at `g` force the octant `r` to split? The item
+/// reaches `g`'s same-level neighbor box in each constrained direction
+/// and splits every container of that box coarser than `bound`: a leaf
+/// item has `bound = g.level() - 1` (2:1 with `g`), a family item (`g`
+/// not a leaf) has `bound = g.level()` (2:1 with each child of `g`).
+fn item_forces<const D: usize>(
+    g: PackedOctant<D>,
+    bound: u8,
+    r: PackedOctant<D>,
+    cond: Condition,
+) -> bool {
+    r.level() < bound
+        && directions::<D>().any(|dir| cond.constrains(codim(&dir)) && r.contains(g.neighbor(&dir)))
+}
+
+/// The family item of the incremental fixed point
+/// (`Forest::balance_incremental`): one pop for a non-leaf `p` enforces
+/// what its children would one by one. For every `p` with level in
+/// `p_levels` and every `k`:
+///
+/// 1. completeness and soundness against the children: every coarser
+///    octant `r` disjoint from `p` is forced by some child of `p` iff it
+///    is forced by `p`'s family item;
+/// 2. (when `subdivide`) implied by any subdivision: for each of the
+///    2^(2^D) subdivisions of `p` to depth 2, every `r` the family item
+///    forces is forced by a leaf of the subdivision, so the item splits
+///    nothing a full balance would keep, however `p` is refined.
+fn check_family_item<const D: usize>(p_levels: (u8, u8), subdivide: bool) {
+    let nc = Octant::<D>::NUM_CHILDREN;
+    let ps = enumerate::<D>(p_levels.0, p_levels.1);
+    let rs: Vec<PackedOctant<D>> = std::iter::once(Octant::<D>::root())
+        .chain(enumerate::<D>(1, p_levels.1))
+        .map(|o| PackedOctant::new(&o))
+        .collect();
+    for k in 1..=D as u8 {
+        let cond = Condition::new(k, D as u8).unwrap();
+        let (mut forced, mut unforced, mut implied) = (0usize, 0usize, 0usize);
+        for p in ps.iter().map(PackedOctant::new) {
+            let children: Vec<_> = (0..nc).map(|i| p.child(i)).collect();
+            let mut by_family = Vec::new();
+            for &r in rs
+                .iter()
+                .filter(|r| r.level() <= p.level() && !r.overlaps(p))
+            {
+                let family = item_forces(p, p.level(), r, cond);
+                let child = children
+                    .iter()
+                    .any(|&c| item_forces(c, c.level() - 1, r, cond));
+                assert_eq!(family, child, "D={D} k={k} p={p:?} r={r:?}");
+                if family {
+                    by_family.push(r);
+                    forced += 1;
+                } else {
+                    unforced += 1;
+                }
+            }
+            if !subdivide {
+                continue;
+            }
+            for split in 0..1usize << nc {
+                let leaves: Vec<_> = children
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, &c)| match split >> i & 1 {
+                        0 => vec![c],
+                        _ => (0..nc).map(|j| c.child(j)).collect(),
+                    })
+                    .collect();
+                for &r in &by_family {
+                    let by_leaf = leaves
+                        .iter()
+                        .any(|&l| item_forces(l, l.level() - 1, r, cond));
+                    assert!(by_leaf, "D={D} k={k} p={p:?} split={split:b} r={r:?}");
+                    implied += 1;
+                }
+            }
+        }
+        // Not vacuous: the items split some partners and spare others,
+        // and the subdivisions were checked against real constraints.
+        assert!(
+            forced > 0 && unforced > 0,
+            "D={D} k={k}: {forced}/{unforced}"
+        );
+        assert!(!subdivide || implied > 0, "D={D} k={k}: nothing implied");
+    }
+}
+
+#[test]
+fn family_item_is_exact_2d() {
+    check_family_item::<2>((1, 4), true);
+}
+
+#[test]
+fn family_item_is_exact_3d() {
+    check_family_item::<3>((1, 2), false);
 }

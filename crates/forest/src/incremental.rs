@@ -35,17 +35,25 @@
 //! Each round: (1) announce the changed leaves whose insulation layer
 //! reaches other ranks, in home-frame packed-key runs (the ghost wire
 //! format); (2) receive remote changes and [`GhostLayer::patch`] them
-//! in; (3) seed the worklist with the received leaves and with the
-//! local leaves and ghosts adjacent to them (the reverse direction: an
-//! unchanged fine leaf must split a freshly coarsened remote parent) —
-//! in round 1 also with those adjacent to this rank's own merged
-//! parents; (4) drain the worklist to a local fixed point, recording
-//! splits in the overlay; (5) vote. Step 3 is the only place that reads
-//! the ghost layer to seed, and it always runs behind step 2: patching
-//! *before* seeding is what keeps simultaneous adaptations on both
-//! sides of a partition boundary — two ranks coarsening facing families
-//! in one epoch included — from ever splitting against a stale ghost
-//! entry.
+//! in; (3) seed the worklist with the families of the received leaves
+//! and of the local leaves and ghosts adjacent to them (the reverse
+//! direction: an unchanged fine leaf must split a freshly coarsened
+//! remote parent) — in round 1 also of those adjacent to this rank's own
+//! merged parents; (4) drain the worklist to a local fixed point,
+//! recording splits in the overlay; (5) vote. Step 3 is the only place
+//! that reads the ghost layer to seed, and it always runs behind step 2:
+//! patching *before* seeding is what keeps simultaneous adaptations on
+//! both sides of a partition boundary — two ranks coarsening facing
+//! families in one epoch included — from ever splitting against a stale
+//! ghost entry.
+//!
+//! The worklist holds *family items*: the parent `P` of changed leaves,
+//! one item for all `2^D` siblings (§III's `Reduce`). Popping `P` splits
+//! every container coarser than `P` of `P`'s same-level neighbor box in
+//! each constrained direction — exactly the union of what the children
+//! would force one by one, whatever `P`'s subdivision
+//! (`family_item_is_exact_{2d,3d}` in `forestbal-core`'s
+//! `tests/exhaustive.rs`). Announcements stay per leaf.
 //!
 //! Worklist, overlay, neighbor lookups, searches and ghost patches all
 //! run on packed keys; only [`AdaptBatch::refine`] and
@@ -302,16 +310,18 @@ impl<const D: usize> Forest<D> {
         forestbal_trace::span_begin("incremental", || ctx.now_ns());
         let me = ctx.rank();
         let mut report = IncrementalReport::default();
+        let mut work_items = 0u64;
         let mut overlay: Overlay = BTreeMap::new();
-        // Constraint worklist: home-frame `(tree, key)` octants whose
-        // insulation must be honored by the local leaves.
-        let mut work: VecDeque<(TreeId, u128)> = VecDeque::new();
+        // Constraint worklist of family items: home-frame `(tree, key)`
+        // parents of changed leaves, whose children's insulation must be
+        // honored by the local leaves.
+        let mut work = FamilyQueue::<D>::default();
         // Changed local leaves not yet announced to remote ranks.
         let mut pending: Vec<(TreeId, u128)> = Vec::new();
 
         for (t, keys) in dirty.iter() {
             for &k in keys {
-                work.push_back((t, k));
+                work.push_parent(t, k);
                 pending.push((t, k));
             }
         }
@@ -333,6 +343,7 @@ impl<const D: usize> Forest<D> {
             forestbal_trace::span_begin("incremental.round", || ctx.now_ns());
 
             // --- Announce changed leaves (home frame, ghost format) --
+            forestbal_trace::span_begin("incremental.announce", || ctx.now_ns());
             let mut out = RunExchange::default();
             for &(t, k) in &pending {
                 // A leaf split later in the same round is superseded by
@@ -353,13 +364,15 @@ impl<const D: usize> Forest<D> {
                 });
             }
             pending.clear();
-
-            // --- Receive, patch the ghost layer, seed the worklist ---
             let mut received: Vec<(usize, TreeId, u128)> = Vec::new();
             out.exchange::<D>(ctx, INCREMENTAL_TAG, |src, t, keys| {
                 received.extend(keys.iter().map(|&k| (src, t, k)));
             });
             report.recv_leaves += received.len() as u64;
+            forestbal_trace::span_end(|| ctx.now_ns());
+
+            // --- Patch the ghost layer, seed the worklist ------------
+            forestbal_trace::span_begin("incremental.patch_seed", || ctx.now_ns());
             for &(src, t, gk) in &received {
                 // Patch first: a simultaneous coarsen on the far side
                 // must never leave its finer pre-epoch ghosts behind to
@@ -367,27 +380,35 @@ impl<const D: usize> Forest<D> {
                 ghosts.patch(t, src, gk);
             }
             for &(_, t, gk) in &received {
-                work.push_back((t, gk));
+                work.push_parent(t, gk);
                 reverse.push((t, gk));
             }
             for (t, k) in reverse.drain(..) {
                 self.seed_adjacent(cond, ghosts, &overlay, t, k, &mut work);
             }
+            forestbal_trace::span_end(|| ctx.now_ns());
 
             // --- Local fixed point over the splice overlay -----------
+            // One pop per family item P: for each constrained direction,
+            // every current container of P's same-level neighbor box that
+            // is coarser than P splits — exactly the union of what P's
+            // children would force one by one (`family_item_is_exact_*`
+            // in `forestbal-core`'s `tests/exhaustive.rs`).
+            forestbal_trace::span_begin("incremental.fixed_point", || ctx.now_ns());
             let mut changed = false;
-            while let Some((t, gk)) = work.pop_front() {
-                let g = PackedOctant::<D>(gk);
+            while let Some((t, pk)) = work.items.pop_front() {
+                work_items += 1;
+                let p = PackedOctant::<D>(pk);
                 for dir in directions::<D>() {
                     if !cond.constrains(codim(&dir)) {
                         continue;
                     }
-                    let Some((t2, n2)) = self.neighbor(t, g, &dir) else {
+                    let Some((t2, n2)) = self.neighbor(t, p, &dir) else {
                         continue;
                     };
                     while let Some((bk, ck)) = container(&self.local, &overlay, t2, n2.0) {
                         let c = PackedOctant::<D>(ck);
-                        if c.level() + 1 >= g.level() {
+                        if c.level() >= p.level() {
                             break;
                         }
                         let reps = overlay
@@ -400,16 +421,19 @@ impl<const D: usize> Forest<D> {
                         for j in 0..Octant::<D>::NUM_CHILDREN {
                             let ch = c.child(j).0;
                             reps.insert(pos + j, ch);
-                            work.push_back((t2, ch));
                             pending.push((t2, ch));
                         }
+                        work.push(t2, ck);
                         report.splits += 1;
                         changed = true;
                     }
                 }
             }
+            forestbal_trace::span_end(|| ctx.now_ns());
 
+            forestbal_trace::span_begin("incremental.vote", || ctx.now_ns());
             let done = !ctx.allreduce_or(changed);
+            forestbal_trace::span_end(|| ctx.now_ns());
             forestbal_trace::span_end(|| ctx.now_ns());
             if done {
                 break;
@@ -417,32 +441,35 @@ impl<const D: usize> Forest<D> {
         }
 
         // --- Merge the overlay into the leaf arrays, one pass each ---
+        forestbal_trace::span_begin("incremental.splice", || ctx.now_ns());
         for (t, reps) in overlay {
             self.local.splice(t, reps);
         }
         debug_assert!(self.local.check_invariants());
+        forestbal_trace::span_end(|| ctx.now_ns());
 
         forestbal_trace::counter_add("incremental.rounds", report.rounds as u64);
         forestbal_trace::counter_add("incremental.splits", report.splits);
         forestbal_trace::counter_add("incremental.sent_leaves", report.sent_leaves);
         forestbal_trace::counter_add("incremental.recv_leaves", report.recv_leaves);
+        forestbal_trace::counter_add("incremental.work_items", work_items);
         forestbal_trace::span_end(|| ctx.now_ns());
         report
     }
 
-    /// Push the current local leaves and ghost entries adjacent to
-    /// octant `k` of `tree` onto the worklist (the reverse half of the
-    /// seeding; called behind the round's ghost patch only).
+    /// Push the families of the current local leaves and ghost entries
+    /// adjacent to octant `k` of `tree` onto the worklist (the reverse
+    /// half of the seeding; called behind the round's ghost patch only).
     ///
-    /// Only neighbors **at least two levels finer** than `k` are pushed:
-    /// a work item at level `l` splits containers coarser than `l - 1`
-    /// and nothing else, so a neighbor at `level ≤ k.level() + 1` cannot
-    /// force any split that the pre-edit balanced state had not already
-    /// satisfied. (Every other constraint a neighbor could enforce runs
-    /// against pre-existing leaves, which were balanced; changed leaves
-    /// each get their own seeding call.) The pushed item's inner split
-    /// loop then enforces its constraint to completion, so the filter
-    /// never needs to re-fire as `k`'s region refines.
+    /// Only neighbors **at least two levels finer** than `k` count: the
+    /// family item of a leaf at level `l` splits containers coarser than
+    /// `l - 1` and nothing else, so a neighbor at `level ≤ k.level() + 1`
+    /// cannot force any split that the pre-edit balanced state had not
+    /// already satisfied. (Every other constraint a neighbor could
+    /// enforce runs against pre-existing leaves, which were balanced;
+    /// changed leaves each get their own seeding call.) The pushed item's
+    /// inner split loop then enforces its constraint to completion, so
+    /// the filter never needs to re-fire as `k`'s region refines.
     fn seed_adjacent(
         &self,
         cond: Condition,
@@ -450,7 +477,7 @@ impl<const D: usize> Forest<D> {
         overlay: &Overlay,
         tree: TreeId,
         k: u128,
-        work: &mut VecDeque<(TreeId, u128)>,
+        work: &mut FamilyQueue<D>,
     ) {
         let o = PackedOctant::<D>(k);
         let min_level = o.level() + 2;
@@ -470,24 +497,51 @@ impl<const D: usize> Forest<D> {
                 for &bk in &v[store::overlapping::<D, _>(v, n2.0)] {
                     match ov.and_then(|m| m.get(&bk)) {
                         Some(reps) => {
-                            let run = store::overlapping::<D, _>(reps, n2.0);
-                            work.extend(
-                                reps[run].iter().filter(|&&rk| fine(rk)).map(|&rk| (t2, rk)),
-                            );
+                            for &rk in &reps[store::overlapping::<D, _>(reps, n2.0)] {
+                                if fine(rk) {
+                                    work.push_parent(t2, rk);
+                                }
+                            }
                         }
-                        None if fine(bk) => work.push_back((t2, bk)),
+                        None if fine(bk) => work.push_parent(t2, bk),
                         None => {}
                     }
                 }
             }
             let gv = ghosts.tree(t2);
-            let run = store::overlapping::<D, _>(gv, n2.0);
-            work.extend(
-                gv[run]
-                    .iter()
-                    .filter(|&&(g, _)| fine(g))
-                    .map(|&(g, _)| (t2, g)),
-            );
+            for &(g, _) in &gv[store::overlapping::<D, _>(gv, n2.0)] {
+                if fine(g) {
+                    work.push_parent(t2, g);
+                }
+            }
+        }
+    }
+}
+
+/// The fixed point's worklist of family items: `(tree, key)` of octants
+/// that are not leaves, each standing for the constraints of all its
+/// children at once (§III's `Reduce`: 2^D siblings impose the same coarse
+/// constraint).
+#[derive(Default)]
+struct FamilyQueue<const D: usize> {
+    items: VecDeque<(TreeId, u128)>,
+}
+
+impl<const D: usize> FamilyQueue<D> {
+    /// Push the family item `key` of `tree`, unless it repeats the item
+    /// at the back (siblings arrive side by side in Morton order).
+    fn push(&mut self, tree: TreeId, key: u128) {
+        if self.items.back() != Some(&(tree, key)) {
+            self.items.push_back((tree, key));
+        }
+    }
+
+    /// Push the family of leaf `leaf` of `tree`. A root leaf has no
+    /// family and constrains nothing.
+    fn push_parent(&mut self, tree: TreeId, leaf: u128) {
+        let g = PackedOctant::<D>(leaf);
+        if g.level() > 0 {
+            self.push(tree, g.parent().0);
         }
     }
 }

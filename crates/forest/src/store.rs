@@ -87,20 +87,27 @@ impl<const D: usize> LeafStore<D> {
     }
 
     /// Replace each leaf of `tree` that is a key of `reps` by its
-    /// replacement run, in one pass over the tree's array. Every key of
-    /// `reps` must be a current leaf and every run a linear refinement
-    /// of its key (debug-checked).
+    /// replacement run, in one merge walk over the tree's array: the
+    /// untouched runs between replaced keys are copied whole, and each
+    /// replaced key is found by a binary search forward of the previous
+    /// one. Every key of `reps` must be a current leaf and every run a
+    /// linear refinement of its key (debug-checked).
     #[inline]
-    pub(crate) fn splice(&mut self, tree: TreeId, mut reps: BTreeMap<u128, Vec<u128>>) {
+    pub(crate) fn splice(&mut self, tree: TreeId, reps: BTreeMap<u128, Vec<u128>>) {
         let v = self.get_mut(tree).expect("splice in a tree without leaves");
-        let mut out = Vec::with_capacity(v.len() + reps.len() * 8);
-        for &k in v.iter() {
-            match reps.remove(&k) {
-                Some(run) => out.extend(run),
-                None => out.push(k),
-            }
+        let added: usize = reps.values().map(Vec::len).sum();
+        let mut out = Vec::with_capacity(v.len() + added - reps.len());
+        let mut next = 0;
+        for (k, run) in reps {
+            let at = next
+                + v[next..]
+                    .binary_search(&k)
+                    .expect("replacement for a vanished leaf");
+            out.extend_from_slice(&v[next..at]);
+            out.extend(run);
+            next = at + 1;
         }
-        debug_assert!(reps.is_empty(), "replacement for a vanished leaf");
+        out.extend_from_slice(&v[next..]);
         debug_assert!(forestbal_octant::is_linear_keys::<D>(&out));
         *v = out;
     }
@@ -261,6 +268,38 @@ mod tests {
         assert_eq!(s.num_octants(), 5);
         assert_eq!(s.get(1).unwrap().len(), 2);
         assert!(s.get(7).is_none());
+    }
+
+    /// The merge walk equals the per-leaf formulation (look every leaf
+    /// up in the replacement map), replacements at the first and the last
+    /// key included.
+    #[test]
+    fn splice_matches_per_leaf_replacement() {
+        let children = |k: u128| (0..4).map(move |j| PackedOctant::<2>(k).child(j).0);
+        let base: Vec<u128> = children(key::pack(&Octant::<2>::root()))
+            .flat_map(children)
+            .collect();
+        let split = |k: u128| -> Vec<u128> { children(k).collect() };
+        let last = base.len() - 1;
+        for picks in [
+            vec![0],
+            vec![last],
+            vec![0, last],
+            vec![1, 2, 7, 8, last],
+            vec![],
+        ] {
+            let reps: BTreeMap<u128, Vec<u128>> =
+                picks.iter().map(|&i| (base[i], split(base[i]))).collect();
+            let want: Vec<u128> = base
+                .iter()
+                .flat_map(|k| reps.get(k).cloned().unwrap_or_else(|| vec![*k]))
+                .collect();
+            let mut s = LeafStore::<2>::new();
+            s.entry(5).extend_from_slice(&base);
+            s.splice(5, reps);
+            assert_eq!(s.get(5).unwrap(), &want[..], "replaced {picks:?}");
+            assert!(s.check_invariants());
+        }
     }
 
     #[test]

@@ -128,6 +128,7 @@ proptest! {
 
     /// 2D: random forests and batches, threaded vs simulated vs
     /// jittered delivery order — all identical to full balance.
+    #[test]
     fn incremental_matches_full_2d(p in 1usize..5, seed in any::<u64>()) {
         let threaded = Cluster::run(p, move |ctx| {
             let conn = Arc::new(BrickConnectivity::<2>::new([2, 1], [false; 2]));
@@ -151,6 +152,7 @@ proptest! {
     }
 
     /// 3D: same contract on a two-tree brick.
+    #[test]
     fn incremental_matches_full_3d(p in 1usize..4, seed in any::<u64>()) {
         let threaded = Cluster::run(p, move |ctx| {
             let conn = Arc::new(BrickConnectivity::<3>::new([2, 1, 1], [false; 3]));

@@ -50,6 +50,7 @@ proptest! {
 
     /// All three reversal schemes agree between runtimes, result and
     /// stats alike, on random communication patterns.
+    #[test]
     fn reversal_differential(p in 1usize..8, seed in any::<u64>(), which in 0u8..3) {
         let recv = random_receivers(p, seed);
         let max_ranges = 2;
@@ -86,6 +87,7 @@ proptest! {
     /// the same mesh (checksummed) and the same per-rank communication
     /// counters on both runtimes, for every variant and scheme — and the
     /// same mesh as the ripple baseline.
+    #[test]
     fn balance_differential(
         p in 1usize..5,
         level in 1u8..3,

@@ -51,6 +51,7 @@ proptest! {
 
     /// 32 random `(seed, jitter_ns)` pairs, 2D and 3D, against the
     /// jitter-free baseline.
+    #[test]
     fn markers_bit_identical_under_maximal_jitter(
         seed in any::<u64>(),
         jitter_ns in 1_000u64..10_000_000,

@@ -36,6 +36,7 @@ proptest! {
     /// Span trees, counters and histogram buckets agree between runtimes
     /// for every variant and reversal scheme: the trace is a function of
     /// the algorithm, not of the runtime executing it.
+    #[test]
     fn trace_structures_match_across_runtimes(
         p in 1usize..5,
         level in 1u8..3,

@@ -313,7 +313,9 @@ pub fn run_cases(
 /// Define property tests: `proptest! { #![proptest_config(...)] fn name(x
 /// in strategy, ...) { body } ... }`. Bodies use [`prop_assert!`]-family
 /// macros; plain `assert!`/panics also fail the case (inputs are printed,
-/// no shrinking).
+/// no shrinking). As in the real crate, each body carries its own
+/// `#[test]`: the macro re-emits the body's attributes and adds none, so
+/// a test is registered (and its cases run) once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -332,7 +334,6 @@ macro_rules! __proptest_items {
         fn $name:ident ( $( $arg:ident in $strat:expr ),+ $(,)? ) $body:block
     )*) => {$(
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
             $crate::run_cases(config, stringify!($name), |rng, inputs_dbg| {
@@ -411,6 +412,7 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
         fn ranges_stay_in_bounds(
             x in 3usize..17,
             y in 1u8..=4,
@@ -424,6 +426,7 @@ mod tests {
             prop_assert!(v.iter().all(|&e| e < 10));
         }
 
+        #[test]
         fn flat_map_dependency(pair in (1usize..6).prop_flat_map(|n| {
             prop::collection::vec(0usize..n, n..=n).prop_map(move |v| (n, v))
         })) {
