@@ -34,7 +34,7 @@ use forestbal_bench::experiments::*;
 use forestbal_bench::report::{BenchRecord, Col, Fmt, Table, Value};
 use forestbal_forest::{BalanceVariant, ReversalScheme};
 use forestbal_mesh::IceSheetParams;
-use forestbal_sim::SimConfig;
+use forestbal_sim::{FlatAlphaBeta, SimConfig};
 use std::time::Duration;
 
 // --- Cell formats ----------------------------------------------------
@@ -645,7 +645,8 @@ fn run_simscale(o: &Opts) -> Vec<BenchRecord> {
     let cfg = SimConfig::default();
     println!(
         "cost model: α = {} ns, β = {} ns/B, collectives ⌈log2 P⌉·α + β·bytes",
-        cfg.latency_ns, cfg.ns_per_byte
+        FlatAlphaBeta::LATENCY_NS,
+        FlatAlphaBeta::NS_PER_BYTE
     );
     let ranks: &[usize] = if o.big {
         &[1024, 4096, 16384]

@@ -26,7 +26,7 @@ use forestbal_octant::{
     complete_subtree, key, linearize, morton, pack_batch, sort_keys_with, sort_octants_with,
     unpack_batch, MortonIndex, Octant, OctantTable, PackedOctant, SortScratch,
 };
-use forestbal_service::{clustered_batch, ForestService, Request, RequestClass, ServiceConfig};
+use forestbal_service::{clustered_batch, ForestService, Request, ServiceConfig};
 use forestbal_sim::{
     FatTreeParams, NetStats, NetworkSpec, SimCluster, SimConfig, SimConfigBuilder,
 };
@@ -1125,11 +1125,12 @@ fn xorshift64(s: &mut u64) -> u64 {
     *s
 }
 
-/// The request classes the `local` rows summarize, by field-name stem.
-const CLASSES: [(&str, RequestClass); 3] = [
-    ("point_locate", RequestClass::PointLocate),
-    ("neighbor_query", RequestClass::NeighborQuery),
-    ("commit", RequestClass::Commit),
+/// The service latency histograms the `local` rows summarize, by
+/// field-name stem.
+const CLASSES: [(&str, &str); 3] = [
+    ("point_locate", "service.point_locate_ns"),
+    ("neighbor_query", "service.neighbor_query_ns"),
+    ("commit", "service.commit_ns"),
 ];
 
 fn local_point(
@@ -1203,12 +1204,14 @@ fn local_point(
             );
         }
 
-        // A short service epoch loop over the same snapshot feeds the
-        // per-class latency histograms: queries against the immutable
-        // snapshot between commits, one clustered batch per epoch.
+        // A short service epoch loop over the same snapshot, traced,
+        // feeds the per-class latency histograms: queries against the
+        // immutable snapshot between commits, one clustered batch per
+        // epoch.
         let mut cfg = ServiceConfig::new(3);
         cfg.fallback_dirty_fraction = f64::INFINITY; // always incremental
         let mut svc = ForestService::new(ctx, base.clone(), cfg);
+        let tracer = Tracer::begin(ctx.rank());
         let mut qseed = seed ^ 0x9E37_79B9;
         for e in 0..3u64 {
             for _ in 0..64 {
@@ -1246,6 +1249,7 @@ fn local_point(
             svc.submit_batch(&b);
             svc.commit(ctx);
         }
+        let trace = tracer.finish();
 
         let rec = BenchRecord::new("local")
             .u("ranks", p as u64)
@@ -1259,7 +1263,8 @@ fn local_point(
             .u("rounds", rounds as u64)
             .u("splits", splits)
             .u("forest_checksum", checksum);
-        (rec, CLASSES.map(|(_, class)| *svc.latency(class)))
+        let hists = CLASSES.map(|(_, name)| trace.histograms.get(name).copied());
+        (rec, hists.map(Option::unwrap_or_default))
     });
     // Every rank built the same record; the latency histograms are
     // per rank and merge into cluster-wide summaries.
@@ -1285,8 +1290,9 @@ fn local_point(
 /// mesh and the masked ice-sheet mesh. Timings are cluster maxima, best
 /// of the repetitions, and the two result forests are asserted
 /// checksum-identical before the row is produced. The latency fields
-/// come from a separate short service epoch loop (queries interleaved
-/// with commits) over the same snapshot. `fractal` is the `(level,
+/// are the `service.*_ns` trace histograms of a separate short, traced
+/// service epoch loop (queries interleaved with commits) over the same
+/// snapshot. `fractal` is the `(level,
 /// spread)` of the fractal mesh.
 pub fn local_experiment(
     p: usize,

@@ -50,7 +50,6 @@ pub use comm::{
     install_quiet_panic_hook, Comm, CommStats, RunOutput, ShutdownSignal, TagStats, TAG_SLOTS,
 };
 pub use reversal::{
-    is_notify_tag, ranges_expansion, reverse_naive, reverse_notify, reverse_notify_wildcard_bug,
-    reverse_ranges,
+    is_notify_tag, ranges_expansion, reverse_naive, reverse_notify, reverse_ranges,
 };
 pub use share::shared_decode;

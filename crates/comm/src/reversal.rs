@@ -355,73 +355,6 @@ pub fn reverse_notify(ctx: &impl Comm, receivers: &[usize]) -> Vec<usize> {
     senders
 }
 
-/// A deliberately broken `Notify` variant used as the mutation target of
-/// the `forestbal-mc` model checker: it collapses every level onto one
-/// tag **and** receives with a wildcard source, so a message belonging to
-/// a later level can be consumed by an earlier level's `recv` when
-/// deliveries are reordered (requires `fifo: false` to be observable).
-/// The correct [`reverse_notify`] is immune because it keys each level on
-/// its own tag and filters `recv` by source. Produces silently wrong
-/// sender lists under adversarial schedules; correct ones under the
-/// default time-ordered schedule.
-#[doc(hidden)]
-pub fn reverse_notify_wildcard_bug(ctx: &impl Comm, receivers: &[usize]) -> Vec<usize> {
-    let p = ctx.rank();
-    let size = ctx.size();
-    let mut items: Vec<(u32, u32)> = receivers.iter().map(|&q| (q as u32, p as u32)).collect();
-
-    let mut l = 0u32;
-    while (1usize << l) < size {
-        let bit = 1usize << l;
-        // BUG 1: every level shares one tag.
-        let tag = NOTIFY_TAG_BASE;
-
-        let (keep, give): (Vec<_>, Vec<_>) = items
-            .into_iter()
-            .partition(|&(q, _)| (q as usize >> l) & 1 == (p >> l) & 1);
-
-        let natural = p ^ bit;
-        let target = if natural < size {
-            Some(natural)
-        } else if p >= bit {
-            Some(p - bit)
-        } else {
-            None
-        };
-        if let Some(t) = target {
-            let flat: Vec<u32> = give.iter().flat_map(|&(q, s)| [q, s]).collect();
-            ctx.send(t, tag, encode_u32s(&flat));
-        }
-
-        let mut expect = 0usize;
-        let s1 = p ^ bit;
-        if s1 < size {
-            expect += 1;
-        }
-        let s2 = p + bit;
-        if s2 < size && s2 != s1 && (s2 ^ bit) >= size {
-            expect += 1;
-        }
-
-        items = keep;
-        for _ in 0..expect {
-            // BUG 2: wildcard source — any same-tag message satisfies it.
-            let (_, data) = ctx.recv(None, tag);
-            let vals = decode_u32s(&data);
-            items.extend(vals.chunks_exact(2).map(|c| (c[0], c[1])));
-        }
-        l += 1;
-    }
-
-    // No invariant assert: a misrouted item yields a silently wrong
-    // answer instead of a panic, which is what the checker must detect
-    // via its oracle invariant.
-    let mut senders: Vec<usize> = items.into_iter().map(|(_, s)| s as usize).collect();
-    senders.sort_unstable();
-    senders.dedup();
-    senders
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

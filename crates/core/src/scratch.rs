@@ -50,10 +50,6 @@ pub struct ScratchStats {
     pub radix_passes: u64,
     /// Sorts satisfied by the already-sorted early-out.
     pub presorted_hits: u64,
-    /// Sorts that ran the radix path.
-    pub radix_sorts: u64,
-    /// Sorts that fell back to comparison sorting.
-    pub comparison_fallbacks: u64,
     /// Slots inspected across all table lookups and inserts.
     pub table_probes: u64,
     /// Table lookup/insert operations.
@@ -68,8 +64,6 @@ impl ScratchStats {
         ScratchStats {
             radix_passes: self.radix_passes - base.radix_passes,
             presorted_hits: self.presorted_hits - base.presorted_hits,
-            radix_sorts: self.radix_sorts - base.radix_sorts,
-            comparison_fallbacks: self.comparison_fallbacks - base.comparison_fallbacks,
             table_probes: self.table_probes - base.table_probes,
             table_lookups: self.table_lookups - base.table_lookups,
             table_grows: self.table_grows - base.table_grows,
@@ -111,8 +105,6 @@ impl ScratchStats {
     pub fn accumulate(&mut self, d: &ScratchStats) {
         self.radix_passes += d.radix_passes;
         self.presorted_hits += d.presorted_hits;
-        self.radix_sorts += d.radix_sorts;
-        self.comparison_fallbacks += d.comparison_fallbacks;
         self.table_probes += d.table_probes;
         self.table_lookups += d.table_lookups;
         self.table_grows += d.table_grows;
@@ -181,8 +173,6 @@ impl<const D: usize> BalanceScratch<D> {
         let mut s = ScratchStats {
             radix_passes: self.sort.radix_passes,
             presorted_hits: self.sort.presorted_hits,
-            radix_sorts: self.sort.radix_sorts,
-            comparison_fallbacks: self.sort.comparison_fallbacks,
             table_probes: self.table_a.probe_count() + self.table_b.probe_count(),
             table_lookups: self.table_a.lookup_count() + self.table_b.lookup_count(),
             table_grows: self.table_a.grow_count() + self.table_b.grow_count(),

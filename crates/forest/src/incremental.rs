@@ -191,8 +191,6 @@ pub struct IncrementalReport {
     pub splits: u64,
     /// Changed-leaf announcements sent by this rank.
     pub sent_leaves: u64,
-    /// Changed-leaf announcements received by this rank.
-    pub recv_leaves: u64,
 }
 
 /// Per-tree splice overlay: `base key -> current replacement leaves`.
@@ -311,6 +309,7 @@ impl<const D: usize> Forest<D> {
         let me = ctx.rank();
         let mut report = IncrementalReport::default();
         let mut work_items = 0u64;
+        let mut recv_leaves = 0u64;
         let mut overlay: Overlay = BTreeMap::new();
         // Constraint worklist of family items: home-frame `(tree, key)`
         // parents of changed leaves, whose children's insulation must be
@@ -368,7 +367,7 @@ impl<const D: usize> Forest<D> {
             out.exchange::<D>(ctx, INCREMENTAL_TAG, |src, t, keys| {
                 received.extend(keys.iter().map(|&k| (src, t, k)));
             });
-            report.recv_leaves += received.len() as u64;
+            recv_leaves += received.len() as u64;
             forestbal_trace::span_end(|| ctx.now_ns());
 
             // --- Patch the ghost layer, seed the worklist ------------
@@ -451,7 +450,7 @@ impl<const D: usize> Forest<D> {
         forestbal_trace::counter_add("incremental.rounds", report.rounds as u64);
         forestbal_trace::counter_add("incremental.splits", report.splits);
         forestbal_trace::counter_add("incremental.sent_leaves", report.sent_leaves);
-        forestbal_trace::counter_add("incremental.recv_leaves", report.recv_leaves);
+        forestbal_trace::counter_add("incremental.recv_leaves", recv_leaves);
         forestbal_trace::counter_add("incremental.work_items", work_items);
         forestbal_trace::span_end(|| ctx.now_ns());
         report

@@ -29,8 +29,8 @@
 //!
 //! The [`scenarios`] module wires the checker over the three protocol
 //! surfaces, including a mutation test — an intentionally broken Notify
-//! variant (`reverse_notify_wildcard_bug`) — proving the checker catches
-//! real reordering defects.
+//! variant ([`scenarios::reverse_notify_wildcard_bug`]) — proving the
+//! checker catches real reordering defects.
 //!
 //! # Example
 //!

@@ -10,7 +10,7 @@
 use crate::checker::{replay, Checker, McConfig, McReport, Violation};
 use crate::invariant::Invariant;
 use crate::trace::Trace;
-use forestbal_comm::{reverse_notify, reverse_notify_wildcard_bug, Comm};
+use forestbal_comm::{reverse_notify, Comm};
 use forestbal_core::Condition;
 use forestbal_forest::serial::is_forest_balanced;
 use forestbal_forest::{serial_forest_balance, AdaptBatch, BalanceVariant, ReversalScheme};
@@ -44,6 +44,74 @@ pub fn check_notify(pattern: Vec<Vec<usize>>, cfg: McConfig) -> McReport {
         move |ctx: &SimCtx| reverse_notify(ctx, &pattern[ctx.rank()]),
         &invariants,
     )
+}
+
+/// The one tag the mutant sends every level under (the real Notify's
+/// level-0 tag).
+const MUTANT_TAG: u32 = 0xB000_0000;
+
+/// A deliberately broken [`reverse_notify`], the target of the mutation
+/// test: it collapses every level onto one tag **and** receives with a
+/// wildcard source, so a message belonging to a later level can be
+/// consumed by an earlier level's `recv` when deliveries are reordered
+/// (observable with `fifo: false`). The real Notify is immune because it
+/// keys each level on its own tag and filters `recv` by source. The
+/// mutant returns silently wrong sender lists under adversarial
+/// schedules and correct ones under the default time-ordered schedule.
+pub fn reverse_notify_wildcard_bug(ctx: &impl Comm, receivers: &[usize]) -> Vec<usize> {
+    let p = ctx.rank();
+    let size = ctx.size();
+    let mut items: Vec<(u32, u32)> = receivers.iter().map(|&q| (q as u32, p as u32)).collect();
+
+    let mut l = 0u32;
+    while (1usize << l) < size {
+        let bit = 1usize << l;
+        let (keep, give): (Vec<_>, Vec<_>) = items
+            .into_iter()
+            .partition(|&(q, _)| (q as usize >> l) & 1 == (p >> l) & 1);
+
+        // The real Notify's peers, with its non-power-of-two redirection.
+        let natural = p ^ bit;
+        let target = if natural < size {
+            Some(natural)
+        } else if p >= bit {
+            Some(p - bit)
+        } else {
+            None
+        };
+        if let Some(t) = target {
+            let data = give
+                .iter()
+                .flat_map(|&(q, s)| [q, s])
+                .flat_map(u32::to_le_bytes)
+                .collect();
+            // BUG 1: every level shares one tag.
+            ctx.send(t, MUTANT_TAG, data);
+        }
+        let redirected = p + bit;
+        let expect = usize::from(natural < size)
+            + usize::from(redirected < size && (redirected ^ bit) >= size);
+
+        items = keep;
+        for _ in 0..expect {
+            // BUG 2: wildcard source — any same-tag message satisfies it.
+            let (_, data) = ctx.recv(None, MUTANT_TAG);
+            let vals: Vec<u32> = data
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+                .collect();
+            items.extend(vals.chunks_exact(2).map(|c| (c[0], c[1])));
+        }
+        l += 1;
+    }
+
+    // No invariant assert: a misrouted item yields a silently wrong
+    // answer instead of a panic, which is what the checker must detect
+    // via its oracle invariant.
+    let mut senders: Vec<usize> = items.into_iter().map(|(_, s)| s as usize).collect();
+    senders.sort_unstable();
+    senders.dedup();
+    senders
 }
 
 /// The ring pattern the mutant provably misroutes on under reordering:

@@ -6,7 +6,10 @@
 //! reduction, fault budgets), so [`crate::replay`] reconstructs the exact
 //! execution from the JSON alone plus the scenario closure. The format is
 //! a single flat JSON object, written and parsed by hand because the
-//! workspace is dependency-free.
+//! workspace is dependency-free; strings are escaped by
+//! [`forestbal_trace::json_escape`].
+
+use forestbal_trace::json_escape;
 
 /// A serializable counterexample: replaying `choices` through the
 /// exploration strategy reproduces the violating execution exactly.
@@ -41,7 +44,7 @@ impl Trace {
         format!(
             "{{\"version\":{},\"size\":{},\"fifo\":{},\"eager_collectives\":{},\
              \"max_drops\":{},\"max_duplicates\":{},\"choices\":[{}],\
-             \"invariant\":{},\"message\":{}}}",
+             \"invariant\":\"{}\",\"message\":\"{}\"}}",
             self.version,
             self.size,
             self.fifo,
@@ -49,8 +52,8 @@ impl Trace {
             self.max_drops,
             self.max_duplicates,
             choices.join(","),
-            json_string(&self.invariant),
-            json_string(&self.message),
+            json_escape(&self.invariant),
+            json_escape(&self.message),
         )
     }
 
@@ -107,25 +110,6 @@ impl Trace {
         }
         Ok(t)
     }
-}
-
-/// Escape a string as a JSON literal (control chars, quotes, backslash).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 struct Parser<'a> {

@@ -1,16 +1,30 @@
 //! End-to-end tests of the model checker: exhaustive exploration of the
 //! real protocols (which must pass in every interleaving), fault
 //! injection, the mutation test (which must fail), and deterministic
-//! counterexample replay from JSON.
+//! counterexample replay from JSON. A failing "no violation" assert
+//! prints the counterexample as replayable trace JSON.
 
-use forestbal_comm::{reverse_notify_wildcard_bug, Comm};
-use forestbal_mc::{replay, scenarios, Invariant, McConfig, Trace};
+use forestbal_comm::Comm;
+use forestbal_mc::scenarios::reverse_notify_wildcard_bug;
+use forestbal_mc::{replay, scenarios, Invariant, McConfig, Trace, Violation};
 use forestbal_sim::{SimCluster, SimConfig, SimCtx};
+
+/// Fail with the counterexample's trace JSON if there is a violation.
+fn assert_no_violation(violation: &Option<Violation>) {
+    if let Some(v) = violation {
+        panic!(
+            "{} violated: {}\ncounterexample trace: {}",
+            v.invariant,
+            v.message,
+            v.trace.to_json()
+        );
+    }
+}
 
 #[test]
 fn notify_p2_every_interleaving_satisfies_oracle() {
     let report = scenarios::check_notify(vec![vec![0, 1], vec![0]], McConfig::default());
-    assert!(report.violation.is_none(), "{:?}", report.violation);
+    assert_no_violation(&report.violation);
     assert!(!report.truncated, "P = 2 must be fully explored");
     assert!(report.runs >= 2, "reordering must create > 1 execution");
     assert!(report.states_visited >= 1);
@@ -24,7 +38,7 @@ fn notify_p3_is_robust_even_without_fifo() {
     let mut cfg = McConfig::default();
     cfg.sim.fifo = false;
     let report = scenarios::check_notify(vec![vec![1], vec![2], vec![0]], cfg);
-    assert!(report.violation.is_none(), "{:?}", report.violation);
+    assert_no_violation(&report.violation);
     assert!(!report.truncated);
     assert!(report.runs > 2);
 }
@@ -32,8 +46,10 @@ fn notify_p3_is_robust_even_without_fifo() {
 #[test]
 fn marker_exchange_p3_all_collective_orderings_agree() {
     let report = scenarios::check_markers(3, McConfig::default());
-    assert!(report.violation.is_none(), "{:?}", report.violation);
+    assert_no_violation(&report.violation);
     assert!(!report.truncated);
+    assert!(report.runs >= 2, "reordering must create > 1 execution");
+    assert!(report.states_visited >= 1);
     assert!(
         report.states_pruned > 0,
         "collective resume orders must collapse via state hashing"
@@ -43,8 +59,10 @@ fn marker_exchange_p3_all_collective_orderings_agree() {
 #[test]
 fn balance_p2_every_interleaving_matches_serial_oracle() {
     let report = scenarios::check_balance(2, McConfig::default());
-    assert!(report.violation.is_none(), "{:?}", report.violation);
+    assert_no_violation(&report.violation);
     assert!(!report.truncated);
+    assert!(report.runs >= 2, "reordering must create > 1 execution");
+    assert!(report.states_visited >= 1);
 }
 
 #[test]
@@ -52,9 +70,10 @@ fn ghost_exchange_p2_every_interleaving_assembles_same_layer() {
     // The ghost exchange ships packed keys in tree runs (wire format
     // v2); every delivery ordering must decode to the identical layer.
     let report = scenarios::check_ghosts(2, McConfig::default());
-    assert!(report.violation.is_none(), "{:?}", report.violation);
+    assert_no_violation(&report.violation);
     assert!(!report.truncated);
     assert!(report.runs >= 2, "reordering must create > 1 execution");
+    assert!(report.states_visited >= 1);
 }
 
 #[test]
@@ -145,7 +164,7 @@ fn replaying_a_counterexample_against_fixed_code_passes() {
         move |ctx: &SimCtx| forestbal_comm::reverse_notify(ctx, &pattern[ctx.rank()]),
         &invariants,
     );
-    assert!(fixed.is_none(), "{fixed:?}");
+    assert_no_violation(&fixed);
 }
 
 #[test]
@@ -155,9 +174,10 @@ fn epochs_p2_every_interleaving_matches_full_balance_oracle() {
     // keep the patched ghost layer a superset of a fresh exchange, in
     // every delivery interleaving.
     let report = scenarios::check_epochs(2, McConfig::default());
-    assert!(report.violation.is_none(), "{:?}", report.violation);
+    assert_no_violation(&report.violation);
     assert!(!report.truncated);
     assert!(report.runs >= 2, "reordering must create > 1 execution");
+    assert!(report.states_visited >= 1);
 }
 
 #[test]
@@ -171,6 +191,6 @@ fn epochs_p3_bounded_exploration_finds_no_violation() {
             ..McConfig::default()
         },
     );
-    assert!(report.violation.is_none(), "{:?}", report.violation);
+    assert_no_violation(&report.violation);
     assert!(report.runs >= 2);
 }

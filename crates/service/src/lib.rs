@@ -15,9 +15,10 @@
 //! The paper always balances the whole forest; this crate is an
 //! extension of it: balance cost proportional to the size of the
 //! change, not the mesh, with the ghost layer and the balance scratch
-//! reused across epochs. Every request class records a log2 latency
-//! histogram ([`forestbal_trace::Histogram`]), exported per epoch by
-//! the `local` experiment in `forestbal-bench`.
+//! reused across epochs. While a [`forestbal_trace::Tracer`] is armed,
+//! every request class records its latency into a `service.*_ns` trace
+//! histogram (read by the `local` experiment in `forestbal-bench`);
+//! without one, the service reads no clock of its own.
 //!
 //! The epoch loop is runtime-agnostic: it runs unchanged on the
 //! threaded [`forestbal_comm::Cluster`] and the deterministic
@@ -32,5 +33,5 @@
 pub mod service;
 pub mod workload;
 
-pub use service::{EpochReport, ForestService, Request, RequestClass, Response, ServiceConfig};
+pub use service::{EpochReport, ForestService, Request, Response, ServiceConfig};
 pub use workload::{clustered_batch, MovingFront};

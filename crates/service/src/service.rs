@@ -5,11 +5,9 @@ use forestbal_comm::Comm;
 use forestbal_core::{BalanceScratch, Condition};
 use forestbal_forest::incremental::IncrementalReport;
 use forestbal_forest::{
-    AdaptBatch, BalanceReport, BalanceVariant, FaceNeighbor, Forest, GhostLayer, ReversalScheme,
-    TreeId,
+    AdaptBatch, BalanceVariant, FaceNeighbor, Forest, GhostLayer, ReversalScheme, TreeId,
 };
 use forestbal_octant::{Coord, Octant, MAX_LEVEL};
-use forestbal_trace::Histogram;
 
 /// Tuning knobs of a [`ForestService`]. Every rank must construct the
 /// service with identical values — the fallback decision is collective.
@@ -90,33 +88,6 @@ pub enum Response<const D: usize> {
     Neighbor(FaceNeighbor<D>),
 }
 
-/// Request classes, indexing the per-class latency histograms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RequestClass {
-    /// Queueing a refine request.
-    Refine = 0,
-    /// Queueing a coarsen request.
-    Coarsen = 1,
-    /// Serving a point-location query.
-    PointLocate = 2,
-    /// Serving a neighbor query.
-    NeighborQuery = 3,
-    /// Committing an epoch (apply + rebalance).
-    Commit = 4,
-}
-
-impl RequestClass {
-    fn hist_name(self) -> &'static str {
-        match self {
-            RequestClass::Refine => "service.refine_ns",
-            RequestClass::Coarsen => "service.coarsen_ns",
-            RequestClass::PointLocate => "service.point_locate_ns",
-            RequestClass::NeighborQuery => "service.neighbor_query_ns",
-            RequestClass::Commit => "service.commit_ns",
-        }
-    }
-}
-
 /// What one [`ForestService::commit`] did.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EpochReport {
@@ -136,10 +107,6 @@ pub struct EpochReport {
     pub fallback: bool,
     /// Incremental rebalance counters (when not falling back).
     pub incremental: Option<IncrementalReport>,
-    /// Full-balance report (when falling back).
-    pub full: Option<BalanceReport>,
-    /// Wall (or virtual) nanoseconds spent in commit on this rank.
-    pub commit_ns: u64,
 }
 
 /// A request-driven epoch runtime owning one [`Forest`]. See the crate
@@ -151,7 +118,6 @@ pub struct ForestService<const D: usize> {
     cfg: ServiceConfig,
     batch: AdaptBatch<D>,
     epoch: u64,
-    latency: [Histogram; 5],
 }
 
 impl<const D: usize> ForestService<D> {
@@ -174,7 +140,6 @@ impl<const D: usize> ForestService<D> {
             cfg,
             batch: AdaptBatch::new(),
             epoch: 0,
-            latency: [Histogram::default(); 5],
         }
     }
 
@@ -188,27 +153,22 @@ impl<const D: usize> ForestService<D> {
         &self.ghosts
     }
 
-    /// Latency histogram of a request class (log2 nanosecond buckets).
-    pub fn latency(&self, class: RequestClass) -> &Histogram {
-        &self.latency[class as usize]
-    }
-
     /// Handle one request: answer queries against the snapshot, queue
     /// adaptations. Local (not collective) — ranks submit independently
     /// between commits.
     pub fn submit(&mut self, ctx: &impl Comm, req: Request<D>) -> Response<D> {
-        let t0 = ctx.now_ns();
-        let (class, resp) = match req {
+        let t0 = forestbal_trace::enabled().then(|| ctx.now_ns());
+        let (hist, resp) = match req {
             Request::Refine { tree, leaf } => {
                 self.batch.refine(tree, &leaf);
-                (RequestClass::Refine, Response::Queued)
+                ("service.refine_ns", Response::Queued)
             }
             Request::Coarsen { tree, parent } => {
                 self.batch.coarsen(tree, &parent);
-                (RequestClass::Coarsen, Response::Queued)
+                ("service.coarsen_ns", Response::Queued)
             }
             Request::PointLocate { tree, point } => (
-                RequestClass::PointLocate,
+                "service.point_locate_ns",
                 Response::Leaf(self.forest.find_leaf_at_point(tree, point)),
             ),
             Request::NeighborQuery {
@@ -217,7 +177,7 @@ impl<const D: usize> ForestService<D> {
                 axis,
                 sign,
             } => (
-                RequestClass::NeighborQuery,
+                "service.neighbor_query_ns",
                 Response::Neighbor(self.forest.face_neighbor(
                     &self.ghosts,
                     tree,
@@ -227,9 +187,9 @@ impl<const D: usize> ForestService<D> {
                 )),
             ),
         };
-        let dt = ctx.now_ns().saturating_sub(t0);
-        self.latency[class as usize].record(dt);
-        forestbal_trace::hist(class.hist_name(), dt);
+        if let Some(t0) = t0 {
+            forestbal_trace::hist(hist, ctx.now_ns().saturating_sub(t0));
+        }
         resp
     }
 
@@ -250,7 +210,7 @@ impl<const D: usize> ForestService<D> {
     /// [`Forest::balance`] with the retained scratch, then a ghost
     /// layer rebuild.
     pub fn commit(&mut self, ctx: &impl Comm) -> EpochReport {
-        let t0 = ctx.now_ns();
+        let t0 = forestbal_trace::enabled().then(|| ctx.now_ns());
         forestbal_trace::span_begin("service.commit", || ctx.now_ns());
         let batch = std::mem::take(&mut self.batch);
         let dirty = self.forest.apply_edits(&batch, self.cfg.max_level);
@@ -272,13 +232,13 @@ impl<const D: usize> ForestService<D> {
         };
         if dirty_global > 0 {
             if fallback {
-                report.full = Some(self.forest.balance_with_report_scratch(
+                self.forest.balance_with_report_scratch(
                     ctx,
                     self.cfg.cond,
                     BalanceVariant::New,
                     ReversalScheme::Notify,
                     &mut self.scratch,
-                ));
+                );
                 self.ghosts = self.forest.ghost_layer(ctx);
                 forestbal_trace::counter_add("service.fallbacks", 1);
             } else {
@@ -291,10 +251,9 @@ impl<const D: usize> ForestService<D> {
             }
         }
         self.epoch += 1;
-        let dt = ctx.now_ns().saturating_sub(t0);
-        report.commit_ns = dt;
-        self.latency[RequestClass::Commit as usize].record(dt);
-        forestbal_trace::hist(RequestClass::Commit.hist_name(), dt);
+        if let Some(t0) = t0 {
+            forestbal_trace::hist("service.commit_ns", ctx.now_ns().saturating_sub(t0));
+        }
         forestbal_trace::counter_add("service.epochs", 1);
         forestbal_trace::span_end(|| ctx.now_ns());
         report
@@ -304,9 +263,10 @@ impl<const D: usize> ForestService<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use forestbal_comm::Cluster;
+    use forestbal_comm::{Cluster, CommStats, RankCtx};
     use forestbal_forest::serial::is_forest_balanced;
     use forestbal_forest::BrickConnectivity;
+    use std::cell::Cell;
     use std::sync::Arc;
 
     fn service_2d(ctx: &impl Comm, p_cfg: ServiceConfig) -> ForestService<2> {
@@ -371,8 +331,6 @@ mod tests {
                     assert!(matches!(r, Response::Neighbor(_)));
                 }
             }
-            assert_eq!(svc.latency(RequestClass::Commit).count(), 3);
-            assert!(svc.latency(RequestClass::PointLocate).count() >= 3);
         });
     }
 
@@ -387,8 +345,7 @@ mod tests {
                 svc.submit(ctx, Request::Refine { tree: t, leaf: o });
             }
             let rep = svc.commit(ctx);
-            assert!(rep.fallback);
-            assert!(rep.full.is_some() && rep.incremental.is_none());
+            assert!(rep.fallback && rep.incremental.is_none());
             // The rebuilt ghost layer serves the next epoch.
             let rep2 = svc.commit(ctx);
             assert_eq!(rep2.dirty_global, 0);
@@ -407,8 +364,99 @@ mod tests {
             let rep = svc.commit(ctx);
             assert_eq!(rep.skipped, 1);
             assert_eq!(rep.dirty_global, 0);
-            assert!(rep.incremental.is_none() && rep.full.is_none());
+            assert!(rep.incremental.is_none() && !rep.fallback);
             assert_eq!(svc.forest().checksum(ctx), before);
+        });
+    }
+
+    /// A [`RankCtx`] that counts its clock reads.
+    struct ClockCounting<'a> {
+        inner: &'a RankCtx,
+        reads: Cell<u64>,
+    }
+
+    impl Comm for ClockCounting<'_> {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+        fn send(&self, dst: usize, tag: u32, data: Vec<u8>) {
+            self.inner.send(dst, tag, data)
+        }
+        fn recv(&self, src: Option<usize>, tag: u32) -> (usize, Vec<u8>) {
+            self.inner.recv(src, tag)
+        }
+        fn allgather(&self, data: Vec<u8>) -> Arc<Vec<Vec<u8>>> {
+            self.inner.allgather(data)
+        }
+        fn stats(&self) -> CommStats {
+            self.inner.stats()
+        }
+        fn now_ns(&self) -> u64 {
+            self.reads.set(self.reads.get() + 1);
+            self.inner.now_ns()
+        }
+    }
+
+    /// One request of every class, then an incremental commit.
+    fn one_of_each(ctx: &impl Comm, svc: &mut ForestService<2>) {
+        let (tree, leaf) = svc
+            .forest()
+            .trees()
+            .flat_map(|(t, v)| v.iter().map(move |o| (t, o)))
+            .max_by_key(|(_, o)| o.level)
+            .expect("every rank holds leaves");
+        svc.submit(ctx, Request::Refine { tree, leaf });
+        let parent = Octant::root().first_descendant(MAX_LEVEL);
+        svc.submit(ctx, Request::Coarsen { tree: 0, parent });
+        let point = [0, 0];
+        svc.submit(ctx, Request::PointLocate { tree: 0, point });
+        let (axis, sign) = (0, 1);
+        svc.submit(
+            ctx,
+            Request::NeighborQuery {
+                tree,
+                octant: leaf,
+                axis,
+                sign,
+            },
+        );
+        let rep = svc.commit(ctx);
+        assert!(rep.dirty_global > 0 && rep.incremental.is_some());
+    }
+
+    #[test]
+    fn requests_read_the_clock_only_for_a_tracer() {
+        Cluster::run(2, |rank_ctx| {
+            let ctx = ClockCounting {
+                inner: rank_ctx,
+                reads: Cell::new(0),
+            };
+            let mut cfg = ServiceConfig::new(2);
+            cfg.fallback_dirty_fraction = 1.0;
+            let mut svc = service_2d(&ctx, cfg);
+            ctx.reads.set(0);
+            one_of_each(&ctx, &mut svc);
+            assert_eq!(ctx.reads.get(), 0, "untraced requests read the clock");
+
+            #[cfg(feature = "trace")]
+            {
+                let tracer = forestbal_trace::Tracer::begin(ctx.rank());
+                one_of_each(&ctx, &mut svc);
+                let trace = tracer.finish();
+                for name in [
+                    "service.refine_ns",
+                    "service.coarsen_ns",
+                    "service.point_locate_ns",
+                    "service.neighbor_query_ns",
+                    "service.commit_ns",
+                ] {
+                    let n = trace.histograms.get(name).map(|h| h.count());
+                    assert_eq!(n, Some(1), "{name}");
+                }
+            }
         });
     }
 }

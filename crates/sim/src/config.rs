@@ -4,19 +4,17 @@ use crate::net::NetworkSpec;
 
 /// Cost model and determinism parameters for a [`crate::SimCluster`] run.
 ///
-/// The defaults model a commodity cluster interconnect: 1 µs message
-/// latency and 1 GB/s effective bandwidth (1 ns per byte). They are
-/// deliberately round so virtual-time numbers are easy to read; scaling
-/// *trends* (the paper's subject) are insensitive to the exact constants.
+/// The default network is the flat α + β·bytes model, whose constants
+/// ([`FlatAlphaBeta::LATENCY_NS`], [`FlatAlphaBeta::NS_PER_BYTE`]) model
+/// a commodity cluster interconnect: 1 µs message latency and 1 GB/s
+/// effective bandwidth.
 ///
 /// Construct with [`SimConfig::default`] or [`SimConfig::builder`].
+///
+/// [`FlatAlphaBeta::LATENCY_NS`]: crate::FlatAlphaBeta::LATENCY_NS
+/// [`FlatAlphaBeta::NS_PER_BYTE`]: crate::FlatAlphaBeta::NS_PER_BYTE
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
-    /// α: fixed per-message latency in nanoseconds (used by the flat
-    /// network model; topology models carry their own latencies).
-    pub latency_ns: u64,
-    /// β: transfer time per payload byte in nanoseconds (flat model).
-    pub ns_per_byte: f64,
     /// Seed for the fault-injection PRNG (and any future stochastic
     /// model). Two runs with equal seeds are bit-identical.
     pub seed: u64,
@@ -59,8 +57,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            latency_ns: 1_000,
-            ns_per_byte: 1.0,
             seed: 0,
             jitter_ns: 0,
             fifo: true,
@@ -72,7 +68,7 @@ impl Default for SimConfig {
 
 impl SimConfig {
     /// Start building a config from the defaults:
-    /// `SimConfig::builder().latency_ns(500).network(spec).build()`.
+    /// `SimConfig::builder().seed(7).network(spec).build()`.
     pub fn builder() -> SimConfigBuilder {
         SimConfigBuilder {
             cfg: SimConfig::default(),
@@ -89,18 +85,6 @@ pub struct SimConfigBuilder {
 }
 
 impl SimConfigBuilder {
-    /// α: fixed per-message latency in nanoseconds (flat model).
-    pub fn latency_ns(mut self, v: u64) -> Self {
-        self.cfg.latency_ns = v;
-        self
-    }
-
-    /// β: transfer time per payload byte in nanoseconds (flat model).
-    pub fn ns_per_byte(mut self, v: f64) -> Self {
-        self.cfg.ns_per_byte = v;
-        self
-    }
-
     /// Fault-injection PRNG seed.
     pub fn seed(mut self, v: u64) -> Self {
         self.cfg.seed = v;
@@ -145,8 +129,6 @@ mod tests {
     #[test]
     fn builder_and_struct_literal_agree() {
         let b = SimConfig::builder()
-            .latency_ns(500)
-            .ns_per_byte(2.0)
             .seed(7)
             .jitter_ns(3)
             .fifo(false)
@@ -154,8 +136,6 @@ mod tests {
             .network(NetworkSpec::FatTree(FatTreeParams::default()))
             .build();
         let s = SimConfig {
-            latency_ns: 500,
-            ns_per_byte: 2.0,
             seed: 7,
             jitter_ns: 3,
             fifo: false,
@@ -168,7 +148,7 @@ mod tests {
     #[test]
     fn default_network_matches_historical_cost_shapes() {
         let c = SimConfig::default();
-        let mut m = c.network.build(c.latency_ns, c.ns_per_byte);
+        let mut m = c.network.build();
         assert_eq!(m.message_arrival_ns(0, 1, 0, 0), 1_000);
         assert_eq!(m.message_arrival_ns(0, 1, 500, 0), 1_500);
         // Barrier over one rank is free of tree depth.

@@ -10,10 +10,9 @@
 //! Fig. 15). This module makes the cost model a first-class, swappable
 //! object:
 //!
-//! * [`FlatAlphaBeta`] — the historical model, now with deterministic
-//!   fractional-nanosecond accumulation (no per-message `f64` rounding
-//!   drift). The default; reproduces the previous hard-coded virtual
-//!   times bit-identically for integral `ns_per_byte`.
+//! * [`FlatAlphaBeta`] — the historical model with its constants (1 µs,
+//!   1 ns per byte). The default; reproduces the previous hard-coded
+//!   virtual times bit-identically.
 //! * [`FatTree`] — a two-tier fat tree (node ⇄ edge switch ⇄ core) with
 //!   node-local vs. remote costs (ranks are grouped into nodes of
 //!   `ranks_per_node`; same-node messages pay the shared-memory `α`/`β`)
@@ -130,42 +129,34 @@ impl PsCarry {
 /// The flat `α + β·bytes` model: every pair of ranks is one latency and
 /// one bandwidth apart, collectives are a `⌈log₂P⌉`-deep latency tree
 /// plus the payload over the wire once. This is the default model and
-/// reproduces the simulator's historical virtual times bit-identically
-/// whenever `ns_per_byte` is an integral number of nanoseconds (the
-/// fractional case now accumulates deterministically instead of rounding
-/// per message).
-#[derive(Clone, Copy, Debug)]
+/// reproduces the simulator's historical virtual times bit-identically.
+/// Its constants are deliberately round so virtual-time numbers are easy
+/// to read; scaling *trends* (the paper's subject) are insensitive to
+/// them.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct FlatAlphaBeta {
-    latency_ns: u64,
-    rate_ps: u64,
-    carry: PsCarry,
     stats: NetStats,
 }
 
 impl FlatAlphaBeta {
-    /// A flat model with the given per-message latency and per-byte cost.
-    pub fn new(latency_ns: u64, ns_per_byte: f64) -> FlatAlphaBeta {
-        FlatAlphaBeta {
-            latency_ns,
-            rate_ps: ps_per_byte(ns_per_byte),
-            carry: PsCarry::default(),
-            stats: NetStats::default(),
-        }
-    }
+    /// α: fixed per-message latency in nanoseconds (1 µs).
+    pub const LATENCY_NS: u64 = 1_000;
+    /// β: transfer time per payload byte in nanoseconds (1 GB/s).
+    pub const NS_PER_BYTE: u64 = 1;
 }
 
 impl NetworkModel for FlatAlphaBeta {
     fn message_arrival_ns(&mut self, _src: usize, _dst: usize, bytes: usize, send_ns: u64) -> u64 {
         self.stats.p2p_messages += 1;
         self.stats.intra_node_messages += 1;
-        send_ns + self.latency_ns + self.carry.transfer_ns(bytes, self.rate_ps)
+        send_ns + Self::LATENCY_NS + bytes as u64 * Self::NS_PER_BYTE
     }
 
     fn collective_done_ns(&mut self, size: usize, total_bytes: usize, start_ns: u64) -> u64 {
         self.stats.collectives += 1;
         start_ns
-            + tree_depth(size) as u64 * self.latency_ns
-            + self.carry.transfer_ns(total_bytes, self.rate_ps)
+            + tree_depth(size) as u64 * Self::LATENCY_NS
+            + total_bytes as u64 * Self::NS_PER_BYTE
     }
 
     fn net_stats(&self) -> NetStats {
@@ -350,7 +341,7 @@ impl NetworkModel for FatTree {
 /// never share carry or link-occupancy state.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum NetworkSpec {
-    /// [`FlatAlphaBeta`] using the config's `latency_ns`/`ns_per_byte`.
+    /// [`FlatAlphaBeta`] with its constants.
     #[default]
     Flat,
     /// [`FatTree`] with the given parameters.
@@ -358,12 +349,10 @@ pub enum NetworkSpec {
 }
 
 impl NetworkSpec {
-    /// Instantiate the model this spec describes. `latency_ns` and
-    /// `ns_per_byte` are the config's flat parameters, used by
-    /// [`NetworkSpec::Flat`].
-    pub fn build(&self, latency_ns: u64, ns_per_byte: f64) -> NetModel {
+    /// Instantiate the model this spec describes.
+    pub fn build(&self) -> NetModel {
         match *self {
-            NetworkSpec::Flat => NetModel::Flat(FlatAlphaBeta::new(latency_ns, ns_per_byte)),
+            NetworkSpec::Flat => NetModel::Flat(FlatAlphaBeta::default()),
             NetworkSpec::FatTree(p) => NetModel::FatTree(FatTree::new(p)),
         }
     }
@@ -408,7 +397,7 @@ mod tests {
 
     #[test]
     fn flat_matches_historical_costs() {
-        let mut m = FlatAlphaBeta::new(1_000, 1.0);
+        let mut m = FlatAlphaBeta::default();
         assert_eq!(m.message_arrival_ns(0, 1, 0, 0), 1_000);
         assert_eq!(m.message_arrival_ns(0, 1, 500, 0), 1_500);
         assert_eq!(m.collective_done_ns(1, 0, 0), 0);
@@ -419,9 +408,15 @@ mod tests {
 
     #[test]
     fn fractional_rate_accumulates_without_drift() {
-        // β = 0.25 ns/B, 4000 one-byte messages: exactly 1000 ns of
-        // transfer in total (the old per-message round() charged 0 each).
-        let mut m = FlatAlphaBeta::new(0, 0.25);
+        // Intra-node β = 0.25 ns/B, 4000 one-byte messages: exactly
+        // 1000 ns of transfer in total (a per-message round() would
+        // charge 0 each).
+        let mut m = FatTree::new(FatTreeParams {
+            ranks_per_node: 2,
+            intra_latency_ns: 0,
+            intra_ns_per_byte: 0.25,
+            ..FatTreeParams::default()
+        });
         let total: u64 = (0..4000).map(|_| m.message_arrival_ns(0, 1, 1, 0)).sum();
         assert_eq!(total, 1_000);
     }

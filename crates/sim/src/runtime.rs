@@ -835,7 +835,7 @@ impl SimCluster {
         let net: &mut dyn NetworkModel = match model {
             Some(m) => m,
             None => {
-                owned_model = config.network.build(config.latency_ns, config.ns_per_byte);
+                owned_model = config.network.build();
                 &mut owned_model
             }
         };

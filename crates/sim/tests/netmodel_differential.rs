@@ -18,24 +18,18 @@ use forestbal_sim::{NetStats, NetworkModel, SimCluster, SimConfig, SimRunOutput}
 /// The simulator's cost arithmetic exactly as hard-coded before the
 /// [`NetworkModel`] refactor: flat `α + round(β·bytes)` per message and
 /// `⌈log₂P⌉·α + round(β·total)` per collective, rounding independently
-/// per call.
+/// per call, with the historical constants α = 1000 ns and β = 1 ns/B.
+#[derive(Default)]
 struct Historical {
-    latency_ns: u64,
-    ns_per_byte: f64,
     stats: NetStats,
 }
 
 impl Historical {
-    fn from(cfg: &SimConfig) -> Historical {
-        Historical {
-            latency_ns: cfg.latency_ns,
-            ns_per_byte: cfg.ns_per_byte,
-            stats: NetStats::default(),
-        }
-    }
+    const LATENCY_NS: u64 = 1_000;
+    const NS_PER_BYTE: f64 = 1.0;
 
     fn transfer_ns(&self, bytes: usize) -> u64 {
-        (bytes as f64 * self.ns_per_byte).round() as u64
+        (bytes as f64 * Self::NS_PER_BYTE).round() as u64
     }
 }
 
@@ -43,13 +37,13 @@ impl NetworkModel for Historical {
     fn message_arrival_ns(&mut self, _src: usize, _dst: usize, bytes: usize, send_ns: u64) -> u64 {
         self.stats.p2p_messages += 1;
         self.stats.intra_node_messages += 1;
-        send_ns + self.latency_ns + self.transfer_ns(bytes)
+        send_ns + Self::LATENCY_NS + self.transfer_ns(bytes)
     }
 
     fn collective_done_ns(&mut self, size: usize, total_bytes: usize, start_ns: u64) -> u64 {
         self.stats.collectives += 1;
         let depth = usize::BITS - size.saturating_sub(1).leading_zeros();
-        start_ns + depth as u64 * self.latency_ns + self.transfer_ns(total_bytes)
+        start_ns + depth as u64 * Self::LATENCY_NS + self.transfer_ns(total_bytes)
     }
 
     fn net_stats(&self) -> NetStats {
@@ -81,7 +75,7 @@ fn reversal_workload<C: Comm>(ctx: &C) -> (Vec<usize>, Vec<usize>, Vec<usize>, u
 fn default_model_is_bitwise_historical_at_p1024() {
     let p = 1024;
     let cfg = SimConfig::builder().seed(9).jitter_ns(400).build();
-    let mut hist = Historical::from(&cfg);
+    let mut hist = Historical::default();
     let new = SimCluster::run(p, cfg, reversal_workload);
     let old = SimCluster::run_with_model(p, cfg, &mut hist, reversal_workload);
     assert_identical(&new, &old);
@@ -103,7 +97,7 @@ fn default_model_is_bitwise_historical_for_balance_at_p1024() {
         );
         (before, f.checksum(ctx), ctx.now_ns())
     };
-    let mut hist = Historical::from(&cfg);
+    let mut hist = Historical::default();
     let new = SimCluster::run(p, cfg, balance);
     let old = SimCluster::run_with_model(p, cfg, &mut hist, balance);
     assert_identical(&new, &old);
@@ -125,7 +119,7 @@ fn default_model_is_bitwise_historical_for_balance_small() {
         );
         (f.checksum(ctx), ctx.now_ns())
     };
-    let mut hist = Historical::from(&cfg);
+    let mut hist = Historical::default();
     let new = SimCluster::run(p, cfg, balance);
     let old = SimCluster::run_with_model(p, cfg, &mut hist, balance);
     assert_identical(&new, &old);

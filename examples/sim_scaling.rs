@@ -6,7 +6,7 @@
 //! so the output is bit-identical across runs and machines.
 
 use forestbal::comm::{reverse_naive, reverse_notify, reverse_ranges, Comm};
-use forestbal::sim::{SimCluster, SimConfig};
+use forestbal::sim::{FlatAlphaBeta, SimCluster, SimConfig};
 
 fn main() {
     let fanout = 4;
@@ -15,7 +15,8 @@ fn main() {
 
     println!(
         "pattern reversal under simulation (fanout = {fanout}, α = {} ns, β = {} ns/B)",
-        cfg.latency_ns, cfg.ns_per_byte
+        FlatAlphaBeta::LATENCY_NS,
+        FlatAlphaBeta::NS_PER_BYTE
     );
     println!(
         "{:>7} {:>14} {:>14} {:>14}  notify msgs",
