@@ -565,7 +565,7 @@ const EXPS: &[Exp] = &[
         run: |o| ripple_ablation_experiment(&powers_of_two(2, o.ranks()), 2, 4),
     },
     // Full vs incremental commit of the same clustered batch at dirty
-    // fractions of ~0.1%, 1% and 10%, plus service request latency
+    // fractions of ~0.1%, 1%, 10%, 20% and 40%, plus service request latency
     // histograms (the committed snapshot is `BENCH_local.json`; see
     // EXPERIMENTS.md for the regeneration recipe).
     Exp {

@@ -1286,7 +1286,8 @@ fn local_point(
 /// The Local-rebalance study (the incremental-epoch service): the same
 /// clustered refine batch committed against the same balanced snapshot
 /// twice — by the dirty-region incremental rebalance and by a full
-/// balance — at dirty fractions near 0.1%, 1% and 10%, on the fractal
+/// balance — at dirty fractions near 0.1%, 1%, 10%, 20% and 40% (the
+/// last two look for the crossover of the two), on the fractal
 /// mesh and the masked ice-sheet mesh. Timings are cluster maxima, best
 /// of the repetitions, and the two result forests are asserted
 /// checksum-identical before the row is produced. The latency fields
@@ -1300,7 +1301,7 @@ pub fn local_experiment(
     (flevel, fspread): (u8, u8),
     ice: IceSheetParams,
 ) -> Vec<BenchRecord> {
-    let fracs = [0.001, 0.01, 0.10];
+    let fracs = [0.001, 0.01, 0.10, 0.20, 0.40];
     let mut rows = Vec::new();
     for frac in fracs {
         rows.push(local_point(p, "fractal", frac, reps, |ctx| {

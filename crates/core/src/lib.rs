@@ -66,7 +66,7 @@ pub mod subtree;
 pub use condition::Condition;
 pub use lambda::{balanced_size_log2_at, carry3, closest_balanced_octant, is_balanced_pair};
 pub use neighborhood::{coarse_neighborhood, insulation_layer};
-pub use preclude::{complete_reduced, precludes, reduce, remove_precluded};
+pub use preclude::{complete_reduced, merged_reverse_seeds, precludes, reduce, remove_precluded};
 pub use scratch::{BalanceScratch, ScratchStats};
 pub use seeds::{find_seeds, find_seeds_keys, reconstruct_from_seeds};
 pub use subtree::{

@@ -8,7 +8,8 @@
 
 use forestbal_core::oracle::ripple_balance;
 use forestbal_core::{
-    closest_balanced_octant, find_seeds, find_seeds_keys, is_balanced_pair, Condition,
+    closest_balanced_octant, find_seeds, find_seeds_keys, is_balanced_pair, merged_reverse_seeds,
+    Condition,
 };
 use forestbal_octant::{codim, directions, key, Octant, PackedOctant};
 
@@ -321,4 +322,129 @@ fn family_item_is_exact_2d() {
 #[test]
 fn family_item_is_exact_3d() {
     check_family_item::<3>((1, 2), false);
+}
+
+/// Is `g` inside one of `o`'s same-level neighbor boxes across a
+/// direction `cond` constrains — the boxes a reverse seed of `o`
+/// searches?
+fn in_constrained_box<const D: usize>(
+    o: PackedOctant<D>,
+    g: PackedOctant<D>,
+    cond: Condition,
+) -> bool {
+    directions::<D>().any(|dir| cond.constrains(codim(&dir)) && o.neighbor(&dir).contains(g))
+}
+
+/// The reverse seeds of the incremental commit
+/// ([`merged_reverse_seeds`]). For every `q` with level in `q_levels`,
+/// every `k` and two merged sets — all children of `q` (one family seed,
+/// over `q`'s boxes) and all but the last (one seed per merged parent):
+/// every `g` disjoint from `q` whose family item forces a merged child is
+/// found by some seed, i.e. lies inside one of the seed's constrained
+/// boxes and is at the seed's `min_level` or finer. `g` ranges over
+/// every level finer than `q` down to `depth`, so a filter one level too
+/// strict fails, and a coarser `g` is checked to force nothing.
+fn check_family_reverse_seed<const D: usize>(q_levels: (u8, u8), depth: u8) {
+    let nc = Octant::<D>::NUM_CHILDREN;
+    let qs = enumerate::<D>(q_levels.0, q_levels.1);
+    let gs: Vec<PackedOctant<D>> = enumerate::<D>(q_levels.0 + 1, depth)
+        .iter()
+        .map(PackedOctant::new)
+        .collect();
+    for k in 1..=D as u8 {
+        let cond = Condition::new(k, D as u8).unwrap();
+        let (mut found, mut tight) = (0usize, 0usize);
+        for q in qs.iter().map(PackedOctant::new) {
+            let children: Vec<u128> = (0..nc).map(|i| q.child(i).0).collect();
+            for &g in gs
+                .iter()
+                .filter(|g| g.level() > q.level() && !g.overlaps(q))
+            {
+                // The children g's family item forces, by child id: a
+                // child of q forced by the item contains one of its boxes.
+                let p = g.parent();
+                let forced = directions::<D>()
+                    .filter(|dir| cond.constrains(codim(dir)))
+                    .map(|dir| p.neighbor(&dir))
+                    .filter(|&n| n.level() > q.level() && q.contains(n))
+                    .map(|n| n.ancestor(q.level() + 1))
+                    .filter(|&c| item_forces(p, p.level(), c, cond))
+                    .fold(0usize, |m, c| m | 1 << c.child_id());
+                for merged in [&children[..], &children[..nc - 1]] {
+                    if forced & ((1 << merged.len()) - 1) == 0 {
+                        continue;
+                    }
+                    let mut seeds = Vec::new();
+                    merged_reverse_seeds::<D>(merged, |s, min| seeds.push((PackedOctant(s), min)));
+                    let family = merged.len() == nc;
+                    assert_eq!(seeds.len(), if family { 1 } else { merged.len() });
+                    let seed = seeds
+                        .iter()
+                        .find(|&&(s, min)| g.level() >= min && in_constrained_box(s, g, cond));
+                    assert!(
+                        seed.is_some(),
+                        "D={D} k={k} q={q:?} merged={} g={g:?}",
+                        merged.len()
+                    );
+                    found += 1;
+                    tight += usize::from(family && g.level() == seeds[0].1);
+                }
+            }
+        }
+        // Not vacuous: items force merged parents, some of them from
+        // exactly the family seed's filter level.
+        assert!(found > 0 && tight > 0, "D={D} k={k}: {found}/{tight}");
+    }
+}
+
+#[test]
+fn family_reverse_seed_covers_2d() {
+    check_family_reverse_seed::<2>((1, 2), 5);
+}
+
+#[test]
+fn family_reverse_seed_covers_3d() {
+    check_family_reverse_seed::<3>((1, 1), 4);
+}
+
+/// The sibling skip of the incremental fixed point
+/// (`PackedOctant::neighbor_is_sibling`). For every `p` with level in
+/// `0..=max` and every direction, the test holds iff `p`'s same-level
+/// box in that direction lies inside `parent(p)` (never for the root),
+/// and then every coarser octant containing the box contains `p` — a
+/// pop of `p` splits nothing there, because no local leaf contains `p`.
+/// Some non-sibling box has a coarser container disjoint from `p`, so
+/// the skip cannot be widened.
+fn check_sibling_boxes<const D: usize>(max: u8) {
+    let all: Vec<PackedOctant<D>> = std::iter::once(Octant::<D>::root())
+        .chain(enumerate::<D>(1, max))
+        .map(|o| PackedOctant::new(&o))
+        .collect();
+    let (mut sibling, mut apart) = (0usize, 0usize);
+    for &p in &all {
+        for dir in directions::<D>() {
+            let n = p.neighbor(&dir);
+            let inside = p.level() > 0 && p.parent().contains(n);
+            assert_eq!(p.neighbor_is_sibling(&dir), inside, "p={p:?} dir={dir:?}");
+            for &r in all
+                .iter()
+                .filter(|r| r.level() < p.level() && r.contains(n))
+            {
+                if inside {
+                    assert!(r.contains(p), "p={p:?} dir={dir:?} r={r:?}");
+                    sibling += 1;
+                } else {
+                    apart += usize::from(!r.overlaps(p));
+                }
+            }
+        }
+    }
+    assert!(sibling > 0 && apart > 0, "D={D}: {sibling}/{apart}");
+}
+
+#[test]
+fn sibling_boxes_hold_no_coarser_container() {
+    check_sibling_boxes::<1>(5);
+    check_sibling_boxes::<2>(4);
+    check_sibling_boxes::<3>(3);
 }

@@ -42,6 +42,11 @@ impl<const D: usize> GhostLayer<D> {
         self.per_tree.get(&t).map(Vec::as_slice).unwrap_or(&[])
     }
 
+    /// Every entry's packed key, tree by tree.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = u128> + '_ {
+        self.per_tree.values().flatten().map(|&(k, _)| k)
+    }
+
     /// Iterate all `(tree, owner, octant)` triples, decoded by value.
     pub fn iter(&self) -> impl Iterator<Item = (TreeId, usize, Octant<D>)> + '_ {
         self.per_tree

@@ -36,16 +36,20 @@
 //! reaches other ranks, in home-frame packed-key runs (the ghost wire
 //! format); (2) receive remote changes and [`GhostLayer::patch`] them
 //! in; (3) seed the worklist with the families of the received leaves
-//! and of the local leaves and ghosts adjacent to them (the reverse
-//! direction: an unchanged fine leaf must split a freshly coarsened
-//! remote parent) — in round 1 also of those adjacent to this rank's own
-//! merged parents; (4) drain the worklist to a local fixed point,
-//! recording splits in the overlay; (5) vote. Step 3 is the only place
-//! that reads the ghost layer to seed, and it always runs behind step 2:
-//! patching *before* seeding is what keeps simultaneous adaptations on
-//! both sides of a partition boundary — two ranks coarsening facing
-//! families in one epoch included — from ever splitting against a stale
-//! ghost entry.
+//! and, in the reverse direction, of the local leaves and ghosts at
+//! least two levels finer than a received leaf inside its neighbor
+//! boxes (an unchanged fine leaf must split a freshly coarsened remote
+//! parent) — in round 1 also of those next to this rank's own merged
+//! parents, a complete sibling family of merged parents under `Q`
+//! searched once, over `Q`'s boxes ([`merged_reverse_seeds`]); a
+//! reverse seed whose level filter is finer than every local leaf and
+//! ghost is skipped unsearched; (4) drain the worklist to a local fixed
+//! point, recording splits in the overlay; (5) vote. Step 3 is the only
+//! place that reads the ghost layer to seed, and it always runs behind
+//! step 2: patching *before* seeding is what keeps simultaneous
+//! adaptations on both sides of a partition boundary — two ranks
+//! coarsening facing families in one epoch included — from ever
+//! splitting against a stale ghost entry.
 //!
 //! The worklist holds *family items*: the parent `P` of changed leaves,
 //! one item for all `2^D` siblings (§III's `Reduce`). Popping `P` splits
@@ -53,7 +57,12 @@
 //! each constrained direction — exactly the union of what the children
 //! would force one by one, whatever `P`'s subdivision
 //! (`family_item_is_exact_{2d,3d}` in `forestbal-core`'s
-//! `tests/exhaustive.rs`). Announcements stay per leaf.
+//! `tests/exhaustive.rs`). The boxes that are siblings of `P` are not
+//! searched: a container coarser than `P` there would contain `P`. Each
+//! item is admitted once per call (leaves only get finer, so a popped
+//! item stays enforced), and a merged parent gets no item of its own —
+//! its pre-edit children's stronger items were already met. So each
+//! constraint costs one search. Announcements stay per leaf.
 //!
 //! Worklist, overlay, neighbor lookups, searches and ghost patches all
 //! run on packed keys; only [`AdaptBatch::refine`] and
@@ -65,9 +74,10 @@ use crate::ghost::GhostLayer;
 use crate::reach::RunExchange;
 use crate::store;
 use forestbal_comm::Comm;
-use forestbal_core::Condition;
+use forestbal_core::{merged_reverse_seeds, Condition};
 use forestbal_octant::{
-    codim, directions, key, sort_keys_with, Octant, PackedOctant, SortScratch, MAX_LEVEL,
+    codim, directions, key, sort_keys_with, Octant, OctantTable, PackedOctant, SortScratch,
+    MAX_LEVEL,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -138,7 +148,8 @@ impl<const D: usize> AdaptBatch<D> {
 pub struct DirtySet<const D: usize> {
     per_tree: BTreeMap<TreeId, Vec<u128>>,
     /// The merged parents alone: the only dirty leaves that can need
-    /// *reverse* seeding (see [`Forest::balance_incremental`]).
+    /// *reverse* seeding, and the ones that need no family item of their
+    /// own (see [`Forest::balance_incremental`]).
     coarsened_per_tree: BTreeMap<TreeId, Vec<u128>>,
     /// Leaves split by the batch.
     pub refined: u64,
@@ -180,6 +191,13 @@ impl<const D: usize> DirtySet<D> {
             .iter()
             .map(|(&t, v)| (t, v.as_slice()))
     }
+
+    /// The merged parents of `tree`, sorted.
+    fn coarsened(&self, tree: TreeId) -> &[u128] {
+        self.coarsened_per_tree
+            .get(&tree)
+            .map_or(&[], Vec::as_slice)
+    }
 }
 
 /// Outcome counters of one [`Forest::balance_incremental`] call.
@@ -198,6 +216,10 @@ pub struct IncrementalReport {
 /// accumulated split in one pass per affected tree, so a small dirty
 /// region never forces a full-array rewrite per round.
 type Overlay = BTreeMap<TreeId, BTreeMap<u128, Vec<u128>>>;
+
+/// One reverse seed: `(tree, octant, min_level)`, searched by
+/// [`Forest::seed_adjacent`].
+type ReverseSeed = (TreeId, u128, u8);
 
 impl<const D: usize> Forest<D> {
     /// Apply a batch of targeted edits in one sorted-merge pass per
@@ -309,6 +331,7 @@ impl<const D: usize> Forest<D> {
         let me = ctx.rank();
         let mut report = IncrementalReport::default();
         let mut work_items = 0u64;
+        let mut seed_searches = 0u64;
         let mut recv_leaves = 0u64;
         let mut overlay: Overlay = BTreeMap::new();
         // Constraint worklist of family items: home-frame `(tree, key)`
@@ -319,9 +342,19 @@ impl<const D: usize> Forest<D> {
         let mut pending: Vec<(TreeId, u128)> = Vec::new();
 
         for (t, keys) in dirty.iter() {
+            let mut merged = dirty.coarsened(t).iter().peekable();
             for &k in keys {
-                work.push_parent(t, k);
                 pending.push((t, k));
+                // A merged parent gets no family item of its own: its
+                // constraint is weaker than its pre-edit children's,
+                // which the balanced pre-edit forest already met. Only a
+                // neighbor the same batch coarsened can be too coarse
+                // for it, and that neighbor's own reverse seed finds it
+                // (`merged_parent_items_force_nothing_{2d,3d}` in the
+                // forest's `tests/proptests.rs`).
+                if merged.next_if_eq(&&k).is_none() {
+                    work.push_parent(t, k);
+                }
             }
         }
         // Reverse direction: pre-existing leaves and ghosts adjacent to
@@ -332,10 +365,15 @@ impl<const D: usize> Forest<D> {
         // (and a neighbor refined by the same batch is itself dirty and
         // already on the worklist). They are seeded in round 1, behind
         // the first ghost patch, together with the received leaves.
-        let mut reverse: Vec<(TreeId, u128)> = dirty
-            .iter_coarsened()
-            .flat_map(|(t, keys)| keys.iter().map(move |&k| (t, k)))
-            .collect();
+        let mut reverse: Vec<ReverseSeed> = Vec::new();
+        for (t, keys) in dirty.iter_coarsened() {
+            merged_reverse_seeds::<D>(keys, |k, min_level| reverse.push((t, k, min_level)));
+        }
+        // The finest level among local leaves and ghosts, scanned when
+        // first needed. Splits never create a level finer than the finest
+        // one present, so only received leaves raise it; a reverse seed
+        // whose level filter exceeds it cannot find anything.
+        let mut finest: Option<u8> = None;
 
         loop {
             report.rounds += 1;
@@ -379,11 +417,28 @@ impl<const D: usize> Forest<D> {
                 ghosts.patch(t, src, gk);
             }
             for &(_, t, gk) in &received {
+                let level = PackedOctant::<D>(gk).level();
                 work.push_parent(t, gk);
-                reverse.push((t, gk));
+                reverse.push((t, gk, level + 2));
+                if let Some(f) = finest.as_mut() {
+                    *f = (*f).max(level);
+                }
             }
-            for (t, k) in reverse.drain(..) {
-                self.seed_adjacent(cond, ghosts, &overlay, t, k, &mut work);
+            if !reverse.is_empty() {
+                let finest = *finest.get_or_insert_with(|| {
+                    let local = self.local.iter().flat_map(|(_, v)| v.iter().copied());
+                    local
+                        .chain(ghosts.keys())
+                        .map(|k| PackedOctant::<D>(k).level())
+                        .max()
+                        .unwrap_or(0)
+                });
+                for seed in reverse.drain(..) {
+                    if seed.2 <= finest {
+                        seed_searches +=
+                            self.seed_adjacent(cond, ghosts, &overlay, seed, &mut work);
+                    }
+                }
             }
             forestbal_trace::span_end(|| ctx.now_ns());
 
@@ -392,14 +447,17 @@ impl<const D: usize> Forest<D> {
             // every current container of P's same-level neighbor box that
             // is coarser than P splits — exactly the union of what P's
             // children would force one by one (`family_item_is_exact_*`
-            // in `forestbal-core`'s `tests/exhaustive.rs`).
+            // in `forestbal-core`'s `tests/exhaustive.rs`). A box that is
+            // a sibling of P is skipped: a container coarser than P would
+            // hold P itself, which is never inside a local leaf
+            // (`sibling_boxes_hold_no_coarser_container`, same file).
             forestbal_trace::span_begin("incremental.fixed_point", || ctx.now_ns());
             let mut changed = false;
             while let Some((t, pk)) = work.items.pop_front() {
                 work_items += 1;
                 let p = PackedOctant::<D>(pk);
                 for dir in directions::<D>() {
-                    if !cond.constrains(codim(&dir)) {
+                    if !cond.constrains(codim(&dir)) || p.neighbor_is_sibling(&dir) {
                         continue;
                     }
                     let Some((t2, n2)) = self.neighbor(t, p, &dir) else {
@@ -452,38 +510,43 @@ impl<const D: usize> Forest<D> {
         forestbal_trace::counter_add("incremental.sent_leaves", report.sent_leaves);
         forestbal_trace::counter_add("incremental.recv_leaves", recv_leaves);
         forestbal_trace::counter_add("incremental.work_items", work_items);
+        forestbal_trace::counter_add("incremental.seed_searches", seed_searches);
         forestbal_trace::span_end(|| ctx.now_ns());
         report
     }
 
     /// Push the families of the current local leaves and ghost entries
-    /// adjacent to octant `k` of `tree` onto the worklist (the reverse
-    /// half of the seeding; called behind the round's ghost patch only).
+    /// at level `min_level` or finer inside the constrained same-level
+    /// neighbor boxes of octant `k` of `tree` onto the worklist (the
+    /// reverse half of the seeding; called behind the round's ghost patch
+    /// only). Returns the number of boxes searched.
     ///
-    /// Only neighbors **at least two levels finer** than `k` count: the
+    /// For one changed leaf, `min_level` is two levels below it: the
     /// family item of a leaf at level `l` splits containers coarser than
     /// `l - 1` and nothing else, so a neighbor at `level ≤ k.level() + 1`
     /// cannot force any split that the pre-edit balanced state had not
     /// already satisfied. (Every other constraint a neighbor could
     /// enforce runs against pre-existing leaves, which were balanced;
-    /// changed leaves each get their own seeding call.) The pushed item's
-    /// inner split loop then enforces its constraint to completion, so
-    /// the filter never needs to re-fire as `k`'s region refines.
+    /// changed leaves each get their own seeding call.) For a complete
+    /// family of merged parents, `k` is their parent and `min_level` stays
+    /// two levels below the merged parents: Q's boxes hold every such
+    /// octant of its children's boxes outside Q
+    /// (`family_reverse_seed_covers_*` in `forestbal-core`'s
+    /// `tests/exhaustive.rs`), and inside Q lie only the other merged
+    /// parents. The pushed item's inner split loop then enforces its
+    /// constraint to completion, so the filter never needs to re-fire as
+    /// `k`'s region refines.
     fn seed_adjacent(
         &self,
         cond: Condition,
         ghosts: &GhostLayer<D>,
         overlay: &Overlay,
-        tree: TreeId,
-        k: u128,
+        (tree, k, min_level): ReverseSeed,
         work: &mut FamilyQueue<D>,
-    ) {
+    ) -> u64 {
         let o = PackedOctant::<D>(k);
-        let min_level = o.level() + 2;
-        if min_level > MAX_LEVEL {
-            return;
-        }
         let fine = |rk: u128| PackedOctant::<D>(rk).level() >= min_level;
+        let mut searches = 0;
         for dir in directions::<D>() {
             if !cond.constrains(codim(&dir)) {
                 continue;
@@ -491,6 +554,7 @@ impl<const D: usize> Forest<D> {
             let Some((t2, n2)) = self.neighbor(tree, o, &dir) else {
                 continue;
             };
+            searches += 1;
             if let Some(v) = self.local.get(t2) {
                 let ov = overlay.get(&t2);
                 for &bk in &v[store::overlapping::<D, _>(v, n2.0)] {
@@ -514,6 +578,7 @@ impl<const D: usize> Forest<D> {
                 }
             }
         }
+        searches
     }
 }
 
@@ -524,13 +589,16 @@ impl<const D: usize> Forest<D> {
 #[derive(Default)]
 struct FamilyQueue<const D: usize> {
     items: VecDeque<(TreeId, u128)>,
+    /// Every item ever queued by this call, per tree. Leaves only get
+    /// finer, so an item, once popped, stays enforced: each is admitted
+    /// once.
+    admitted: BTreeMap<TreeId, OctantTable<D>>,
 }
 
 impl<const D: usize> FamilyQueue<D> {
-    /// Push the family item `key` of `tree`, unless it repeats the item
-    /// at the back (siblings arrive side by side in Morton order).
+    /// Push the family item `key` of `tree`, unless it was queued before.
     fn push(&mut self, tree: TreeId, key: u128) {
-        if self.items.back() != Some(&(tree, key)) {
+        if self.admitted.entry(tree).or_default().insert_key(key) {
             self.items.push_back((tree, key));
         }
     }

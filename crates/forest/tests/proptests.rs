@@ -7,10 +7,10 @@ use forestbal_comm::{Cluster, Comm};
 use forestbal_core::Condition;
 use forestbal_forest::serial::is_forest_balanced;
 use forestbal_forest::{
-    serial_forest_balance, BalanceVariant, BrickConnectivity, Forest, GlobalPos, ReversalScheme,
-    TreeId,
+    serial_forest_balance, AdaptBatch, BalanceVariant, BrickConnectivity, Forest, GlobalPos,
+    ReversalScheme, TreeId,
 };
-use forestbal_octant::{directions, Octant, PackedOctant, MAX_LEVEL};
+use forestbal_octant::{codim, directions, Octant, PackedOctant, MAX_LEVEL};
 use forestbal_sim::{SimCluster, SimConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -302,6 +302,89 @@ proptest! {
     #[test]
     fn ghost_layer_matches_oracle_3d(seed in any::<u64>(), denom in 3u64..6) {
         ghosts_match_oracle::<3>(seed, denom, (1, 3));
+    }
+}
+
+// ---- Merged parents need no family item of their own -----------------
+//
+// The incremental commit (`Forest::balance_incremental`) pushes no family
+// item for a leaf a coarsen created: its pre-edit children's items were
+// already enforced by the balanced pre-edit forest, and those are
+// stronger. Only a leaf the same batch coarsened can still be too
+// coarse for it, and that leaf's own reverse seed finds the constraint.
+
+/// On a random balanced forest (every brick of [`bricks`], one rank, a
+/// random k) and a random batch of coarsens and refines, the family item
+/// `parent(m)` of every merged parent `m` forces only other merged
+/// parents: the current leaf containing its same-level box in a
+/// constrained direction is either at least as fine as `parent(m)` or
+/// itself one of the batch's merged parents.
+fn merged_parent_items_force_nothing<const D: usize>(seed: u64, denom: u64) {
+    let k = 1 + (seed % D as u64) as u8;
+    let cond = Condition::new(k, D as u8).unwrap();
+    for (name, conn) in bricks::<D>() {
+        let conn = Arc::new(conn);
+        Cluster::run(1, |ctx| {
+            let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 1);
+            f.refine(true, 4, |t, o| pseudo_refine(seed, t, o, denom));
+            f.balance(ctx, cond, BalanceVariant::New, ReversalScheme::Notify);
+            let mut batch = AdaptBatch::new();
+            for (t, leaves) in f.trees() {
+                for o in leaves.iter() {
+                    if o.level > 0 && o.child_id() == 0 && pseudo_refine(seed ^ 1, t, &o, 2) {
+                        batch.coarsen(t, &o.parent());
+                    } else if pseudo_refine(seed ^ 2, t, &o, 5) {
+                        batch.refine(t, &o);
+                    }
+                }
+            }
+            let dirty = f.apply_edits(&batch, 5);
+            let leaves: Vec<(TreeId, Vec<u128>)> =
+                f.trees().map(|(t, v)| (t, v.keys().to_vec())).collect();
+            let merged: Vec<(TreeId, u128)> = dirty
+                .iter_coarsened()
+                .flat_map(|(t, keys)| keys.iter().map(move |&k| (t, k)))
+                .collect();
+            for &(t, m) in &merged {
+                let m = PackedOctant::<D>(m);
+                if m.level() == 0 {
+                    continue;
+                }
+                let p = m.parent();
+                for dir in directions::<D>().filter(|dir| cond.constrains(codim(dir))) {
+                    let Some((t2, n)) = conn.transform_key(t, p.neighbor(&dir)) else {
+                        continue;
+                    };
+                    let v = &leaves.iter().find(|(u, _)| *u == t2).expect("one rank").1;
+                    // The leaf containing the box, unless the box is
+                    // subdivided.
+                    let i = v.partition_point(|&k| k <= n.0);
+                    let Some(c) = i.checked_sub(1).map(|i| PackedOctant::<D>(v[i])) else {
+                        continue;
+                    };
+                    if c.contains(n) && c.level() < p.level() {
+                        assert!(
+                            merged.contains(&(t2, c.0)),
+                            "{name} seed {seed}: merged {m:?} of tree {t} forces {c:?} of tree {t2}"
+                        );
+                    }
+                }
+            }
+        });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn merged_parent_items_force_nothing_2d(seed in any::<u64>(), denom in 2u64..5) {
+        merged_parent_items_force_nothing::<2>(seed, denom);
+    }
+
+    #[test]
+    fn merged_parent_items_force_nothing_3d(seed in any::<u64>(), denom in 3u64..6) {
+        merged_parent_items_force_nothing::<3>(seed, denom);
     }
 }
 

@@ -304,6 +304,18 @@ impl<const D: usize> PackedOctant<D> {
         PackedOctant(idx << KEY_LEVEL_BITS | self.level() as u128)
     }
 
+    /// Is the same-size neighbor across `dir` a sibling (inside
+    /// `parent()`)? Along every axis that `dir` moves, the child-id bit
+    /// must point the other way. The root has no siblings.
+    #[inline]
+    pub fn neighbor_is_sibling(self, dir: &Direction<D>) -> bool {
+        if self.level() == 0 {
+            return false;
+        }
+        let id = self.child_id();
+        (0..D).all(|j| dir[j] == 0 || (dir[j] > 0) == (id >> j & 1 == 0))
+    }
+
     /// Which root-sized cell of the packable window holds the octant, per
     /// axis: `coords.div_euclid(ROOT_LEN)` in `{-1, 0, 1}`, read off the
     /// top three bit-planes — the tree step from the octant's frame to

@@ -210,8 +210,10 @@ impl<const D: usize> ForestService<D> {
     /// [`Forest::balance`] with the retained scratch, then a ghost
     /// layer rebuild.
     pub fn commit(&mut self, ctx: &impl Comm) -> EpochReport {
+        // Under a tracer the span's two clock readings also time the
+        // `service.commit_ns` sample.
         let t0 = forestbal_trace::enabled().then(|| ctx.now_ns());
-        forestbal_trace::span_begin("service.commit", || ctx.now_ns());
+        forestbal_trace::span_begin("service.commit", || t0.unwrap_or_default());
         let batch = std::mem::take(&mut self.batch);
         let dirty = self.forest.apply_edits(&batch, self.cfg.max_level);
 
@@ -251,11 +253,12 @@ impl<const D: usize> ForestService<D> {
             }
         }
         self.epoch += 1;
-        if let Some(t0) = t0 {
-            forestbal_trace::hist("service.commit_ns", ctx.now_ns().saturating_sub(t0));
-        }
         forestbal_trace::counter_add("service.epochs", 1);
-        forestbal_trace::span_end(|| ctx.now_ns());
+        if let Some(t0) = t0 {
+            let t1 = ctx.now_ns();
+            forestbal_trace::hist("service.commit_ns", t1.saturating_sub(t0));
+            forestbal_trace::span_end(|| t1);
+        }
         report
     }
 }
@@ -444,8 +447,14 @@ mod tests {
             #[cfg(feature = "trace")]
             {
                 let tracer = forestbal_trace::Tracer::begin(ctx.rank());
+                ctx.reads.set(0);
                 one_of_each(&ctx, &mut svc);
                 let trace = tracer.finish();
+                // Two readings per request; the commit's span events
+                // (its own and those of the incremental balance) carry
+                // one reading each, which the commit sample reuses.
+                let events = trace.events.len() as u64;
+                assert_eq!(ctx.reads.get(), 2 * 4 + events, "{events} span events");
                 for name in [
                     "service.refine_ns",
                     "service.coarsen_ns",

@@ -7,7 +7,11 @@
 //! functions of the input and of the exchange protocol: a change to the
 //! fixed point's worklist that makes the same splits in the same rounds
 //! leaves all three unchanged. The worklist pops (`incremental.work_items`)
-//! are the fixed point's own work: one per family item.
+//! are the fixed point's own work: one per family item, each admitted
+//! once per commit. The neighbor-box searches of the reverse seeding
+//! (`incremental.seed_searches`) are the seeding's: one per constrained
+//! direction of each seed, a complete family of merged parents seeded
+//! once, and none when no leaf or ghost is fine enough to count.
 //!
 //! The spans inside each `incremental.round` are checked by name: the
 //! round tiles into announce, patch-and-seed, fixed point and vote, and
@@ -22,11 +26,12 @@ use forestbal_trace::Tracer;
 use std::sync::Arc;
 
 /// Counters read per rank, in this order.
-const COUNTERS: [&str; 4] = [
+const COUNTERS: [&str; 5] = [
     "incremental.rounds",
     "incremental.splits",
     "incremental.sent_leaves",
     "incremental.work_items",
+    "incremental.seed_searches",
 ];
 
 /// The spans directly inside one `incremental.round`, in order.
@@ -39,7 +44,7 @@ const ROUND: [&str; 4] = [
 
 /// Per-rank values of [`COUNTERS`] and the global checksum after the
 /// last epoch.
-fn run() -> (Vec<[u64; 4]>, u64) {
+fn run() -> (Vec<[u64; 5]>, u64) {
     const BRICK: [usize; 3] = [3, 2, 1];
     let out = Cluster::run(2, |ctx| {
         let conn = Arc::new(BrickConnectivity::<3>::new(BRICK, [false; 3]));
@@ -94,7 +99,7 @@ fn run() -> (Vec<[u64; 4]>, u64) {
 #[test]
 fn moving_front_commit_does_the_pinned_work() {
     let (counts, checksum) = run();
-    let ranks = [[59, 345, 635, 6_539], [59, 323, 680, 5_931]];
+    let ranks = [[59, 345, 635, 1_835, 10_608], [59, 323, 680, 1_862, 9_100]];
     for (rank, (got, want)) in counts.iter().zip(ranks).enumerate() {
         for ((name, g), w) in COUNTERS.iter().zip(got).zip(want) {
             assert_eq!(*g, w, "rank {rank}: {name}");
