@@ -1435,18 +1435,13 @@ mod tests {
         assert_eq!(rows[0].bench(), "trace_balance");
         assert!(rows[1..].iter().all(|r| r.bench() == "trace_phase"));
         // The phase spans that tile a rank's `balance` span.
-        let phases = [
-            "markers",
-            "local_balance",
-            "query_response",
-            "reversal",
-            "rebalance",
-        ];
+        let phases = ["local_balance", "query_response", "reversal", "rebalance"];
         for rt in &trace.ranks {
-            // Virtual time only advances inside communication, so the
-            // phase spans tile the enclosing balance span with no gaps;
-            // the slowest balance span is the reported total, and the
-            // merged counters close the row.
+            // Each phase span starts at the timestamp the previous one
+            // ended on, and phase 1 at the balance span's own, so the
+            // phases tile the balance span with no gaps; the slowest
+            // balance span is the reported total, and the merged counters
+            // close the row.
             let parts: u64 = phases.iter().map(|n| rt.phase_total_ns(n)).sum();
             assert_eq!(parts, rt.phase_total_ns("balance"), "rank {}", rt.rank);
         }

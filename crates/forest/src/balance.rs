@@ -249,10 +249,11 @@ impl<const D: usize> Forest<D> {
         let t_total = ctx.now_ns();
         trace::span_begin("balance", || t_total);
         let mut report = BalanceReport::default();
-        self.update_markers(ctx);
 
         // ---- Phase 1: local balance --------------------------------
-        let t0 = ctx.now_ns();
+        // Every phase starts where the previous one ended and phase 1 at
+        // the total's own timestamp, so the four phases tile `total`.
+        let t0 = t_total;
         trace::span_begin("local_balance", || t0);
         // One arena of kernel working memory serves every subtree of this
         // rank's phase-1 loop and is threaded on through phase 4.
@@ -469,6 +470,7 @@ impl<const D: usize> Forest<D> {
         }
         report.timings.rebalance = Duration::from_nanos(t1 - t0);
         report.timings.total = Duration::from_nanos(t1 - t_total);
+        debug_assert!(self.markers_match_local());
         report
     }
 

@@ -198,8 +198,13 @@ impl<const D: usize> Forest<D> {
         &self.markers
     }
 
-    /// Recompute the partition markers (one allgather). Called after any
-    /// operation that changes leaf ownership.
+    /// Recompute the partition markers (one allgather). Only the two
+    /// operations that change leaf ownership call it: [`Forest::new_uniform`]
+    /// and [`Forest::partition_weighted`]. Every other mutation keeps the
+    /// table valid without communication: refining keeps a leaf's first
+    /// position in its first child, coarsening a local family keeps child
+    /// 0's, and balance only refines (debug builds check each of them
+    /// with `markers_match_local`).
     pub fn update_markers(&mut self, ctx: &impl Comm) {
         forestbal_trace::span_begin("markers", || ctx.now_ns());
         let mut payload = Vec::with_capacity(1 + 4 + 16);
@@ -223,6 +228,21 @@ impl<const D: usize> Forest<D> {
             |all| decode_markers(all, num_trees),
         );
         forestbal_trace::span_end(|| ctx.now_ns());
+    }
+
+    /// Do the markers agree with the local leaves? A non-empty rank's
+    /// marker is its first leaf's position and its last leaf ends below
+    /// the next rank's marker; an empty rank's range is empty. Needs no
+    /// communication, so `debug_assert!` checks it after every mutation.
+    pub(crate) fn markers_match_local(&self) -> bool {
+        let (m, p) = (&self.markers, self.rank);
+        match (self.first_local_pos(), self.local.iter().last()) {
+            (Some(first), Some((tree, v))) => {
+                let index = PackedOctant::<D>(v[v.len() - 1]).last_index();
+                m[p] == first && GlobalPos { tree, index } < m[p + 1]
+            }
+            _ => m[p] == m[p + 1],
+        }
     }
 
     /// The ranks whose partitions intersect the position range
@@ -303,6 +323,7 @@ impl<const D: usize> Forest<D> {
             *v = out;
         }
         debug_assert!(self.local.check_invariants());
+        debug_assert!(self.markers_match_local());
     }
 
     /// Coarsen local leaves: replace each complete, locally owned family
@@ -332,6 +353,7 @@ impl<const D: usize> Forest<D> {
             *v = out;
         }
         debug_assert!(self.local.check_invariants());
+        debug_assert!(self.markers_match_local());
     }
 
     /// Gather the whole forest on every rank (tests and tools only): the

@@ -89,9 +89,8 @@ impl<const D: usize> Forest<D> {
     /// overlaps this rank's partition, across tree boundaries included —
     /// every remote leaf touching one of ours, plus those within one own
     /// length of a finer one.
-    pub fn ghost_layer(&mut self, ctx: &impl Comm) -> GhostLayer<D> {
+    pub fn ghost_layer(&self, ctx: &impl Comm) -> GhostLayer<D> {
         forestbal_trace::span_begin("ghost", || ctx.now_ns());
-        self.update_markers(ctx);
         let me = ctx.rank();
 
         // Symmetric construction: send each of my boundary leaves, in its
@@ -107,10 +106,9 @@ impl<const D: usize> Forest<D> {
         // of the tree run and emits its `(owner, key)` pairs in leaf order,
         // and the encoder replays them in chunk order below — byte-identical
         // buffers for any thread count.
-        let this: &Forest<D> = self;
         let pool = forestbal_par::current();
         let mut chunks: Vec<(TreeId, &[u128])> = Vec::new();
-        for (t, keys) in this.local.iter() {
+        for (t, keys) in self.local.iter() {
             for r in pool.chunk_ranges(keys.len(), GHOST_PAR_CHUNK) {
                 if !r.is_empty() {
                     chunks.push((t, &keys[r]));
@@ -118,11 +116,11 @@ impl<const D: usize> Forest<D> {
             }
         }
         let scan_chunk = |&(t, keys): &(TreeId, &[u128])| -> Vec<(usize, u128)> {
-            let range = this.local_range(t).expect("chunk of a stored tree");
+            let range = self.local_range(t).expect("chunk of a stored tree");
             let mut cand = Vec::new();
-            this.for_each_boundary_leaf(t, keys, range, |k| {
+            self.for_each_boundary_leaf(t, keys, range, |k| {
                 let mut sent_to: Vec<usize> = Vec::new();
-                this.for_each_neighbor_owner(t, k, range, |owner, _, _| {
+                self.for_each_neighbor_owner(t, k, range, |owner, _, _| {
                     if owner != me && !sent_to.contains(&owner) {
                         sent_to.push(owner);
                         cand.push((owner, k));
@@ -164,7 +162,7 @@ impl<const D: usize> Forest<D> {
     /// `insulation_fact_3d` in core's `tests/exhaustive.rs` check that
     /// fact for every k against the ripple oracle.)
     pub fn is_balanced_distributed(
-        &mut self,
+        &self,
         ctx: &impl Comm,
         cond: forestbal_core::Condition,
     ) -> bool {
@@ -220,7 +218,7 @@ mod tests {
     fn uniform_ghosts_are_range_neighbors() {
         let conn = Arc::new(BrickConnectivity::<2>::unit());
         Cluster::run(4, |ctx| {
-            let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 3);
+            let f = Forest::new_uniform(Arc::clone(&conn), ctx, 3);
             let ghosts = f.ghost_layer(ctx);
             assert!(!ghosts.is_empty(), "interior ranks must see ghosts");
             let global = f.gather(ctx);
@@ -243,7 +241,7 @@ mod tests {
     fn ghosts_cover_all_local_boundary_neighbors() {
         let conn = Arc::new(BrickConnectivity::<2>::unit());
         Cluster::run(3, |ctx| {
-            let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 3);
+            let f = Forest::new_uniform(Arc::clone(&conn), ctx, 3);
             let ghosts = f.ghost_layer(ctx);
             let global = f.gather(ctx);
             // Every neighbor of a local leaf is local or a ghost.
@@ -277,7 +275,7 @@ mod tests {
     fn cross_tree_ghosts() {
         let conn = Arc::new(BrickConnectivity::<2>::new([2, 1], [false; 2]));
         Cluster::run(2, |ctx| {
-            let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 2);
+            let f = Forest::new_uniform(Arc::clone(&conn), ctx, 2);
             // With 2 trees and 2 ranks, the partition boundary is the
             // tree boundary: ghosts live in the other tree.
             let ghosts = f.ghost_layer(ctx);
@@ -317,7 +315,7 @@ mod tests {
     fn single_rank_has_no_ghosts() {
         let conn = Arc::new(BrickConnectivity::<2>::new([2, 2], [false; 2]));
         Cluster::run(1, |ctx| {
-            let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 2);
+            let f = Forest::new_uniform(Arc::clone(&conn), ctx, 2);
             assert!(f.ghost_layer(ctx).is_empty());
         });
     }

@@ -303,6 +303,7 @@ impl<const D: usize> Forest<D> {
             }
         }
         debug_assert!(self.local.check_invariants());
+        debug_assert!(self.markers_match_local());
         forestbal_trace::counter_add("incremental.refined", dirty.refined);
         forestbal_trace::counter_add("incremental.coarsened", dirty.coarsened);
         forestbal_trace::counter_add("incremental.skipped_edits", dirty.skipped);
@@ -503,6 +504,7 @@ impl<const D: usize> Forest<D> {
             self.local.splice(t, reps);
         }
         debug_assert!(self.local.check_invariants());
+        debug_assert!(self.markers_match_local());
         forestbal_trace::span_end(|| ctx.now_ns());
 
         forestbal_trace::counter_add("incremental.rounds", report.rounds as u64);
@@ -738,6 +740,7 @@ mod tests {
     use super::*;
     use crate::balance::{BalanceVariant, ReversalScheme};
     use crate::connectivity::BrickConnectivity;
+    use crate::reach::tests::pseudo_refine;
     use crate::serial::is_forest_balanced;
     use forestbal_comm::Cluster;
     use std::sync::Arc;
@@ -896,24 +899,76 @@ mod tests {
         });
     }
 
+    /// Every mutating call leaves the partition markers exactly what a
+    /// fresh exchange would publish, so only `partition` re-exchanges
+    /// them. Runs on the four `bricks()` and the unit square at
+    /// P ∈ {1, 2, 3, 5} and levels 1 and 2; at level 1 the unit square and
+    /// the periodic brick (four leaves) leave a rank empty on five ranks.
     #[test]
     fn incremental_preserves_markers() {
-        let conn = unit2();
-        Cluster::run(4, |ctx| {
-            let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 3);
-            let mut ghosts = f.ghost_layer(ctx);
-            let markers_before = f.markers().to_vec();
-            let mut batch = AdaptBatch::new();
-            if let Some((t, v)) = f.trees().next() {
-                let mid = v.get(v.len() / 2);
-                batch.refine(t, &mid);
+        let mut meshes = crate::reach::tests::bricks::<2>();
+        meshes.push(("unit", BrickConnectivity::unit()));
+        let cond = Condition::full(2);
+        let variants = [BalanceVariant::New, BalanceVariant::Old];
+        let schemes = [
+            ReversalScheme::Naive,
+            ReversalScheme::Ranges(2),
+            ReversalScheme::Notify,
+        ];
+        let mut empty_ranks = 0;
+        for (name, conn) in meshes {
+            let conn = Arc::new(conn);
+            for p in [1, 2, 3, 5] {
+                for level in [1u8, 2] {
+                    let out = Cluster::run(p, |ctx| {
+                        let check = |f: &Forest<2>, call: &str| {
+                            let mut fresh = f.clone();
+                            fresh.update_markers(ctx);
+                            let what = format!("{name} P = {p} level {level}: {call}");
+                            assert_eq!(f.markers(), fresh.markers(), "{what}");
+                        };
+                        let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, level);
+                        let empty = f.first_local_pos().is_none();
+                        f.refine(true, level + 3, |t, o| pseudo_refine(7, t, o, 3));
+                        check(&f, "refine");
+                        for variant in variants {
+                            for scheme in schemes {
+                                let mut g = f.clone();
+                                g.balance(ctx, cond, variant, scheme);
+                                check(&g, &format!("balance {variant:?} {scheme:?}"));
+                            }
+                        }
+                        let mut g = f.clone();
+                        g.balance_ripple(ctx, cond);
+                        check(&g, "balance_ripple");
+                        f = g;
+
+                        let mut ghosts = f.ghost_layer(ctx);
+                        let mut batch = AdaptBatch::new();
+                        if let Some((t, v)) = f.trees().next() {
+                            batch.refine(t, &v.get(v.len() / 2));
+                            let last = v.last().unwrap();
+                            if last.level > 0 {
+                                batch.coarsen(t, &last.parent());
+                            }
+                        }
+                        let dirty = f.apply_edits(&batch, level + 4);
+                        check(&f, "apply_edits");
+                        f.balance_incremental(ctx, cond, &dirty, &mut ghosts);
+                        check(&f, "balance_incremental");
+
+                        f.coarsen(|t, o| !pseudo_refine(11, t, o, 4));
+                        check(&f, "coarsen");
+                        f.partition_uniform(ctx);
+                        check(&f, "partition_uniform");
+                        f.refine(false, level + 4, |t, o| pseudo_refine(13, t, o, 5));
+                        check(&f, "refine after partition_uniform");
+                        empty
+                    });
+                    empty_ranks += out.results.iter().filter(|&&e| e).count();
+                }
             }
-            let dirty = f.apply_edits(&batch, 6);
-            f.balance_incremental(ctx, Condition::full(2), &dirty, &mut ghosts);
-            assert_eq!(f.markers(), &markers_before[..]);
-            // And they still agree with a re-exchange.
-            f.update_markers(ctx);
-            assert_eq!(f.markers(), &markers_before[..]);
-        });
+        }
+        assert!(empty_ranks > 0, "no case left a rank empty");
     }
 }

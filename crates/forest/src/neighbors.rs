@@ -90,7 +90,7 @@ mod tests {
     fn uniform_forest_neighbors_are_same_or_boundary() {
         let conn = Arc::new(BrickConnectivity::<2>::unit());
         Cluster::run(2, |ctx| {
-            let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 2);
+            let f = Forest::new_uniform(Arc::clone(&conn), ctx, 2);
             let ghosts = f.ghost_layer(ctx);
             let leaves: Vec<_> = f
                 .trees()

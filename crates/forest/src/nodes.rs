@@ -92,7 +92,7 @@ impl<const D: usize> Forest<D> {
     ///
     /// The forest must be 2:1 balanced for the hanging classification to
     /// be meaningful (the method itself tolerates any forest).
-    pub fn enumerate_nodes(&mut self, ctx: &impl Comm) -> Nodes<D> {
+    pub fn enumerate_nodes(&self, ctx: &impl Comm) -> Nodes<D> {
         forestbal_trace::span_begin("nodes", || ctx.now_ns());
         let ghosts = self.ghost_layer(ctx);
         let domain = Domain::new(self.connectivity());
@@ -246,8 +246,7 @@ mod tests {
     /// the rank of the least incident cell in the forest-wide curve order.
     /// No ghost layer, no forest search.
     impl<const D: usize> Forest<D> {
-        fn enumerate_nodes_by_search(&mut self, ctx: &impl Comm) -> Vec<NodeInfo<D>> {
-            self.update_markers(ctx);
+        fn enumerate_nodes_by_search(&self, ctx: &impl Comm) -> Vec<NodeInfo<D>> {
             let global = self.gather(ctx);
             let conn = self.connectivity();
             let (dims, periodic) = (conn.dims(), conn.periodic());
@@ -375,7 +374,7 @@ mod tests {
         for p in [1usize, 3] {
             let conn = Arc::clone(&conn);
             Cluster::run(p, move |ctx| {
-                let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 2);
+                let f = Forest::new_uniform(Arc::clone(&conn), ctx, 2);
                 let nodes = f.enumerate_nodes(ctx);
                 assert_eq!(nodes.num_global_independent, 25);
                 assert_eq!(nodes.num_hanging(), 0);
@@ -387,7 +386,7 @@ mod tests {
     fn uniform_3d_node_count() {
         let conn = Arc::new(BrickConnectivity::<3>::unit());
         Cluster::run(2, |ctx| {
-            let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 1);
+            let f = Forest::new_uniform(Arc::clone(&conn), ctx, 1);
             let nodes = f.enumerate_nodes(ctx);
             assert_eq!(nodes.num_global_independent, 27);
         });
@@ -399,7 +398,7 @@ mod tests {
         // nodes (the shared edge's 3 nodes counted once).
         let conn = Arc::new(BrickConnectivity::<2>::new([2, 1], [false, false]));
         Cluster::run(2, |ctx| {
-            let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 1);
+            let f = Forest::new_uniform(Arc::clone(&conn), ctx, 1);
             let nodes = f.enumerate_nodes(ctx);
             assert_eq!(nodes.num_global_independent, 15);
         });
@@ -508,7 +507,7 @@ mod tests {
             c != [1, 1]
         }));
         Cluster::run(2, |ctx| {
-            let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 1);
+            let f = Forest::new_uniform(Arc::clone(&conn), ctx, 1);
             let nodes = f.enumerate_nodes(ctx);
             assert_eq!(nodes.num_global_independent, 25 - 4);
             assert_eq!(nodes.num_hanging(), 0);
@@ -521,7 +520,7 @@ mod tests {
         // grid -> 4 independent nodes.
         let conn = Arc::new(BrickConnectivity::<2>::new([1, 1], [true, true]));
         Cluster::run(1, |ctx| {
-            let mut f = Forest::new_uniform(Arc::clone(&conn), ctx, 1);
+            let f = Forest::new_uniform(Arc::clone(&conn), ctx, 1);
             let nodes = f.enumerate_nodes(ctx);
             assert_eq!(nodes.num_global_independent, 4);
         });

@@ -127,6 +127,7 @@ impl<const D: usize> Forest<D> {
         }
         self.local = local;
         self.update_markers(ctx);
+        debug_assert!(self.markers_match_local());
         forestbal_trace::span_end(|| ctx.now_ns());
     }
 }

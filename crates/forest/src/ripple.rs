@@ -35,7 +35,6 @@ impl<const D: usize> Forest<D> {
     /// [`Forest::balance`], at a different (usually worse) cost.
     pub fn balance_ripple(&mut self, ctx: &impl Comm, cond: Condition) -> RippleStats {
         forestbal_trace::span_begin("ripple", || ctx.now_ns());
-        self.update_markers(ctx);
         let every_leaf = DirtySet::all_leaves(&self.local);
         let report = self.balance_incremental(ctx, cond, &every_leaf, &mut GhostLayer::default());
         forestbal_trace::counter_add("ripple.rounds", report.rounds as u64);

@@ -15,13 +15,17 @@
 //! seed constructions the responders run (one per family of candidate
 //! leaves past the level precheck; Old runs none).
 //!
+//! The collectives one balance, ghost layer and node enumeration enter
+//! are pinned too, and every balance's four phase timings must sum to
+//! its total exactly.
+//!
 //! `balance.{local,rebalance}.table_probes` is deliberately not pinned:
 //! it counts the slots a linear probe inspects, which depends on the hash
 //! of the table key, not on the algorithm.
 
 #![cfg(feature = "trace")]
 
-use forestbal_comm::{Cluster, Comm};
+use forestbal_comm::{Cluster, Comm, CommStats};
 use forestbal_core::Condition;
 use forestbal_forest::{BalanceVariant, ReversalScheme};
 use forestbal_mesh::fractal_forest;
@@ -48,8 +52,12 @@ fn run(variant: BalanceVariant) -> (Vec<[u64; 12]>, u64) {
     let out = Cluster::run(2, move |ctx| {
         let mut f = fractal_forest(ctx, 2, 4);
         let tracer = Tracer::begin(ctx.rank());
-        f.balance(ctx, Condition::full(3), variant, ReversalScheme::Notify);
+        let t = f.balance(ctx, Condition::full(3), variant, ReversalScheme::Notify);
         let trace = tracer.finish();
+        // Each phase starts at the previous one's end timestamp and phase
+        // 1 at the total's, so the phases tile the wall-clock total.
+        let phases = t.local_balance + t.query_response + t.reversal + t.rebalance;
+        assert_eq!(phases, t.total, "{variant:?}: phases vs total");
         let read = |name: &str| trace.counters.get(name).copied().unwrap_or(0);
         for grows in ["balance.local.table_grows", "balance.rebalance.table_grows"] {
             assert_eq!(read(grows), 0, "{variant:?}: {grows}");
@@ -99,4 +107,39 @@ fn old_balance_does_the_pinned_paper_work() {
     ];
     assert_eq!(counts, ranks);
     assert_eq!(checksum, CHECKSUM);
+}
+
+/// `(collective_calls, collective_bytes)` this rank entered since `before`.
+fn collectives(ctx: &impl Comm, before: &CommStats) -> (u64, u64) {
+    let d = ctx.stats().delta_since(before);
+    (d.collective_calls, d.collective_bytes)
+}
+
+/// The collectives of one New balance, one Old balance, one ghost layer
+/// and one node enumeration on the same input, per rank. The partition
+/// markers are forest state that only `new_uniform` and `partition`
+/// exchange, and Notify reverses the pattern point to point, so the
+/// balances and the ghost layer enter no collective; the sum of the
+/// independent node counts, an 8-byte reduction, is the only one.
+#[test]
+fn each_call_enters_the_pinned_collectives() {
+    let out = Cluster::run(2, |ctx| {
+        let cond = Condition::full(3);
+        let mut f = fractal_forest(ctx, 2, 4);
+        let mut old = f.clone();
+        let s = ctx.stats();
+        f.balance(ctx, cond, BalanceVariant::New, ReversalScheme::Notify);
+        let new_balance = collectives(ctx, &s);
+        let s = ctx.stats();
+        old.balance(ctx, cond, BalanceVariant::Old, ReversalScheme::Notify);
+        let old_balance = collectives(ctx, &s);
+        let s = ctx.stats();
+        f.ghost_layer(ctx);
+        let ghost = collectives(ctx, &s);
+        let s = ctx.stats();
+        f.enumerate_nodes(ctx);
+        let nodes = collectives(ctx, &s);
+        [new_balance, old_balance, ghost, nodes]
+    });
+    assert_eq!(out.results, vec![[(0, 0), (0, 0), (0, 0), (1, 8)]; 2]);
 }

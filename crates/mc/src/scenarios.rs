@@ -149,10 +149,10 @@ pub fn replay_notify_mutant(trace: &Trace) -> Option<Violation> {
     )
 }
 
-/// The marker-exchange closure: build the 2D fractal forest (uniform
-/// refine + fractal refine, each re-exchanging partition markers) and
-/// re-run the marker exchange once more; return a printable digest of
-/// the markers plus the forest checksum.
+/// The marker-exchange closure: build the 2D fractal forest (the uniform
+/// forest exchanges the partition markers once; the fractal refine keeps
+/// them without communication) and re-run the marker exchange once more;
+/// return a printable digest of the markers plus the forest checksum.
 fn markers_digest(ctx: &SimCtx) -> String {
     let mut f = fractal_forest_2d(ctx, 1, 1);
     f.update_markers(ctx);
@@ -181,7 +181,7 @@ pub fn check_markers(size: usize, mut cfg: McConfig) -> McReport {
 /// the octant must exist under its tree and the claimed owner must be a
 /// different rank.
 fn ghosts_digest(ctx: &SimCtx) -> String {
-    let mut f = fractal_forest_2d(ctx, 1, 2);
+    let f = fractal_forest_2d(ctx, 1, 2);
     let ghosts = f.ghost_layer(ctx);
     let global = f.gather(ctx);
     let mut valid = true;

@@ -8,8 +8,8 @@
 //!   virtual µs — the shape of the paper's Figure 15 runtime breakdown),
 //! - verifies that the four balance phases plus the reversal span were
 //!   recorded on every rank and that the phase spans tile the enclosing
-//!   `balance` span exactly (virtual time only advances inside
-//!   communication calls),
+//!   `balance` span exactly (each phase starts at the timestamp the
+//!   previous one ended on),
 //! - writes a trace-event JSON file — `trace_balance.json`, or the path
 //!   given as the first argument — with one process per simulated rank.
 //!
@@ -52,15 +52,14 @@ fn main() {
     }
 
     // Every rank must have recorded the four phases of the one-pass
-    // algorithm plus the pattern reversal, and — because the simulator's
-    // clock only ticks inside communication — the phases (with the marker
-    // exchange) must partition the enclosing balance span exactly.
+    // algorithm plus the pattern reversal, and the phases must partition
+    // the enclosing balance span exactly: each starts at the timestamp
+    // the previous one ended on, and phase 1 at the balance span's own.
     let phases = [
         "local_balance",
         "query_response",
         "reversal",
         "rebalance",
-        "markers",
         "balance",
     ];
     for rt in &trace.ranks {
@@ -71,7 +70,7 @@ fn main() {
                 rt.rank
             );
         }
-        let parts: u64 = phases[..5].iter().map(|n| rt.phase_total_ns(n)).sum();
+        let parts: u64 = phases[..4].iter().map(|n| rt.phase_total_ns(n)).sum();
         assert_eq!(
             parts,
             rt.phase_total_ns("balance"),
