@@ -1009,4 +1009,33 @@ mod tests {
         assert_eq!(want.len(), 6);
         assert_eq!(got, want);
     }
+
+    /// Each `*_ns` phase field of a row is the slowest rank's time in that
+    /// phase, taken per phase (`BalanceTimings::max`), so the phases of one
+    /// row may come from different ranks: their sum bounds `total_ns` from
+    /// above and their maximum from below. Naive and Ranges end every
+    /// phase on all ranks together, so there the bound is tight.
+    #[test]
+    fn committed_weakscale_phases_bracket_the_total() {
+        let rows = include_str!("../../../../BENCH_weakscale.json").lines();
+        let mut n = 0;
+        for line in rows {
+            let field = |key: &str| -> u64 {
+                let tail = line.split(&format!("\"{key}\":")).nth(1);
+                let value = tail.and_then(|t| t.split([',', '}']).next());
+                value.and_then(|v| v.parse().ok()).expect(key)
+            };
+            let total = field("total_ns");
+            let phases = ["local_balance", "reversal", "query_response", "rebalance"]
+                .map(|p| field(&format!("{p}_ns")));
+            let sum: u64 = phases.iter().sum();
+            let max = *phases.iter().max().unwrap();
+            assert!(max <= total && total <= sum, "{line}");
+            if !line.contains("\"scheme\":\"notify\"") {
+                assert_eq!(total, sum, "{line}");
+            }
+            n += 1;
+        }
+        assert_eq!(n, 24);
+    }
 }

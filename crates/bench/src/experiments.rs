@@ -304,6 +304,13 @@ impl Scaling {
 
 impl BalanceRun {
     /// Append this run's block of a row, every key behind `prefix`.
+    ///
+    /// Each `*_ns` phase field is the slowest rank's time in that phase,
+    /// taken per phase ([`BalanceTimings::max`], the paper's per-phase
+    /// convention), and `total_ns` the slowest rank's total. The phases
+    /// of one row may come from different ranks, so they sum to at least
+    /// `total_ns`, and to exactly it only where every phase ends on all
+    /// ranks together (Naive, Ranges); on Notify rows the sum exceeds it.
     fn fields(&self, mut rec: BenchRecord, prefix: &str, per_rank: f64) -> BenchRecord {
         let key = |name: &str| format!("{prefix}{name}");
         let t = &self.report.timings;

@@ -20,7 +20,11 @@
 //!    with the octants themselves (old) or with λ-tested seed octants
 //!    (new, §IV). Siblings share their coarsest balanced tree,
 //!    T_k(o) = T_k(s), so New builds one seed set per family of
-//!    candidates, not one per candidate.
+//!    candidates, not one per candidate. Only leaves at least two levels
+//!    finer than `r` can split it, so phase 1 records each local tree's
+//!    finest level, and an entry whose tree has none that fine is
+//!    answered empty before any neighbor is built; phases 2–3 do not
+//!    change the leaves, so the bound is exact for the whole round.
 //! 4. **Local rebalance** — old: each tree's full partition is rebalanced
 //!    with the received octants as exterior/interior constraints,
 //!    constructing auxiliary octants across any gaps; new: each queried
@@ -173,20 +177,35 @@ fn local_root<const D: usize>(v: &[u128]) -> PackedOctant<D> {
 /// decoded. Each tree is independent (constraints never cross tree
 /// boundaries in phase 1 — that is exactly what phases 2–4 exist for), so
 /// the parallel path runs this per tree with per-worker scratch and the
-/// result is bit-identical to the serial loop.
+/// result is bit-identical to the serial loop. Beside the kernel's stats
+/// it returns the finest level of the clipped leaves, the bound the
+/// phase-3 responder tests each query against.
 fn phase1_tree<const D: usize>(
     v: &mut Vec<u128>,
     cond: Condition,
     variant: BalanceVariant,
     scratch: &mut BalanceScratch<D>,
-) -> BalanceStats {
+) -> (BalanceStats, u8) {
     let sub = local_root::<D>(v);
     let (balanced, bs) = match variant {
         BalanceVariant::Old => balance_subtree_old_keys(sub, v, &[], cond, scratch),
         BalanceVariant::New => balance_subtree_new_keys(sub, v, cond, scratch),
     };
     clip_to_owned::<D>(&balanced, v);
-    bs
+    let finest = v.iter().map(|&k| PackedOctant::<D>(k).level()).max();
+    (bs, finest.unwrap_or(0))
+}
+
+/// Phase-3 responder state, shared by every answer of one balance round.
+struct Responder {
+    /// Finest leaf level of each local tree, sorted by tree id. Phases 2
+    /// and 3 leave the leaves as phase 1 left them, so the bound is exact
+    /// for every query of the round.
+    finest: Vec<(TreeId, u8)>,
+    /// Sort buffers of the response keys.
+    sort: SortScratch,
+    /// One entry's response keys.
+    out: Vec<u128>,
 }
 
 /// Replace the non-empty leaf array `v` by the keys of `balanced` (a
@@ -259,23 +278,25 @@ impl<const D: usize> Forest<D> {
         // rank's phase-1 loop and is threaded on through phase 4.
         let ks_base = scratch.stats();
         let mut local_stats = BalanceStats::default();
-        let mut tree_tasks: Vec<(&mut Vec<u128>, BalanceStats)> = self
+        let mut tree_tasks: Vec<(TreeId, &mut Vec<u128>, (BalanceStats, u8))> = self
             .local
             .iter_mut()
             .filter(|(_, v)| !v.is_empty())
-            .map(|(_, v)| (v, BalanceStats::default()))
+            .map(|(t, v)| (t, v, Default::default()))
             .collect();
         // Independent subtree kernels, one task per tree; stats fold in
         // task order below, so nothing about the schedule reaches the
         // output.
-        scratch.for_each_task(&mut tree_tasks, |_, (v, stats), ws| {
-            *stats = phase1_tree(v, cond, variant, ws);
+        scratch.for_each_task(&mut tree_tasks, |_, (_, v, res), ws| {
+            *res = phase1_tree(v, cond, variant, ws);
         });
-        for (_, bs) in &tree_tasks {
+        let mut finest = Vec::with_capacity(tree_tasks.len());
+        for &(t, _, (bs, level)) in &tree_tasks {
             local_stats.hash_queries += bs.hash_queries;
             local_stats.binary_searches += bs.binary_searches;
             local_stats.sorted_len += bs.sorted_len;
             local_stats.output_len += bs.output_len;
+            finest.push((t, level));
         }
         drop(tree_tasks);
         let t1 = ctx.now_ns();
@@ -401,9 +422,14 @@ impl<const D: usize> Forest<D> {
         }
 
         // Respond to each incoming query message.
+        let mut responder = Responder {
+            finest,
+            sort: SortScratch::new(),
+            out: Vec::new(),
+        };
         for &s in &senders {
             let (_, data) = ctx.recv(Some(s), QUERY_TAG);
-            let reply = self.answer_queries(&data, cond, variant);
+            let reply = self.answer_queries(&data, cond, variant, &mut responder);
             report.response_bytes += reply.len() as u64;
             report.messages += 1;
             ctx.send(s, RESPONSE_TAG, reply);
@@ -412,7 +438,7 @@ impl<const D: usize> Forest<D> {
         // Self entries: answer locally.
         let self_reply = per_rank
             .get(&me)
-            .map(|eids| self.answer_queries(&encode_entries(eids), cond, variant));
+            .map(|eids| self.answer_queries(&encode_entries(eids), cond, variant, &mut responder));
 
         // Collect responses: per qid, the constraint keys in home frame.
         let mut per_qid: Vec<Vec<u128>> = vec![Vec::new(); queries.len()];
@@ -477,22 +503,36 @@ impl<const D: usize> Forest<D> {
     /// Phase 3 responder: for each encoded query entry, find the local
     /// leaves inside the query octant's insulation layer that might cause
     /// it to split, and encode the response (raw octants or seeds, the
-    /// latter built once per family of such leaves). The insulation scan,
-    /// the seed decision and the response all stay on packed keys.
-    fn answer_queries(&self, data: &[u8], cond: Condition, variant: BalanceVariant) -> Vec<u8> {
+    /// latter built once per family of such leaves). Only leaves at least
+    /// two levels finer than the query octant `r` can split it, so an
+    /// entry whose tree holds none ([`Responder::finest`]) is answered
+    /// empty without building a neighbor. The insulation scan, the seed
+    /// decision and the response all stay on packed keys.
+    fn answer_queries(
+        &self,
+        data: &[u8],
+        cond: Condition,
+        variant: BalanceVariant,
+        resp: &mut Responder,
+    ) -> Vec<u8> {
         let mut reply = Vec::new();
-        let mut sort = SortScratch::new();
+        let (mut answered, mut below_finest, mut seed_calls, mut octants) = (0u64, 0, 0, 0);
         let mut pos = 0;
         while pos < data.len() {
             let eid = codec::get_u32(data, &mut pos);
             let tree = codec::get_u32(data, &mut pos);
             let rk = PackedOctant::<D>(codec::get_key::<D>(data, &mut pos));
 
-            let mut out: Vec<u128> = Vec::new();
-            let mut seed_calls = 0u64;
-            // Parent of the last candidate that ran `find_seeds_keys`.
-            let mut family: Option<PackedOctant<D>> = None;
-            if let Some(v) = self.local.get(tree) {
+            let out = &mut resp.out;
+            out.clear();
+            // A tree without local leaves has no finest level: 0 rejects.
+            let at = resp.finest.binary_search_by_key(&tree, |&(t, _)| t);
+            if at.map_or(0, |i| resp.finest[i].1) < rk.level() + 2 {
+                below_finest += 1; // no local leaf can split r
+            } else {
+                let v = self.local.get(tree).expect("finest level of a stored tree");
+                // Parent of the last candidate that ran `find_seeds_keys`.
+                let mut family: Option<PackedOctant<D>> = None;
                 for dir in directions::<D>() {
                     let n = rk.neighbor(&dir);
                     if !n.is_inside_root() {
@@ -524,23 +564,22 @@ impl<const D: usize> Forest<D> {
                                 }
                                 family = parent;
                                 seed_calls += 1;
-                                find_seeds_keys(p, rk, cond, &mut out);
+                                find_seeds_keys(p, rk, cond, out);
                             }
                         }
                     }
                 }
+                sort_keys_with::<D>(out, &mut resp.sort);
+                out.dedup();
+                if variant == BalanceVariant::New {
+                    // Overlapping seeds from different source octants
+                    // resolve to the finest (already sorted: the fast path
+                    // skips the sort and only runs the ancestor sweep).
+                    linearize_keys_with::<D>(out, &mut resp.sort);
+                }
             }
-            trace::counter_add("balance.find_seeds_calls", seed_calls);
-            sort_keys_with::<D>(&mut out, &mut sort);
-            out.dedup();
-            if variant == BalanceVariant::New {
-                // Overlapping seeds from different source octants resolve
-                // to the finest (already sorted: the fast path skips the
-                // sort and only runs the ancestor sweep).
-                linearize_keys_with::<D>(&mut out, &mut sort);
-            }
-            trace::counter_add("balance.queries_answered", 1);
-            trace::counter_add("balance.response_octants", out.len() as u64);
+            answered += 1;
+            octants += out.len() as u64;
             // The paper's §IV claim made measurable: seed responses are
             // tiny (New) versus raw insulation octants (Old).
             trace::hist(
@@ -552,7 +591,13 @@ impl<const D: usize> Forest<D> {
             );
             codec::put_u32(&mut reply, eid);
             codec::put_u32(&mut reply, out.len() as u32);
-            codec::put_keys::<D>(&mut reply, &out);
+            codec::put_keys::<D>(&mut reply, out);
+        }
+        if answered > 0 {
+            trace::counter_add("balance.find_seeds_calls", seed_calls);
+            trace::counter_add("balance.queries_answered", answered);
+            trace::counter_add("balance.queries_below_finest", below_finest);
+            trace::counter_add("balance.response_octants", octants);
         }
         reply
     }

@@ -13,7 +13,10 @@
 //! hands to the direction loop, the query entries sent, the queries
 //! answered, the octants the answers carry and, for New, the number of
 //! seed constructions the responders run (one per family of candidate
-//! leaves past the level precheck; Old runs none).
+//! leaves past the level precheck; Old runs none). Of the queries
+//! answered, `balance.queries_below_finest` counts those the responder's
+//! per-tree finest-level bound answers empty without a neighbor scan;
+//! it is the same for both variants, since phase 1 leaves the same leaves.
 //!
 //! The collectives one balance, ghost layer and node enumeration enter
 //! are pinned too, and every balance's four phase timings must sum to
@@ -32,7 +35,7 @@ use forestbal_mesh::fractal_forest;
 use forestbal_trace::Tracer;
 
 /// Counters read per rank, in this order.
-const COUNTERS: [&str; 12] = [
+const COUNTERS: [&str; 13] = [
     "balance.local.hash_queries",
     "balance.local.binary_searches",
     "balance.local.sorted_len",
@@ -45,10 +48,11 @@ const COUNTERS: [&str; 12] = [
     "balance.find_seeds_calls",
     "balance.reach_tests",
     "balance.boundary_leaves",
+    "balance.queries_below_finest",
 ];
 
 /// Per-rank values of [`COUNTERS`] and the global checksum after balance.
-fn run(variant: BalanceVariant) -> (Vec<[u64; 12]>, u64) {
+fn run(variant: BalanceVariant) -> (Vec<[u64; 13]>, u64) {
     let out = Cluster::run(2, move |ctx| {
         let mut f = fractal_forest(ctx, 2, 4);
         let tracer = Tracer::begin(ctx.rank());
@@ -81,10 +85,12 @@ fn new_balance_does_the_pinned_paper_work() {
     // order on both halves, so its climbs, and its interior tests, differ.
     let ranks = [
         [
-            391_764, 10_683, 16_794, 117_792, 419_307, 648, 6_340, 6_340, 420, 4_288, 24_468, 6_148,
+            391_764, 10_683, 16_794, 117_792, 419_307, 648, 6_340, 6_340, 420, 4_288, 24_468,
+            6_148, 5_608,
         ],
         [
-            391_764, 10_683, 16_794, 117_792, 419_307, 648, 6_340, 6_340, 420, 4_288, 24_464, 6_148,
+            391_764, 10_683, 16_794, 117_792, 419_307, 648, 6_340, 6_340, 420, 4_288, 24_464,
+            6_148, 5_608,
         ],
     ];
     assert_eq!(counts, ranks);
@@ -98,11 +104,11 @@ fn old_balance_does_the_pinned_paper_work() {
     let ranks = [
         [
             5_596_416, 1_206_312, 134_616, 117_792, 5_704_200, 7_398_072, 6_340, 6_340, 32_064, 0,
-            24_468, 6_148,
+            24_468, 6_148, 5_608,
         ],
         [
             5_596_416, 1_206_312, 134_616, 117_792, 5_704_200, 7_398_072, 6_340, 6_340, 32_064, 0,
-            24_464, 6_148,
+            24_464, 6_148, 5_608,
         ],
     ];
     assert_eq!(counts, ranks);

@@ -10,6 +10,9 @@
 //!   recorded on every rank and that the phase spans tile the enclosing
 //!   `balance` span exactly (each phase starts at the timestamp the
 //!   previous one ended on),
+//! - checks that every query entry was answered exactly once and that the
+//!   responders' finest-level bound answered some of them, and prints
+//!   that share,
 //! - writes a trace-event JSON file — `trace_balance.json`, or the path
 //!   given as the first argument — with one process per simulated rank.
 //!
@@ -79,6 +82,24 @@ fn main() {
         );
     }
 
+    // Every query entry is answered exactly once, and in this regime (a
+    // few dozen leaves per rank) the responders' finest-level bound
+    // answers some of them without a neighbor scan.
+    let counters = trace.merged_counters();
+    let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+    let entries = count("balance.query_entries");
+    assert_eq!(
+        count("balance.queries_answered"),
+        entries,
+        "every query entry must be answered exactly once"
+    );
+    let below = count("balance.queries_below_finest");
+    assert!(below > 0, "the finest-level bound answered no query entry");
+    println!(
+        "{below} of {entries} query entries ({:.1} %) answered by the finest-level bound\n",
+        100.0 * below as f64 / entries as f64
+    );
+
     println!("one-pass balance on {p} simulated ranks, per-phase spans (virtual µs):");
     println!(
         "{:>16} {:>6} {:>6} {:>10} {:>10} {:>10}",
@@ -98,7 +119,7 @@ fn main() {
     }
 
     println!("\ncluster-wide counters:");
-    for (name, v) in trace.merged_counters() {
+    for (name, v) in &counters {
         println!("  {name} = {v}");
     }
     println!("histograms (log2 buckets):");
